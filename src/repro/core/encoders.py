@@ -31,7 +31,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro import nn
-from repro.tensor import Tensor, concat
+from repro.tensor import Tensor, concat, is_grad_enabled
 
 # Initial capacity of the transformer encoders' sinusoidal positional
 # tables.  This is *not* a sequence-length cap: the tables grow
@@ -270,6 +270,11 @@ class _DirectionalTransformer(nn.Module):
     itself): stream state at ``j`` summarizes inputs ``<= j`` (forward) or
     ``>= j`` (backward), and the final one-step shift in
     :func:`shift_and_combine` provides the strict exclusion of Eq. 25.
+
+    With grad off and the stack in eval mode, :meth:`forward` runs the
+    raw-NumPy kernel :meth:`forward_inference` — the same rule that picks
+    the LSTM kernel for dkt.  The ``Tensor`` path stays the training path
+    and the reference the kernel is tested against.
     """
 
     def __init__(self, dim: int, heads: int, layers: int,
@@ -284,8 +289,9 @@ class _DirectionalTransformer(nn.Module):
             for _ in range(layers)
         ])
 
-    def forward(self, x: Tensor, mask: Optional[np.ndarray]) -> Tensor:
-        length = x.shape[1]
+    def _allowed(self, length: int, mask: Optional[np.ndarray]) -> np.ndarray:
+        """``(B or 1, 1, L, L)`` attention mask: stream direction and,
+        when ``mask`` is given, real keys only."""
         if self.reverse:
             direction = nn.anti_causal_mask(length, strict=False)
         else:
@@ -293,31 +299,44 @@ class _DirectionalTransformer(nn.Module):
         allowed = direction[None, None]
         if mask is not None:
             allowed = allowed & mask[:, None, None, :]
+        return allowed
+
+    def forward(self, x: Tensor, mask: Optional[np.ndarray]) -> Tensor:
+        if not self.training and not is_grad_enabled():
+            return Tensor(self.forward_inference(x.data, mask)[0])
+        allowed = self._allowed(x.shape[1], mask)
         x = self.positions(x)
         for block in self.blocks:
             x = block(x, mask=allowed)
         return x
 
-    def forward_capture(self, x: Tensor, mask: Optional[np.ndarray]
-                        ) -> Tuple[np.ndarray, List]:
-        """:meth:`forward` that also returns each block's projected
-        key/value arrays (forward direction only — the capture feeds the
-        serving cache, and only causal streams are extensible)."""
-        if self.reverse:
-            raise ValueError("key/value capture only applies to the "
-                             "forward (causal) stream")
-        attentions = [block.attention for block in self.blocks]
-        for attention in attentions:
-            attention.capture_kv = True
-        try:
-            out = self.forward(x, mask)
-        finally:
-            for attention in attentions:
-                attention.capture_kv = False
-        captured = [attention.last_kv for attention in attentions]
-        for attention in attentions:
-            attention.last_kv = None
-        return out.data, captured
+    def forward_inference(self, x: np.ndarray, mask: Optional[np.ndarray]
+                          ) -> Tuple[np.ndarray, List]:
+        """No-grad, eval-mode :meth:`forward` on raw arrays.
+
+        Runs every block with no ``Tensor`` objects
+        (:meth:`repro.nn.TransformerBlock.forward_inference`).  Returns
+        the ``(B, L, D)`` stream and, for the forward (causal) direction,
+        each block's projected ``(keys, values)`` — the capture the
+        serving cache resumes from (:meth:`BiSAKTEncoder.state_from_capture`).
+        Anti-causal states cannot be extended, so the backward direction
+        returns an empty capture.
+
+        Activations stay ``(B, L, D)`` rather than ``(B*L, D)``: NumPy
+        then runs each projection as one small gemm per sequence, which
+        OpenBLAS keeps single-threaded.  A single ``(B*L, D)`` gemm
+        crosses its threading threshold and ran up to 9x slower on a
+        2-vCPU box.
+        """
+        length = x.shape[1]
+        allowed = self._allowed(length, mask)
+        x = x + self.positions.ensure(length)[:length]
+        captured = []
+        for block in self.blocks:
+            x, keys, values = block.forward_inference(x, allowed)
+            if not self.reverse:
+                captured.append((keys, values))
+        return x, captured
 
 
 class BiSAKTEncoder(BidirectionalEncoder):
@@ -376,7 +395,7 @@ class BiSAKTEncoder(BidirectionalEncoder):
     def forward_stream_with_capture(self, interactions: Tensor,
                                     mask: Optional[np.ndarray] = None
                                     ) -> Tuple[np.ndarray, object]:
-        return self.forward_stack.forward_capture(interactions, mask)
+        return self.forward_stack.forward_inference(interactions.data, mask)
 
     def state_from_capture(self, capture, row_indices,
                            length: int) -> AttentionStreamState:

@@ -31,6 +31,39 @@ def _softplus_array(x: np.ndarray) -> np.ndarray:
     return np.log(np.exp(np.clip(x, -30.0, 30.0)) + 1.0)
 
 
+#: Shifted logits are clamped to this floor before ``exp``: ``exp`` takes
+#: a slow special-value path for ``-inf`` (blocked keys) and for inputs
+#: that underflow, and ``exp(-700) < 1e-304`` is no weight that matters.
+_EXP_FLOOR = -700.0
+
+
+def masked_softmax_inplace(logits: np.ndarray,
+                           allowed: Optional[np.ndarray] = None
+                           ) -> np.ndarray:
+    """No-grad softmax over the last axis that overwrites ``logits``.
+
+    ``allowed`` is broadcastable to ``logits`` with True at positions a
+    query may attend to.  Same values as :func:`repro.tensor.masked_softmax`:
+    the stable shift is the row max over allowed positions, blocked
+    positions get exactly zero weight, and a row with no allowed position
+    comes out all zeros instead of NaN.  The one departure is the
+    ``_EXP_FLOOR`` clamp, which moves weights below 1e-304.
+    """
+    if allowed is not None:
+        logits += np.where(allowed, 0.0, -np.inf)
+    row_max = logits.max(axis=-1, keepdims=True)
+    row_max[np.isneginf(row_max)] = 0.0
+    logits -= row_max
+    np.maximum(logits, _EXP_FLOOR, out=logits)
+    np.exp(logits, out=logits)
+    if allowed is not None:
+        logits *= allowed
+    denom = logits.sum(axis=-1, keepdims=True)
+    denom[denom == 0.0] = 1.0
+    logits /= denom
+    return logits
+
+
 class KVCache:
     """Growable projected key/value prefix for one attention layer.
 
@@ -121,8 +154,6 @@ class MultiHeadAttention(Module):
             # softplus(0.54) ~= 1.0; start with a mild decay.
             self.decay = init.normal((heads,), 0.1, rng)
         self.last_weights: Optional[np.ndarray] = None
-        self.capture_kv: bool = False
-        self.last_kv: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def _split(self, x: Tensor, batch: int, length: int) -> Tensor:
         """(B, L, D) -> (B, H, L, Dh)."""
@@ -135,20 +166,12 @@ class MultiHeadAttention(Module):
         ``mask`` is a boolean array broadcastable to ``(B, H, Lq, Lk)`` with
         True marking *allowed* positions.  Rows with no allowed key yield a
         zero context vector (see :func:`repro.tensor.masked_softmax`).
-
-        When :attr:`capture_kv` is set (serving warm-up), the pre-split
-        projected keys/values of this pass are stashed on
-        :attr:`last_kv` as plain ``(B, Lk, D)`` arrays.
         """
         batch, q_len, _ = query.shape
         k_len = key.shape[1]
-        projected_k = self.key_proj(key)
-        projected_v = self.value_proj(value)
-        if self.capture_kv:
-            self.last_kv = (projected_k.data, projected_v.data)
         q = self._split(self.query_proj(query), batch, q_len)
-        k = self._split(projected_k, batch, k_len)
-        v = self._split(projected_v, batch, k_len)
+        k = self._split(self.key_proj(key), batch, k_len)
+        v = self._split(self.value_proj(value), batch, k_len)
 
         logits = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(self.head_dim))
         if self.monotonic:
@@ -172,10 +195,50 @@ class MultiHeadAttention(Module):
         context = context.transpose(0, 2, 1, 3).reshape(batch, q_len, self.dim)
         return self.out_proj(context)
 
+    # ------------------------------------------------------------------
+    # No-grad, eval-mode kernels: the batched encoder streams and the
+    # forward-stream serving cache share these helpers
+    # ------------------------------------------------------------------
+    def _decay_logits(self, query_positions: np.ndarray,
+                      key_length: int) -> np.ndarray:
+        """``theta_h * |i - j|`` per head, query and key: ``(H, Lq, Lk)``."""
+        distance = np.abs(query_positions[:, None]
+                          - np.arange(key_length)[None, :]).astype(np.float64)
+        theta = _softplus_array(self.decay.data).reshape(self.heads, 1, 1)
+        return theta * distance
 
-    # ------------------------------------------------------------------
-    # No-grad incremental inference (forward-stream serving cache)
-    # ------------------------------------------------------------------
+    def self_attention_inference(
+            self, x: np.ndarray, allowed: Optional[np.ndarray]
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """No-grad, eval-mode :meth:`forward` with ``query = key = value
+        = x`` on a raw ``(B, L, D)`` array.
+
+        One fused Q/K/V gemm; scale, decay, mask and softmax run in place
+        on a single ``(B, H, L, L)`` logits buffer, and no attention
+        weights are kept.  ``allowed`` is the :meth:`forward` mask,
+        broadcastable to that buffer.  Returns the ``(B, L, D)`` output
+        plus the projected keys and values as ``(B, L, D)`` views — the
+        serving cache's warm-up capture, by return value.
+        """
+        batch, length, dim = x.shape
+        heads, head_dim = self.heads, self.head_dim
+        projections = (self.query_proj, self.key_proj, self.value_proj)
+        qkv = x @ np.concatenate([p.weight.data for p in projections], axis=1)
+        qkv += np.concatenate([p.bias.data for p in projections])
+        q, k, v = (qkv[..., i * dim:(i + 1) * dim]
+                   .reshape(batch, length, heads, head_dim)
+                   .transpose(0, 2, 1, 3) for i in range(3))
+        logits = q @ k.swapaxes(-1, -2)
+        logits *= 1.0 / np.sqrt(head_dim)
+        if self.monotonic:
+            logits -= self._decay_logits(np.arange(length), length)
+        weights = masked_softmax_inplace(logits, allowed)
+        context = np.empty((batch, length, heads, head_dim))
+        np.matmul(weights, v, out=context.transpose(0, 2, 1, 3))
+        attended = self.out_proj.inference(
+            context.reshape(batch, length, dim))
+        return attended, qkv[..., dim:2 * dim], qkv[..., 2 * dim:]
+
     def project_kv_step(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Projected key/value for one new position; ``x`` is ``(B, D)``.
 
@@ -183,9 +246,7 @@ class MultiHeadAttention(Module):
         before the head split, so the results can be appended to a
         :class:`KVCache` holding batch-computed prefixes.
         """
-        k = x @ self.key_proj.weight.data + self.key_proj.bias.data
-        v = x @ self.value_proj.weight.data + self.value_proj.bias.data
-        return k, v
+        return self.key_proj.inference(x), self.value_proj.inference(x)
 
     def attend_step(self, x: np.ndarray, keys: np.ndarray,
                     values: np.ndarray, position: int) -> np.ndarray:
@@ -196,32 +257,27 @@ class MultiHeadAttention(Module):
         ``n == position + 1`` (the new position's own key/value already
         appended — the non-strict causal mask lets a position attend to
         itself).  All prefix positions are real by construction, so no
-        mask is needed; the softmax mirrors
-        :func:`repro.tensor.masked_softmax`'s stable form op-for-op.
+        mask is needed; the softmax is the batch kernel's
+        :func:`masked_softmax_inplace`.
         """
         batch, dim = x.shape
         n = keys.shape[1]
         if n != position + 1:
             raise ValueError(f"key/value prefix of length {n} does not "
                              f"cover query position {position}")
-        q = x @ self.query_proj.weight.data + self.query_proj.bias.data
+        q = self.query_proj.inference(x)
         q = q.reshape(batch, self.heads, 1, self.head_dim)
         k = keys.reshape(batch, n, self.heads, self.head_dim)
         k = k.transpose(0, 2, 1, 3)
         v = values.reshape(batch, n, self.heads, self.head_dim)
         v = v.transpose(0, 2, 1, 3)
-        logits = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(self.head_dim))
+        logits = q @ k.swapaxes(-1, -2)
+        logits *= 1.0 / np.sqrt(self.head_dim)
         if self.monotonic:
-            distance = (position - np.arange(n)).astype(np.float64)
-            theta = _softplus_array(self.decay.data)
-            logits = logits - (theta.reshape(1, self.heads, 1, 1)
-                               * distance[None, None, None, :])
-        row_max = logits.max(axis=-1, keepdims=True)
-        np.subtract(logits, row_max, out=logits)
-        exp = np.exp(logits, out=logits)
-        weights = exp / exp.sum(axis=-1, keepdims=True)
+            logits -= self._decay_logits(np.array([position]), n)
+        weights = masked_softmax_inplace(logits)
         context = (weights @ v).transpose(0, 2, 1, 3).reshape(batch, dim)
-        return context @ self.out_proj.weight.data + self.out_proj.bias.data
+        return self.out_proj.inference(context)
 
 
 def causal_mask(length: int, strict: bool = True) -> np.ndarray:

@@ -28,11 +28,11 @@ class Linear(Module):
             out = out + self.bias
         return out
 
-    def forward_np(self, x: np.ndarray) -> np.ndarray:
-        """No-grad NumPy twin of :meth:`forward` (serving step kernels)."""
+    def inference(self, x: np.ndarray) -> np.ndarray:
+        """No-grad :meth:`forward` into a fresh array, bias added in place."""
         out = x @ self.weight.data
         if self.bias is not None:
-            out = out + self.bias.data
+            out += self.bias.data
         return out
 
 
@@ -87,13 +87,25 @@ class LayerNorm(Module):
         normed = centered / (variance + self.eps).sqrt()
         return normed * self.gamma + self.beta
 
-    def forward_np(self, x: np.ndarray) -> np.ndarray:
-        """No-grad NumPy twin of :meth:`forward`, op-for-op."""
-        mean = x.mean(axis=-1, keepdims=True)
-        centered = x - mean
-        variance = (centered * centered).mean(axis=-1, keepdims=True)
-        normed = centered / np.sqrt(variance + self.eps)
-        return normed * self.gamma.data + self.beta.data
+    def inference_inplace(self, x: np.ndarray) -> np.ndarray:
+        """No-grad :meth:`forward` that overwrites and returns ``x``.
+
+        Same operations in the same order as the autograd path (a mean
+        is a sum times the reciprocal count there), so values match it
+        bit for bit.
+        """
+        scale = 1.0 / x.shape[-1]
+        mean = x.sum(axis=-1, keepdims=True)
+        mean *= scale
+        x -= mean
+        variance = (x * x).sum(axis=-1, keepdims=True)
+        variance *= scale
+        variance += self.eps
+        np.sqrt(variance, out=variance)
+        x /= variance
+        x *= self.gamma.data
+        x += self.beta.data
+        return x
 
 
 class ReLU(Module):

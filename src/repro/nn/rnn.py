@@ -10,7 +10,6 @@ the caller indexing ``forward[i-1]`` and ``backward[i+1]``.
 
 from __future__ import annotations
 
-import contextlib
 from typing import Optional, Tuple
 
 import numpy as np
@@ -19,30 +18,6 @@ from repro.tensor import (Tensor, init, is_grad_enabled, sigmoid_array,
                           stack, where)
 
 from .module import Module
-
-
-_INFERENCE_KERNEL = True
-
-
-@contextlib.contextmanager
-def inference_kernel(enabled: bool):
-    """Toggle the fused no-grad LSTM kernel (default on).
-
-    ``inference_kernel(False)`` runs the original per-step autograd cell
-    even under ``no_grad`` — a debugging aid for comparing the kernel
-    and graph paths directly (see ``tests/nn/test_rnn.py``).  Note the
-    inference benchmarks do *not* use this: both arms of
-    ``benchmarks/bench_inference.py`` share the kernel, so the reported
-    speedups are purely structural (batching/stream sharing), not
-    kernel-vs-no-kernel.
-    """
-    global _INFERENCE_KERNEL
-    previous = _INFERENCE_KERNEL
-    _INFERENCE_KERNEL = enabled
-    try:
-        yield
-    finally:
-        _INFERENCE_KERNEL = previous
 
 
 def _lstm_gate_step(projected_t: np.ndarray, h: np.ndarray, c: np.ndarray,
@@ -127,7 +102,7 @@ class LSTM(Module):
         if mask is not None:
             mask = np.asarray(mask, dtype=bool)
         if state is None:
-            if _INFERENCE_KERNEL and not is_grad_enabled():
+            if not is_grad_enabled():
                 return Tensor(self._forward_inference(x.data, mask))
             state = self.cell.initial_state(batch)
         steps = range(length - 1, -1, -1) if self.reverse else range(length)

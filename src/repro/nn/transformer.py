@@ -7,7 +7,7 @@ Used by the SAKT and AKT baselines and by the bidirectional RCKT encoders
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -83,11 +83,12 @@ class FeedForward(Module):
             hidden = self.dropout(hidden)
         return self.fc2(hidden)
 
-    def forward_np(self, x: np.ndarray) -> np.ndarray:
-        """No-grad NumPy twin (eval mode: dropout is identity)."""
-        hidden = self.fc1.forward_np(x)
-        hidden = hidden * (hidden > 0)  # Tensor.relu's exact formulation
-        return self.fc2.forward_np(hidden)
+    def inference(self, x: np.ndarray) -> np.ndarray:
+        """No-grad, eval-mode :meth:`forward` on a raw array (dropout is
+        identity): a fresh output array, ReLU applied in place."""
+        hidden = self.fc1.inference(x)
+        np.maximum(hidden, 0.0, out=hidden)
+        return self.fc2.inference(hidden)
 
 
 class TransformerBlock(Module):
@@ -117,6 +118,23 @@ class TransformerBlock(Module):
             ffn_out = self.dropout(ffn_out)
         return self.norm2(x + ffn_out)
 
+    # ------------------------------------------------------------------
+    # No-grad, eval-mode kernels: the batched stream pass and the serving
+    # single-step extension share one implementation of the block math,
+    # so warm-built and extended caches cannot drift apart.
+    # ------------------------------------------------------------------
+    def forward_inference(self, x: np.ndarray, mask: Optional[np.ndarray]
+                          ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Self-attention :meth:`forward` on a raw ``(B, L, D)`` array.
+
+        ``mask`` is the :meth:`forward` attention mask.  Returns the
+        block output plus the attention's projected ``(B, L, D)`` keys
+        and values; ``x`` is left untouched.
+        """
+        attended, keys, values = self.attention.self_attention_inference(
+            x, mask)
+        return self._finish_inference(x, attended), keys, values
+
     def step_inference(self, x: np.ndarray, kv_cache) -> np.ndarray:
         """Self-attention step for one appended position (no-grad, eval).
 
@@ -131,8 +149,17 @@ class TransformerBlock(Module):
         keys, values = kv_cache.view()
         attended = self.attention.attend_step(x, keys, values,
                                               kv_cache.length - 1)
-        x = self.norm1.forward_np(x + attended)
-        return self.norm2.forward_np(x + self.ffn.forward_np(x))
+        return self._finish_inference(x, attended)
+
+    def _finish_inference(self, x: np.ndarray,
+                          attended: np.ndarray) -> np.ndarray:
+        """Residual + LayerNorm, FFN, residual + LayerNorm on raw arrays,
+        reusing ``attended``'s buffer."""
+        attended += x
+        x = self.norm1.inference_inplace(attended)
+        out = self.ffn.inference(x)
+        out += x
+        return self.norm2.inference_inplace(out)
 
 
 class TransformerEncoder(Module):

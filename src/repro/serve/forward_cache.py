@@ -184,11 +184,9 @@ def build_stream_caches(model, histories) -> List[StudentStreamCache]:
     here scores identically to the uncached path, and every later
     single-step extension tracks it to roundoff.
 
-    Not thread-safe with respect to the *model*: the key/value capture
-    briefly flips ``capture_kv`` on the model's attention layers, so no
-    other thread may drive a forward pass through the same model while
-    this runs (:class:`repro.serve.InferenceEngine` calls it under its
-    lock; standalone callers must provide equivalent exclusion).
+    The model is only read: attention key/value prefixes come back from
+    the no-grad kernel by return value, so warm-builds may run
+    concurrently with each other and with scoring on the same model.
     """
     histories = list(histories)
     if not histories:

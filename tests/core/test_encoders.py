@@ -9,17 +9,19 @@ multiple layers (the subtle case: naive bidirectional stacking leaks).
 import numpy as np
 import pytest
 
+from repro import nn
 from repro.core import (BiAKTEncoder, BiDKTEncoder, BiSAKTEncoder,
                         build_encoder, shift_and_combine)
-from repro.tensor import Tensor
+from repro.tensor import Tensor, no_grad
 
 RNG = np.random.default_rng(31)
 DIM = 8
 LENGTH = 7
 
 
-def encoder_factory(name, layers):
-    return build_encoder(name, DIM, layers, np.random.default_rng(5), heads=2)
+def encoder_factory(name, layers, dropout=0.0):
+    return build_encoder(name, DIM, layers, np.random.default_rng(5), heads=2,
+                         dropout=dropout)
 
 
 @pytest.mark.parametrize("name", ["dkt", "sakt", "akt"])
@@ -138,7 +140,6 @@ class TestIncrementalForwardStream:
     ATOL = 1e-12
 
     def test_stepwise_matches_batch(self, name, layers):
-        from repro.tensor import no_grad
         encoder = encoder_factory(name, layers)
         encoder.eval()
         x = RNG.normal(size=(3, LENGTH, DIM))
@@ -154,7 +155,6 @@ class TestIncrementalForwardStream:
         assert state.nbytes > 0
 
     def test_capture_resumes_incrementally(self, name, layers):
-        from repro.tensor import no_grad
         encoder = encoder_factory(name, layers)
         encoder.eval()
         x = RNG.normal(size=(2, LENGTH + 1, DIM))
@@ -166,3 +166,88 @@ class TestIncrementalForwardStream:
             reference = encoder.forward_stream(Tensor(x)).data
         np.testing.assert_allclose(extended, reference[:, LENGTH],
                                    rtol=0, atol=self.ATOL)
+
+
+def kernel_inputs(case):
+    """``(interactions, key mask)`` for one kernel-vs-graph parity case."""
+    rng = np.random.default_rng(17)
+    if case == "length_one":
+        return rng.normal(size=(2, 1, DIM)), np.ones((2, 1), dtype=bool)
+    if case == "single_row":
+        return rng.normal(size=(1, LENGTH, DIM)), None
+    mask = np.ones((3, LENGTH), dtype=bool)
+    mask[1, 4:] = False
+    mask[2, 1:] = False
+    if case == "masked_row":
+        mask[0] = False  # no real key at all: every query row fully masked
+    return rng.normal(size=(3, LENGTH, DIM)), mask
+
+
+def attention_layers(encoder):
+    return [block.attention
+            for stack in (encoder.forward_stack, encoder.backward_stack)
+            for block in stack.blocks]
+
+
+@pytest.mark.parametrize("name", ["sakt", "akt"])
+@pytest.mark.parametrize("layers", [1, 2])
+class TestAttentionKernelParity:
+    """The no-grad attention kernel against the grad-enabled ``Tensor``
+    path it replaces in eval mode."""
+
+    ATOL = 1e-12
+
+    @pytest.mark.parametrize("case", ["ragged", "masked_row", "length_one",
+                                      "single_row"])
+    def test_streams_match_graph_path(self, name, layers, case):
+        encoder = encoder_factory(name, layers)
+        encoder.eval()
+        x, mask = kernel_inputs(case)
+        for stream in (encoder.forward_stream, encoder.backward_stream):
+            graph = stream(Tensor(x), mask=mask)
+            assert graph.requires_grad  # grad on: the Tensor path ran
+            for attention in attention_layers(encoder):
+                attention.last_weights = None
+            with no_grad():
+                kernel = stream(Tensor(x), mask=mask).data
+            # The kernel keeps no attention weights: it really ran.
+            assert all(attention.last_weights is None
+                       for attention in attention_layers(encoder))
+            np.testing.assert_allclose(kernel, graph.data, rtol=0,
+                                       atol=self.ATOL)
+
+    def test_captured_kv_match_graph_projections(self, name, layers):
+        encoder = encoder_factory(name, layers)
+        encoder.eval()
+        x, mask = kernel_inputs("ragged")
+        with no_grad():
+            outputs, capture = encoder.forward_stream_with_capture(
+                Tensor(x), mask=mask)
+        stack = encoder.forward_stack
+        allowed = nn.causal_mask(LENGTH, strict=False)[None, None] \
+            & mask[:, None, None, :]
+        hidden = stack.positions(Tensor(x))
+        assert len(capture) == layers
+        for block, (keys, values) in zip(stack.blocks, capture):
+            np.testing.assert_allclose(
+                keys, block.attention.key_proj(hidden).data,
+                rtol=0, atol=self.ATOL)
+            np.testing.assert_allclose(
+                values, block.attention.value_proj(hidden).data,
+                rtol=0, atol=self.ATOL)
+            hidden = block(hidden, mask=allowed)
+        np.testing.assert_allclose(outputs, hidden.data, rtol=0,
+                                   atol=self.ATOL)
+
+    def test_training_mode_keeps_graph_path(self, name, layers):
+        """Dropout stays live in train mode even under ``no_grad``."""
+        encoder = encoder_factory(name, layers, dropout=0.5)
+        encoder.train()
+        x, mask = kernel_inputs("ragged")
+        attention = encoder.forward_stack.blocks[0].attention
+        attention.last_weights = None
+        with no_grad():
+            first = encoder.forward_stream(Tensor(x), mask=mask).data
+            second = encoder.forward_stream(Tensor(x), mask=mask).data
+        assert attention.last_weights is not None  # the Tensor path ran
+        assert not np.allclose(first, second)      # with dropout drawn

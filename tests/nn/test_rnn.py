@@ -118,11 +118,11 @@ class TestMaskedLSTM:
         x = RNG.normal(size=(3, 5, 2))
         mask = np.ones((3, 5), dtype=bool)
         mask[1, 3:] = False
+        graph = lstm(Tensor(x), mask=mask)
+        assert graph.requires_grad  # grad on: the autograd cell ran
         with no_grad():
             kernel = lstm(Tensor(x), mask=mask).data
-            with nn.inference_kernel(False):
-                graph = lstm(Tensor(x), mask=mask).data
-        assert np.allclose(kernel, graph, atol=1e-12)
+        assert np.allclose(kernel, graph.data, atol=1e-12)
 
     def test_all_true_mask_matches_no_mask(self):
         from repro.tensor import no_grad
