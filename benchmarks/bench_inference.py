@@ -13,20 +13,16 @@ equality this benchmark asserts as a by-product):
   Old path: the seed's serving idiom (one collated single-row
   ``predict_scores`` call per probe, exactly as
   ``repro.interpret.recommendation`` scores candidates).  New path:
-  :class:`repro.serve.InferenceEngine` micro-batching all probes over
-  its cached student histories.
+  one ``Service.execute_batch`` call scoring all probes over the
+  engine's cached student histories.
 
-Two more sections track the PR 2 serving work:
+One more section tracks the incremental stream cache:
 
 * **serving_incremental** — the steady-state record/score loop with the
   per-student forward-stream caches (:mod:`repro.serve.forward_cache`)
   against the same engine with caching disabled (the PR 1 path): warm
   caches skip the forward half of the encoder, so ``record`` costs one
-  step and ``score`` only runs the per-request backward streams.
-* **sweep_workers** — ``predict_dataset(workers=N)`` vs the
-  single-threaded sweep: the column-banded chunks are independent, so
-  they thread cleanly wherever NumPy releases the GIL (the measured
-  ratio is hardware-bound: expect ~1x on single-core CI runners).
+  step and a score only runs the per-request backward streams.
 
 And one for the PR 3 long-context work:
 
@@ -46,8 +42,8 @@ And one for the PR 5 cluster:
 * **cluster** — the same mixed batch envelope through ``repro.cluster``
   deployments of 1, 2, and 4 worker *processes* behind the
   scatter-gather router; ``speedup`` is 2-shard vs 1-shard throughput
-  (hardware-bound like ``sweep_workers``: ~2x on multi-core hosts, ~1x
-  on the single-core baseline machine) and ``max_abs_score_diff``
+  (hardware-bound: ~2x on multi-core hosts, ~1x on the single-core
+  baseline machine) and ``max_abs_score_diff``
   checks every routed reply bit-identical against a single in-process
   ``Service`` — the cluster parity contract, gated at 0 drift.
 
@@ -57,12 +53,10 @@ And one for the PR 4 typed serving API:
   is the mixed-type scheduler win: one batch envelope of score +
   explain + what-if queries (coalesced into shared forward-stream
   batches) against executing the same queries one ``execute`` call at
-  a time.  Also reported: the facade's overhead relative to the legacy
-  ``engine.score_batch`` surface (same scheduler underneath — the
-  typed edges must cost ~nothing) and the HTTP gateway's single-query
-  round-trip throughput.  ``max_abs_score_diff`` spans batched vs
-  per-query scores *and* wire vs in-process scores, so the drift gate
-  covers the whole stack.
+  a time.  Also reported: the HTTP gateway's single-query round-trip
+  throughput.  ``max_abs_score_diff`` spans batched vs per-query
+  scores *and* wire vs in-process scores, so the drift gate covers the
+  whole stack.
 
 And one for the PR 7 counterfactual recourse API:
 
@@ -130,7 +124,7 @@ from repro.core import RCKT, RCKTConfig
 from repro.data import (SimulationConfig, StudentSimulator, build_dataset,
                         collate)
 from repro.obs import Timer
-from repro.serve import InferenceEngine, ScoreRequest
+from repro.serve import InferenceEngine, ScoreQuery, Service
 
 
 def build_corpus(num_students: int, seed: int = 11):
@@ -144,6 +138,26 @@ def build_corpus(num_students: int, seed: int = 11):
 def build_model(dataset, encoder: str, dim: int, layers: int) -> RCKT:
     return RCKT(dataset.num_questions, dataset.num_concepts,
                 RCKTConfig(encoder=encoder, dim=dim, layers=layers, seed=1))
+
+
+def scores_of(replies) -> np.ndarray:
+    """Scores of replies that must all succeed.
+
+    Every reply in these workloads carries a score; an error reply
+    means the benchmark itself is broken — fail loudly instead of
+    silently comparing fewer queries.
+    """
+    bad = [reply for reply in replies if not reply.ok]
+    if bad:
+        raise RuntimeError(f"benchmark query failed: {bad[0]}")
+    return np.array([reply.score for reply in replies])
+
+
+def probe_queries(sequences, questions) -> list:
+    """One ``ScoreQuery`` per student for a row of probe questions."""
+    return [ScoreQuery(sequence.student_id, int(question),
+                       (1 + int(question) % 20,))
+            for sequence, question in zip(sequences, questions)]
 
 
 def bench_eval_sweep(model: RCKT, dataset, stride: int) -> dict:
@@ -195,20 +209,15 @@ def bench_serving(model: RCKT, dataset, rounds: int) -> dict:
     old_seconds = timer.elapsed_s
     old_scores = np.array(old_scores)
 
-    # New path: the serving engine, warm per-student history cache.
+    # New path: the service over a warm per-student history cache.
     engine = InferenceEngine(model)
     engine.load_dataset(dataset)
+    service = Service(engine)
     with Timer() as timer:
         new_scores = []
         for round_index in range(rounds):
-            requests = [
-                ScoreRequest(
-                    sequence.student_id,
-                    int(probe_questions[round_index, k]),
-                    (1 + int(probe_questions[round_index, k]) % 20,))
-                for k, sequence in enumerate(sequences)
-            ]
-            new_scores.append(engine.score_batch(requests))
+            new_scores.append(scores_of(service.execute_batch(
+                probe_queries(sequences, probe_questions[round_index]))))
     new_seconds = timer.elapsed_s
     new_scores = np.concatenate(new_scores)
 
@@ -236,10 +245,11 @@ def bench_serving_incremental(model: RCKT, dataset, rounds: int) -> dict:
 
     def run_loop(engine: InferenceEngine) -> tuple:
         engine.load_dataset(dataset)
+        service = Service(engine)
         # Pre-warm: the first score pays the one-off cache build; the
         # benchmark measures the steady state that follows it.
-        engine.score_batch([
-            ScoreRequest(s.student_id, 1, (1,)) for s in sequences])
+        scores_of(service.execute_batch([
+            ScoreQuery(s.student_id, 1, (1,)) for s in sequences]))
         with Timer() as timer:
             scores = []
             for round_index in range(rounds):
@@ -248,14 +258,8 @@ def bench_serving_incremental(model: RCKT, dataset, rounds: int) -> dict:
                     engine.record(sequence.student_id, question,
                                   int(record_answers[round_index, k]),
                                   (1 + question % 20,))
-                requests = [
-                    ScoreRequest(
-                        sequence.student_id,
-                        int(probe_questions[round_index, k]),
-                        (1 + int(probe_questions[round_index, k]) % 20,))
-                    for k, sequence in enumerate(sequences)
-                ]
-                scores.append(engine.score_batch(requests))
+                scores.append(scores_of(service.execute_batch(
+                    probe_queries(sequences, probe_questions[round_index]))))
         return timer.elapsed_s, np.concatenate(scores)
 
     nocache_seconds, nocache_scores = run_loop(
@@ -275,30 +279,6 @@ def bench_serving_incremental(model: RCKT, dataset, rounds: int) -> dict:
         "max_abs_score_diff": float(np.max(np.abs(nocache_scores
                                                   - cached_scores))),
         "cache_stats": cached_engine.stream_cache_stats(),
-    }
-
-
-def bench_sweep_workers(model: RCKT, dataset, stride: int,
-                        workers: int) -> dict:
-    """Threaded vs single-threaded evaluation sweep (same chunks)."""
-    with Timer() as timer:
-        _, single_scores = model.predict_dataset(dataset, stride=stride)
-    single_seconds = timer.elapsed_s
-    with Timer() as timer:
-        _, threaded_scores = model.predict_dataset(dataset, stride=stride,
-                                                   workers=workers)
-    threaded_seconds = timer.elapsed_s
-    targets = len(single_scores)
-    return {
-        "targets": targets,
-        "workers": workers,
-        "single_seconds": round(single_seconds, 4),
-        "threaded_seconds": round(threaded_seconds, 4),
-        "single_targets_per_sec": round(targets / single_seconds, 1),
-        "threaded_targets_per_sec": round(targets / threaded_seconds, 1),
-        "speedup": round(single_seconds / threaded_seconds, 2),
-        "max_abs_score_diff": float(np.max(np.abs(single_scores
-                                                  - threaded_scores))),
     }
 
 
@@ -326,17 +306,18 @@ def bench_long_context(model: RCKT, num_concepts: int, length: int,
         return 1 + int(question) % num_concepts
 
     def run_loop(engine: InferenceEngine) -> tuple:
+        service = Service(engine)
         with Timer() as timer:
-            scores = []
+            replies = []
             for step in range(length):
                 question = int(questions[step])
                 engine.record("long", question, int(answers[step]),
                               (concept_for(question),))
                 if (step + 1) % score_every == 0:
                     probe = int(probe_questions[step])
-                    scores.append(engine.score("long", probe,
-                                               (concept_for(probe),)))
-        return timer.elapsed_s, np.array(scores)
+                    replies.append(service.execute(ScoreQuery(
+                        "long", probe, (concept_for(probe),))))
+        return timer.elapsed_s, scores_of(replies)
 
     full_seconds, _ = run_loop(InferenceEngine(model))
     windowed_engine = InferenceEngine(model, window=window)
@@ -375,9 +356,9 @@ def bench_long_context(model: RCKT, num_concepts: int, length: int,
 
 
 def bench_service_layer(model: RCKT, dataset, rounds: int) -> dict:
-    """Typed facade: mixed-batch scheduling, facade overhead, HTTP."""
-    from repro.serve import (ExplainQuery, HistoryEdit, ScoreQuery, Service,
-                             ServiceClient, WhatIfQuery, start_http_thread)
+    """Typed facade: mixed-batch scheduling and HTTP."""
+    from repro.serve import (ExplainQuery, HistoryEdit, ServiceClient,
+                             WhatIfQuery, start_http_thread)
 
     rng = np.random.default_rng(29)
     sequences = list(dataset)
@@ -398,16 +379,6 @@ def bench_service_layer(model: RCKT, dataset, rounds: int) -> dict:
                     sequence.student_id, question, (1 + question % 20,),
                     (HistoryEdit(0, "flip"),)))
         return queries
-
-    def scores_of(replies) -> np.ndarray:
-        # Every reply in these workloads carries a score; an error
-        # reply means the benchmark itself is broken — fail loudly
-        # instead of silently comparing fewer queries.
-        bad = [reply for reply in replies if not reply.ok]
-        if bad:
-            raise RuntimeError(f"service_layer benchmark query failed: "
-                               f"{bad[0]}")
-        return np.array([reply.score for reply in replies])
 
     def fresh_service() -> Service:
         engine = InferenceEngine(model)
@@ -442,35 +413,11 @@ def bench_service_layer(model: RCKT, dataset, rounds: int) -> dict:
     batched_scores = scores_of(batched_scores)
     queries_total = len(batched_scores)
 
-    # Facade overhead: the legacy engine surface vs typed queries —
-    # same scheduler underneath, so the typed edges must cost ~nothing.
-    score_requests = [ScoreRequest(s.student_id,
-                                   int(probe_questions[0, k]),
-                                   (1 + int(probe_questions[0, k]) % 20,))
-                      for k, s in enumerate(sequences)]
-    score_queries = [ScoreQuery(r.student_id, r.question_id,
-                                r.concept_ids) for r in score_requests]
-    service = fresh_service()
-    engine = service.engine()
-    # Interleave the two arms so slow drift on shared runners cancels
-    # instead of biasing whichever arm runs second.
-    engine_seconds = 0.0
-    facade_seconds = 0.0
-    for _ in range(max(rounds, 4)):
-        with Timer() as timer:
-            engine_scores = engine.score_batch(score_requests)
-        engine_seconds += timer.elapsed_s
-        with Timer() as timer:
-            facade_replies = service.execute_batch(score_queries)
-        facade_seconds += timer.elapsed_s
-    facade_diff = float(np.max(np.abs(engine_scores
-                                      - scores_of(facade_replies))))
-
     # HTTP round-trip: single-query latency through the stdlib gateway.
     service = fresh_service()
     server, _ = start_http_thread(service)
     client = ServiceClient(f"http://127.0.0.1:{server.server_port}")
-    http_queries = score_queries[:min(len(score_queries), 50)]
+    http_queries = probe_queries(sequences[:50], probe_questions[0])
     try:
         with Timer() as timer:
             wire_scores = np.array([client.query(query).score
@@ -489,16 +436,12 @@ def bench_service_layer(model: RCKT, dataset, rounds: int) -> dict:
         "batched_queries_per_sec": round(queries_total / batched_seconds,
                                          1),
         "speedup": round(single_seconds / batched_seconds, 2),
-        "engine_shim_seconds": round(engine_seconds, 4),
-        "facade_seconds": round(facade_seconds, 4),
-        "facade_overhead_pct": round(
-            100.0 * (facade_seconds - engine_seconds) / engine_seconds, 1),
         "http_requests": len(http_queries),
         "http_seconds": round(http_seconds, 4),
         "http_requests_per_sec": round(len(http_queries) / http_seconds, 1),
         "max_abs_score_diff": max(
             float(np.max(np.abs(single_scores - batched_scores))),
-            facade_diff, http_diff),
+            http_diff),
     }
 
 
@@ -511,13 +454,13 @@ def bench_cluster(model: RCKT, dataset, rounds: int,
     *processes*; ``speedup`` is 2-shard vs 1-shard throughput (and
     ``speedup_4`` 4-vs-1).  The ratio measures hardware parallelism —
     worker processes sidestep the GIL entirely, so expect ~2x at 2
-    shards on multi-core hosts and ~1x on single-core CI runners,
-    exactly like the ``sweep_workers`` section (the committed baseline
-    machine is single-core; the regression gate therefore checks this
-    section's *drift* only).  ``max_abs_score_diff`` compares every
-    routed reply against a single in-process ``Service`` on the same
-    checkpoint and records — the cluster's bit-identity contract, so
-    anything above 0.0 is a routing bug, not noise.
+    shards on multi-core hosts and ~1x on single-core CI runners (the
+    committed baseline machine is single-core; the regression gate
+    therefore checks this section's *drift* only).
+    ``max_abs_score_diff`` compares every routed reply against a single
+    in-process ``Service`` on the same checkpoint and records — the
+    cluster's bit-identity contract, so anything above 0.0 is a routing
+    bug, not noise.
     """
     import tempfile
     from pathlib import Path
@@ -525,7 +468,7 @@ def bench_cluster(model: RCKT, dataset, rounds: int,
     from repro.cluster import RecordJournal, ScatterGatherRouter, \
         Supervisor, WorkerSpec, free_port
     from repro.serve import (DEFAULT_MODEL, ExplainQuery, HistoryEdit,
-                             RecordEvent, ScoreQuery, Service, WhatIfQuery)
+                             RecordEvent, WhatIfQuery)
 
     rng = np.random.default_rng(41)
     sequences = list(dataset)[:32]
@@ -552,12 +495,6 @@ def bench_cluster(model: RCKT, dataset, rounds: int,
                     (HistoryEdit(0, "flip"),)))
         return queries
 
-    def scores_of(replies) -> np.ndarray:
-        bad = [reply for reply in replies if not reply.ok]
-        if bad:
-            raise RuntimeError(f"cluster benchmark query failed: {bad[0]}")
-        return np.array([reply.score for reply in replies])
-
     with tempfile.TemporaryDirectory(prefix="rckt-bench-cluster-") as tmp:
         checkpoint = Path(tmp) / "bench.npz"
         InferenceEngine(model).save(checkpoint)
@@ -575,7 +512,6 @@ def bench_cluster(model: RCKT, dataset, rounds: int,
                     mixed_queries(round_index))))
         local_seconds = timer.elapsed_s
         local_scores = np.concatenate(local_scores)
-        local.close()
         queries_total = len(local_scores)
 
         entry = {
@@ -654,8 +590,7 @@ def bench_recourse(model: RCKT, dataset, rounds: int) -> dict:
       search's claimed ``final_score`` like every other drift entry.
     """
     from repro.data import Interaction, StudentSequence
-    from repro.serve import (CandidateQuestion, RecourseQuery, ScoreQuery,
-                             Service)
+    from repro.serve import CandidateQuestion, RecourseQuery
 
     rng = np.random.default_rng(43)
     sequences = [s for s in list(dataset) if len(s) >= 4][:40]
@@ -772,7 +707,7 @@ def bench_online(model: RCKT, dataset, epochs: int = 1) -> dict:
     from repro.data import StudentSequence, dataset_from_records
     from repro.online import DriftGate, auto_rollout, prequential_run
     from repro.online import OnlineTrainer
-    from repro.serve import RecordEvent, ScoreQuery, Service
+    from repro.serve import RecordEvent
     from repro.serve.protocol import to_wire
 
     sequences = list(dataset)[:32]
@@ -829,10 +764,9 @@ def bench_online(model: RCKT, dataset, epochs: int = 1) -> dict:
 
         # One incremental fine-tune round on the replayed stream.
         with Timer() as timer:
-            with OnlineTrainer(checkpoint, epochs=epochs,
-                               seed=123) as trainer:
-                summary = trainer.fine_tune(streamed)
-                trainer.save(refreshed)
+            trainer = OnlineTrainer(checkpoint, epochs=epochs, seed=123)
+            summary = trainer.fine_tune(streamed)
+            trainer.save(refreshed)
         fine_tune_seconds = timer.elapsed_s
 
         # Drift-gated warm rollout back into the serving tier.
@@ -858,8 +792,6 @@ def bench_online(model: RCKT, dataset, epochs: int = 1) -> dict:
         ours = [reply.score for reply in service.execute_batch(probes)]
         theirs = [reply.score
                   for reply in reference.execute_batch(probes)]
-        reference.close()
-        service.close()
         parity = float(np.max(np.abs(np.array(ours) - np.array(theirs))))
 
     decision = gate.last_decision
@@ -903,8 +835,6 @@ def bench_obs(model: RCKT, dataset, rounds: int) -> dict:
     instrumentation silently unplugged and the overhead number is
     measuring nothing).
     """
-    from repro.serve import ScoreQuery, Service
-
     rng = np.random.default_rng(47)
     sequences = list(dataset)
     num_questions = dataset.num_questions
@@ -938,32 +868,23 @@ def bench_obs(model: RCKT, dataset, rounds: int) -> dict:
 
     loop_seconds = {False: [], True: []}
     max_diff = 0.0
-    try:
-        for loop_index in range(loops):
-            queries = [
-                ScoreQuery(sequence.student_id,
-                           int(probe_questions[loop_index, k]),
-                           (1 + int(probe_questions[loop_index, k]) % 20,))
-                for k, sequence in enumerate(sequences)
-            ]
-            # Alternate which arm goes first: whichever runs second in
-            # a loop inherits warmer caches and ramped CPU clocks, and
-            # a fixed order would book that bias against one arm.
-            arms = [(disabled, False), (instrumented, True)]
-            if loop_index % 2:
-                arms.reverse()
-            replies = {}
-            for service_arm, enabled in arms:
-                with Timer() as timer:
-                    replies[enabled] = service_arm.execute_batch(queries)
-                loop_seconds[enabled].append(timer.elapsed_s)
-            off_scores = np.array([r.score for r in replies[False]])
-            on_scores = np.array([r.score for r in replies[True]])
-            max_diff = max(max_diff, float(np.max(np.abs(
-                on_scores - off_scores))))
-    finally:
-        instrumented.close()
-        disabled.close()
+    for loop_index in range(loops):
+        queries = probe_queries(sequences, probe_questions[loop_index])
+        # Alternate which arm goes first: whichever runs second in
+        # a loop inherits warmer caches and ramped CPU clocks, and
+        # a fixed order would book that bias against one arm.
+        arms = [(disabled, False), (instrumented, True)]
+        if loop_index % 2:
+            arms.reverse()
+        replies = {}
+        for service_arm, enabled in arms:
+            with Timer() as timer:
+                replies[enabled] = service_arm.execute_batch(queries)
+            loop_seconds[enabled].append(timer.elapsed_s)
+        off_scores = np.array([r.score for r in replies[False]])
+        on_scores = np.array([r.score for r in replies[True]])
+        max_diff = max(max_diff, float(np.max(np.abs(
+            on_scores - off_scores))))
 
     disabled_seconds = float(np.sum(loop_seconds[False]))
     instrumented_seconds = float(np.sum(loop_seconds[True]))
@@ -1091,9 +1012,6 @@ def main() -> None:
     parser.add_argument("--stride", type=int, default=None)
     parser.add_argument("--rounds", type=int, default=2,
                         help="serving rounds (requests per student)")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="thread count for the sweep_workers section "
-                             "(default: min(4, cpu count))")
     parser.add_argument("--dim", type=int, default=32)
     parser.add_argument("--layers", type=int, default=2)
     parser.add_argument("--encoders", nargs="*", default=None)
@@ -1114,7 +1032,6 @@ def main() -> None:
         long_length, long_window, long_every = 1200, 128, 60
 
     import os
-    workers = args.workers or min(4, os.cpu_count() or 1)
 
     dataset = build_corpus(students)
     print(f"corpus: {len(dataset)} sequences, "
@@ -1132,7 +1049,6 @@ def main() -> None:
         "eval_sweep": {},
         "serving": {},
         "serving_incremental": {},
-        "sweep_workers": {},
         "long_context": {},
         "service_layer": {},
         "cluster": {},
@@ -1146,7 +1062,6 @@ def main() -> None:
         sweep = bench_eval_sweep(model, dataset, stride)
         serving = bench_serving(model, dataset, args.rounds)
         incremental = bench_serving_incremental(model, dataset, args.rounds)
-        sweep_threads = bench_sweep_workers(model, dataset, stride, workers)
         long_context = bench_long_context(model, dataset.num_concepts,
                                           long_length, long_window,
                                           long_every)
@@ -1158,7 +1073,6 @@ def main() -> None:
         results["eval_sweep"][encoder] = sweep
         results["serving"][encoder] = serving
         results["serving_incremental"][encoder] = incremental
-        results["sweep_workers"][encoder] = sweep_threads
         results["long_context"][encoder] = long_context
         results["service_layer"][encoder] = service_layer
         results["cluster"][encoder] = cluster
@@ -1176,9 +1090,7 @@ def main() -> None:
         print(f"{encoder}: incremental serving {incremental['speedup']}x "
               f"({incremental['nocache_targets_per_sec']} -> "
               f"{incremental['cached_targets_per_sec']} req/s, "
-              f"diff {incremental['max_abs_score_diff']:.2e}) | "
-              f"sweep x{workers} workers {sweep_threads['speedup']}x "
-              f"(diff {sweep_threads['max_abs_score_diff']:.2e})")
+              f"diff {incremental['max_abs_score_diff']:.2e})")
         print(f"{encoder}: long context ({long_context['history_length']} "
               f"steps, window {long_context['window']}) "
               f"{long_context['speedup']}x "
@@ -1190,7 +1102,6 @@ def main() -> None:
               f"{service_layer['speedup']}x "
               f"({service_layer['single_queries_per_sec']} -> "
               f"{service_layer['batched_queries_per_sec']} queries/s) | "
-              f"facade overhead {service_layer['facade_overhead_pct']}% | "
               f"http {service_layer['http_requests_per_sec']} req/s "
               f"(diff {service_layer['max_abs_score_diff']:.2e})")
         print(f"{encoder}: cluster 2-shard {cluster['speedup']}x / "

@@ -46,7 +46,6 @@ SECTIONS = (
     "eval_sweep",
     "serving",
     "serving_incremental",
-    "sweep_workers",
     "long_context",
     "service_layer",
     "cluster",
@@ -56,22 +55,19 @@ SECTIONS = (
     "obs",
 )
 
-# sweep_workers measures hardware parallelism, not an algorithmic win:
-# on a single-core runner its honest speedup is ~1x and the noise floor
-# of tiny quick-mode timings dominates.  Gate it only on score drift.
-# The cluster section is the same story one level up — worker
-# *processes* instead of threads — so its 2-shard-vs-1 ratio is also
-# hardware-bound (~1x on single-core runners, ~2x on multi-core hosts)
-# and only its drift entry is gated, which is the strictest check in
-# the file: routed replies must be *bit-identical* to a single
-# in-process Service, so any non-zero diff is a routing bug.
+# The cluster section measures hardware parallelism, not an algorithmic
+# win: its 2-shard-vs-1 ratio is hardware-bound (~1x on single-core
+# runners, ~2x on multi-core hosts) and the noise floor of tiny
+# quick-mode timings dominates, so only its drift entry is gated, which
+# is the strictest check in the file: routed replies must be
+# *bit-identical* to a single in-process Service, so any non-zero diff
+# is a routing bug.
 # (long_context's speedup, by contrast, is an algorithmic ratio — full
 # history vs window — and its drift entry compares windowed scores to a
 # from-scratch recompute on the window, so both checks apply.
 # service_layer's speedup is likewise algorithmic — one coalesced
 # mixed-type batch vs per-query execution on the same machine — and its
-# drift entry spans batched-vs-single, facade-vs-engine, and
-# wire-vs-in-process scores.)
+# drift entry spans batched-vs-single and wire-vs-in-process scores.)
 # The journal section's speedup (cold boot from snapshot vs from the
 # full segment log) is algorithmic, but quick-mode boots are a few
 # milliseconds and filesystem-cache noise swamps the ratio, so only

@@ -9,7 +9,7 @@ caller would:
 3. Round-trip typed queries through :class:`repro.serve.ServiceClient`:
    record events, score a probe, explain the latest response, and replay
    a counterfactual what-if (flip an early answer) — then verify every
-   wire score against the in-process engine.
+   wire score against the in-process service.
 
 Exits non-zero if any round-trip fails or drifts, which is exactly what
 the CI gateway-smoke lane checks.
@@ -59,7 +59,8 @@ def main() -> int:
             ScoreQuery(student, question, concepts),
         )))
         wire_score = replies[1].score
-        direct = engine.score(student, question, concepts)
+        direct = service.execute(ScoreQuery(student, question,
+                                            concepts)).score
         drift = abs(wire_score - direct)
         print(f"   wire {wire_score:.6f} vs in-process {direct:.6f} "
               f"(|diff| {drift:.2e})")
@@ -96,7 +97,6 @@ def main() -> int:
         failures += error.code != "invalid_question"
     finally:
         server.shutdown()
-        service.close()
 
     if failures:
         print(f"serve_http: {failures} round-trip failure(s)")

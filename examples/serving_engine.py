@@ -1,14 +1,15 @@
-"""Serving RCKT: the multi-student inference engine.
+"""Serving RCKT: the multi-student inference engine behind the facade.
 
 Walks the full ``repro.serve`` lifecycle on a synthetic corpus:
 
 1. Train a small RCKT model.
 2. Build an :class:`~repro.serve.InferenceEngine`, warm its per-student
-   history caches, and checkpoint it.
-3. Serve a mixed batch of "how would this student do on question q?"
-   probes three ways — synchronous, micro-batched via submit/flush, and
-   after recording fresh responses (incremental re-scoring).
-4. Rank candidate next questions with the batched recommender.
+   history caches, checkpoint it, and serve it through a
+   :class:`~repro.serve.Service`.
+3. Serve "how would this student do on question q?" probes — one query,
+   a mixed batch scored in one shared pass, and again after recording
+   fresh responses (incremental re-scoring).
+4. Rank candidate next questions with a batched recommendation query.
 
 Usage::
 
@@ -20,7 +21,8 @@ from pathlib import Path
 
 from repro.core import RCKT, RCKTConfig, fit_rckt
 from repro.data import make_assist09, train_test_split
-from repro.serve import InferenceEngine, ScoreRequest
+from repro.serve import (CandidateQuestion, InferenceEngine, RecommendQuery,
+                         RecordEvent, ScoreQuery, Service)
 
 
 def main() -> None:
@@ -33,12 +35,11 @@ def main() -> None:
     fit_rckt(model, fold.train, fold.validation, eval_stride=4)
 
     print("2) building the serving engine + checkpoint round-trip ...")
-    engine = InferenceEngine(model, max_batch=16)
-    engine.load_dataset(fold.test)
     path = Path(tempfile.mkdtemp()) / "rckt-engine.npz"
-    engine.save(path)
-    engine = InferenceEngine.from_checkpoint(path, max_batch=16)
+    InferenceEngine(model).save(path)
+    engine = InferenceEngine.from_checkpoint(path)
     engine.load_dataset(fold.test)
+    service = Service(engine)
     print(f"   checkpoint: {path.name}, "
           f"{len(engine.students)} students cached")
 
@@ -47,28 +48,29 @@ def main() -> None:
     concepts = (3,)
 
     print("3) serving scores ...")
-    sync = engine.score(students[0], question, concepts)
-    print(f"   synchronous: student {students[0]} on q{question} "
-          f"-> {sync:.4f}")
+    single = service.execute(ScoreQuery(students[0], question, concepts))
+    print(f"   one query: student {students[0]} on q{question} "
+          f"-> {single.score:.4f}")
 
-    handles = [engine.submit(ScoreRequest(s, question, concepts))
-               for s in students]
-    engine.flush()
-    print("   micro-batched: " +
-          ", ".join(f"{h.request.student_id}:{h.value:.4f}"
-                    for h in handles))
+    replies = service.execute_batch([ScoreQuery(s, question, concepts)
+                                     for s in students])
+    print("   one batch: " + ", ".join(
+        f"{reply.student_id}:{reply.score:.4f}" for reply in replies))
 
-    engine.record(students[0], question, 1, concepts)
-    engine.record(students[0], question, 1, concepts)
-    updated = engine.score(students[0], question, concepts)
+    service.execute_batch([RecordEvent(students[0], question, 1, concepts),
+                           RecordEvent(students[0], question, 1, concepts)])
+    updated = service.execute(ScoreQuery(students[0], question, concepts))
     print(f"   after two correct answers on q{question}: "
-          f"{sync:.4f} -> {updated:.4f}")
+          f"{single.score:.4f} -> {updated.score:.4f}")
 
     print("4) batched next-question recommendation ...")
-    candidates = [ScoreRequest(students[0], q, (1 + q % 10,))
-                  for q in (5, 12, 23, 31, 44)]
-    for rec in engine.recommend(students[0], candidates, top_k=3):
-        print("   " + rec.describe())
+    reply = service.execute(RecommendQuery(
+        students[0], tuple(CandidateQuestion(q, (1 + q % 10,))
+                           for q in (5, 12, 23, 31, 44)), top_k=3))
+    for item in reply.items:
+        print(f"   q{item.question_id}: "
+              f"p(correct)={item.success_probability:.2f}  "
+              f"value={item.value:.3f}  score={item.score:.3f}")
 
     print("5) incremental forward-stream cache ...")
     stats = engine.stream_cache_stats()
@@ -77,8 +79,8 @@ def main() -> None:
           f"{stats['budget_bytes'] // 2**20} MiB budget), "
           f"{stats['hits']} hits / {stats['misses']} misses, "
           f"{stats['evictions']} evictions")
-    print("   record() extends each cached encoder state by one step; "
-          "score() only runs the per-request backward streams")
+    print("   a record extends each cached encoder state by one step; "
+          "a score only runs the per-request backward streams")
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ Usage::
     python -m repro.cluster --checkpoint rckt.npz --shards 4 \\
         --journal-dir /var/lib/rckt/journal --fsync batch
     python -m repro.cluster --checkpoint prod=a.npz --checkpoint \\
-        canary=b.npz --shards 2 --port 8080 --workers 2 --window 256
+        canary=b.npz --shards 2 --port 8080 --window 256
     python -m repro.cluster --selfcheck [--journal-dir DIR]
 
 Boots ``--shards`` worker processes (each the full single-process
@@ -71,9 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "workers always use ephemeral ports")
     parser.add_argument("--replicas", type=int, default=DEFAULT_REPLICAS,
                         help="consistent-hash ring points per shard")
-    parser.add_argument("--max-batch", type=int, default=64)
-    parser.add_argument("--workers", type=int, default=1,
-                        help="scoring threads per worker process")
     parser.add_argument("--window", type=int, default=None)
     parser.add_argument("--window-hop", type=int, default=None)
     parser.add_argument("--stream-cache-bytes", type=int, default=None)
@@ -111,8 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _engine_flags(args) -> List[str]:
-    flags = ["--max-batch", str(args.max_batch),
-             "--workers", str(args.workers)]
+    flags = []
     if args.window is not None:
         flags += ["--window", str(args.window)]
     if args.window_hop is not None:
@@ -375,7 +371,6 @@ def _selfcheck(args) -> int:
         finally:
             supervisor.stop()
             router.close()
-            local.close()
         if failures:
             print(f"selfcheck: FAILED ({failures} mismatching replies)")
             return 1

@@ -61,7 +61,7 @@ class WorkerSpec:
     port: int
     checkpoints: List[Tuple[str, str]]   # (model name, path)
     host: str = "127.0.0.1"
-    extra_args: Tuple[str, ...] = ()     # engine flags (--workers, ...)
+    extra_args: Tuple[str, ...] = ()     # engine flags (--window, ...)
     log_path: Optional[str] = None
 
     @property

@@ -17,7 +17,7 @@ Usage (what the supervisor spawns)::
 
     python -m repro.cluster.worker --checkpoint rckt.npz --port 9101
     python -m repro.cluster.worker --checkpoint prod=a.npz \\
-        --checkpoint canary=b.npz --port 9102 --shard-id 1 --workers 2
+        --checkpoint canary=b.npz --port 9102 --shard-id 1 --window 256
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     # router) is distinguishable from router/gateway-minted ones.
     shard_tag = "" if args.shard_id is None else str(args.shard_id)
     obs.set_id_prefix(f"w{shard_tag or '0'}")
-    service = Service(registry=registry, max_batch=args.max_batch)
+    service = Service(registry=registry)
     server = serve_http(service, host=args.host, port=args.port,
                         verbose=args.verbose, role="worker")
     print(f"[worker{'' if args.shard_id is None else args.shard_id}] "
@@ -79,7 +79,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         pass
     finally:
         server.server_close()
-        service.close()
     return 0
 
 

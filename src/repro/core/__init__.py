@@ -14,8 +14,8 @@ from .masking import (COUNTERFACTUAL_VARIANTS, JOINT_VARIANTS, MASKED,
                       build_variants, check_window, window_start,
                       window_starts)
 from .multi_target import (MultiTargetContext, column_banded_chunks,
-                           map_chunks, predict_dataset_fast,
-                           score_batch_targets, score_targets)
+                           predict_dataset_fast, score_batch_targets,
+                           score_targets)
 from .rckt import RCKT, replicate_batch
 from .trainer import RCKTTrainResult, evaluate_rckt, fit_rckt
 
@@ -31,7 +31,7 @@ __all__ = [
     "InfluenceComputation", "ExactInfluenceResult", "compute_influences",
     "counterfactual_loss", "joint_bce_losses",
     "RCKT", "replicate_batch",
-    "MultiTargetContext", "column_banded_chunks", "map_chunks",
+    "MultiTargetContext", "column_banded_chunks",
     "predict_dataset_fast", "score_batch_targets", "score_targets",
     "fit_rckt", "evaluate_rckt", "RCKTTrainResult",
 ]

@@ -206,9 +206,6 @@ def column_banded_chunks(cols: np.ndarray, target_batch: int
     members or until the next request's column would pad the whole chunk
     by more than ~25%, whichever comes first.  Ragged serving batches
     then pay for their own history lengths, not the longest request's.
-    Chunks are mutually independent — the ``workers`` thread pools in
-    :func:`score_batch_targets` / :func:`predict_dataset_fast` exploit
-    exactly this.
     """
     order = np.argsort(cols, kind="stable")
     chunks: List[np.ndarray] = []
@@ -224,51 +221,10 @@ def column_banded_chunks(cols: np.ndarray, target_batch: int
     return chunks
 
 
-def map_chunks(worker, chunks, workers: int, executor=None):
-    """Run ``worker`` over every chunk, optionally on a thread pool.
-
-    NumPy releases the GIL inside the hot gemm/reduction kernels, so
-    chunk-level threads scale on multi-core boxes without any change to
-    the numerics (each chunk's arithmetic is untouched, merely
-    concurrent).  ``workers <= 1`` stays on the caller's thread.
-
-    ``executor`` lends a *persistent* ``ThreadPoolExecutor`` (the
-    serving engine keeps one alive across calls — pool spin-up costs
-    more than a small serving batch does); without one, a transient
-    pool is created and torn down here.  The executor is only borrowed:
-    it is never shut down by this function, and sharing one across
-    concurrent callers is safe.
-
-    The grad flag is thread-local (see :func:`repro.tensor.no_grad`),
-    so pool threads do not inherit the caller's inference scope — each
-    worker enters its own ``no_grad`` (this path is inference-only).
-    """
-    if workers <= 1 or len(chunks) <= 1:
-        for chunk in chunks:
-            worker(chunk)
-        return
-    from repro.tensor import no_grad
-
-    def run_no_grad(chunk):
-        with no_grad():
-            return worker(chunk)
-
-    if executor is not None:
-        # Materialize to surface the first worker exception, if any.
-        list(executor.map(run_no_grad, chunks))
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
-        list(pool.map(run_no_grad, chunks))
-
-
 def score_batch_targets(model, base: Batch, target_cols,
                         target_batch: int = 64,
-                        workers: int = 1,
                         window: Optional[int] = None,
-                        window_hop: int = 1,
-                        executor=None) -> np.ndarray:
+                        window_hop: int = 1) -> np.ndarray:
     """Influence scores for one explicit target per row of ``base``.
 
     The serving-shaped entry point: each row is one student/request and
@@ -289,10 +245,6 @@ def score_batch_targets(model, base: Batch, target_cols,
         ``(B,)`` target column per row; must index a real response.
     target_batch:
         Cap on how many targets share one stacked generator pass.
-    workers:
-        ``> 1`` scores the (independent) chunks on that many threads —
-        on ``executor`` when a persistent pool is lent (see
-        :func:`map_chunks`), else on a per-call pool.
     window / window_hop:
         Enable sliding-window contexts: a target whose history exceeds
         ``window`` steps is scored over the re-based slice starting at
@@ -327,8 +279,7 @@ def score_batch_targets(model, base: Batch, target_cols,
         if window is not None else None
     effective_cols = cols - starts if starts is not None else cols
     scores = np.empty(len(cols), dtype=np.float64)
-
-    def score_chunk(chunk: np.ndarray) -> None:
+    for chunk in column_banded_chunks(effective_cols, target_batch):
         chunk_cols = effective_cols[chunk]
         width = int(chunk_cols.max()) + 1
         if starts is not None and starts[chunk].any():
@@ -341,10 +292,6 @@ def score_batch_targets(model, base: Batch, target_cols,
             sub_cols = chunk_cols
         context = MultiTargetContext(model, sub_base)
         scores[chunk] = context.scores_for(np.arange(len(chunk)), sub_cols)
-
-    map_chunks(score_chunk,
-               column_banded_chunks(effective_cols, target_batch),
-               workers, executor=executor)
     return scores
 
 
@@ -363,16 +310,10 @@ def score_targets(model, sequences, target_cols, target_batch: int = 64,
 
 def predict_dataset_fast(model, dataset: KTDataset, batch_size: int = 32,
                          stride: int = 1, target_batch: int = 64,
-                         workers: int = 1, window: Optional[int] = None,
-                         window_hop: int = 1, executor=None
+                         window: Optional[int] = None, window_hop: int = 1
                          ) -> Tuple[np.ndarray, np.ndarray]:
     """(labels, scores) over every evaluated target, collating each
     sequence exactly once.
-
-    ``workers > 1`` spreads each group's target chunks over that many
-    threads; chunks share the group's read-only
-    :class:`MultiTargetContext` and write disjoint output slots, so the
-    result is identical to the sequential sweep in value *and* order.
 
     ``window`` bounds every target's history to its last ``window`` steps
     (see :func:`repro.core.masking.window_start` for the ``window_hop``
@@ -416,24 +357,18 @@ def predict_dataset_fast(model, dataset: KTDataset, batch_size: int = 32,
         # skip it when the window pushes every target off of it.
         context = MultiTargetContext(model, base) if len(near) else None
         group_scores = np.empty(len(rows), dtype=np.float64)
-
-        def score_chunk(indices: np.ndarray, context=context, base=base,
-                        rows=rows, cols=cols, starts=starts,
-                        out=group_scores) -> None:
-            if starts[indices[0]] == 0:
-                out[indices] = context.scores_for(rows[indices],
-                                                  cols[indices])
-                return
-            sub_base, sub_cols = expand_windowed_targets(
-                base, rows[indices], cols[indices], starts[indices])
-            sub_context = MultiTargetContext(model, sub_base)
-            out[indices] = sub_context.scores_for(
-                np.arange(len(indices)), sub_cols)
-
-        chunks = [part[chunk:chunk + target_batch]
-                  for part in (near, far) if len(part)
-                  for chunk in range(0, len(part), target_batch)]
-        map_chunks(score_chunk, chunks, workers, executor=executor)
+        for part in (near, far):
+            for offset in range(0, len(part), target_batch):
+                indices = part[offset:offset + target_batch]
+                if starts[indices[0]] == 0:
+                    group_scores[indices] = context.scores_for(
+                        rows[indices], cols[indices])
+                    continue
+                sub_base, sub_cols = expand_windowed_targets(
+                    base, rows[indices], cols[indices], starts[indices])
+                sub_context = MultiTargetContext(model, sub_base)
+                group_scores[indices] = sub_context.scores_for(
+                    np.arange(len(indices)), sub_cols)
         scores.append(group_scores)
     if not labels:
         return np.array([]), np.array([])

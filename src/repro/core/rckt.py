@@ -133,7 +133,7 @@ class RCKT(nn.Module):
 
     def predict_dataset(self, dataset: KTDataset, batch_size: int = 32,
                         stride: int = 1, legacy: bool = False,
-                        target_batch: int = 64, workers: int = 1,
+                        target_batch: int = 64,
                         window: Optional[int] = None, window_hop: int = 1
                         ) -> Tuple[np.ndarray, np.ndarray]:
         """(labels, scores) treating every position >= 1 as a target.
@@ -153,9 +153,6 @@ class RCKT(nn.Module):
         checks the fast path against.  ``target_batch`` caps how many
         expanded targets share one stacked generator pass (each target
         becomes ``len(COUNTERFACTUAL_VARIANTS)`` generator rows).
-        ``workers > 1`` spreads the independent target chunks over that
-        many threads (NumPy's kernels release the GIL); scores and their
-        order are identical to the single-threaded sweep.
 
         ``window`` / ``window_hop`` bound every target's history to a
         sliding window of its most recent responses (exact truncation
@@ -177,7 +174,6 @@ class RCKT(nn.Module):
                                             batch_size=batch_size,
                                             stride=stride,
                                             target_batch=target_batch,
-                                            workers=workers,
                                             window=window,
                                             window_hop=window_hop)
         finally:

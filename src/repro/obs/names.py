@@ -21,7 +21,6 @@ SERVICE_COALESCED_READS_TOTAL = "service_coalesced_reads_total"
 SERVICE_BATCH_SECONDS = "service_batch_seconds"
 SERVICE_BATCH_SIZE = "service_batch_size"
 SERVICE_QUERY_SECONDS = "service_query_seconds"
-SERVICE_ADMISSION_WAIT_SECONDS = "service_admission_wait_seconds"
 
 # --- forward-stream cache (repro.serve.forward_cache) ----------------------
 STREAM_CACHE_HITS_TOTAL = "stream_cache_hits_total"
@@ -33,7 +32,6 @@ STREAM_CACHE_ENTRIES = "stream_cache_entries"
 
 # --- inference engine (repro.serve.engine) ---------------------------------
 ENGINE_FORWARD_CALLS_TOTAL = "engine_forward_calls_total"
-ENGINE_WORKER_TASKS_TOTAL = "engine_worker_tasks_total"
 
 # --- HTTP gateway (repro.serve.http_gateway) -------------------------------
 HTTP_REQUESTS_TOTAL = "http_requests_total"
@@ -66,7 +64,6 @@ COUNTERS = (
     STREAM_CACHE_EVICTIONS_TOTAL,
     STREAM_CACHE_REBUILDS_TOTAL,
     ENGINE_FORWARD_CALLS_TOTAL,
-    ENGINE_WORKER_TASKS_TOTAL,
     HTTP_REQUESTS_TOTAL,
     HTTP_ERRORS_TOTAL,
     ROUTER_SHARD_UNAVAILABLE_TOTAL,
@@ -84,7 +81,6 @@ HISTOGRAMS = (
     SERVICE_BATCH_SECONDS,
     SERVICE_BATCH_SIZE,
     SERVICE_QUERY_SECONDS,
-    SERVICE_ADMISSION_WAIT_SECONDS,
     HTTP_REQUEST_SECONDS,
     ROUTER_FANOUT_SECONDS,
     WAL_APPEND_SECONDS,

@@ -103,44 +103,40 @@ def _run(args) -> int:
                             batch_size=args.batch_size,
                             targets_per_sequence=args.targets_per_sequence,
                             seed=args.seed)
-    try:
-        incumbent = prequential_run(service, records,
-                                    checkpoint_every=args.checkpoint_every)
-        interleaved = [event for round_events in round_robin(records)
-                       for event in round_events]
-        cut = max(1, int(len(interleaved) * (1.0 - args.eval_fraction)))
-        train_records, eval_records = interleaved[:cut], interleaved[cut:]
+    incumbent = prequential_run(service, records,
+                                checkpoint_every=args.checkpoint_every)
+    interleaved = [event for round_events in round_robin(records)
+                   for event in round_events]
+    cut = max(1, int(len(interleaved) * (1.0 - args.eval_fraction)))
+    train_records, eval_records = interleaved[:cut], interleaved[cut:]
 
-        dataset = dataset_from_records(train_records,
-                                       trainer.num_questions,
-                                       trainer.num_concepts)
-        tune = trainer.fine_tune(dataset)
-        trainer.save(args.output)
+    dataset = dataset_from_records(train_records,
+                                   trainer.num_questions,
+                                   trainer.num_concepts)
+    tune = trainer.fine_tune(dataset)
+    trainer.save(args.output)
 
-        gate = DriftGate(eval_records, max_auc_drop=args.max_auc_drop,
-                         min_events=args.min_gate_events, interleave=False)
-        outcome = auto_rollout(service, args.output, gate)
-        decision = gate.last_decision
-        report = {
-            "journal": {"directory": args.journal_dir,
-                        "events": len(records)},
-            "prequential": incumbent.to_dict(),
-            "fine_tune": tune,
-            "gate": None if decision is None else
-            {"allowed": decision.allowed, **decision.to_details()},
-            "rollout": ({"refused": True, "message": outcome.message}
-                        if is_error(outcome)
-                        else {"refused": False, **outcome}),
-            "output": args.output,
-        }
-        if args.horizons:
-            report["multi_step"] = {
-                str(k): v for k, v in multi_step_sweep(
-                    trainer.model, dataset,
-                    horizons=tuple(args.horizons)).items()}
-    finally:
-        trainer.close()
-        service.close()
+    gate = DriftGate(eval_records, max_auc_drop=args.max_auc_drop,
+                     min_events=args.min_gate_events, interleave=False)
+    outcome = auto_rollout(service, args.output, gate)
+    decision = gate.last_decision
+    report = {
+        "journal": {"directory": args.journal_dir,
+                    "events": len(records)},
+        "prequential": incumbent.to_dict(),
+        "fine_tune": tune,
+        "gate": None if decision is None else
+        {"allowed": decision.allowed, **decision.to_details()},
+        "rollout": ({"refused": True, "message": outcome.message}
+                    if is_error(outcome)
+                    else {"refused": False, **outcome}),
+        "output": args.output,
+    }
+    if args.horizons:
+        report["multi_step"] = {
+            str(k): v for k, v in multi_step_sweep(
+                trainer.model, dataset,
+                horizons=tuple(args.horizons)).items()}
 
     body = json.dumps(report, indent=2, sort_keys=True)
     if args.report:
@@ -242,7 +238,6 @@ def _selfcheck(args) -> int:
                                        trainer.num_concepts)
         tune = trainer.fine_tune(dataset)
         trainer.save(refreshed_path)
-        trainer.close()
         check("fine-tune ran", tune["batches"] > 0, repr(tune))
 
         gate = DriftGate(interleaved[cut:], max_auc_drop=0.05,
@@ -269,7 +264,6 @@ def _selfcheck(args) -> int:
                  for reply in reference.execute_batch(probes)]
         check("post-rollout score parity", live == fresh,
               f"({sum(a != b for a, b in zip(live, fresh))} mismatches)")
-        reference.close()
 
         # A degraded candidate must be refused as a value, never raised,
         # and must leave the incumbent serving untouched.
@@ -279,7 +273,6 @@ def _selfcheck(args) -> int:
               repr(refused))
         after = [to_wire(reply) for reply in service.execute_batch(probes)]
         check("incumbent untouched after refusal", after == live)
-        service.close()
 
     if failures:
         print(f"selfcheck: {failures} failure(s)")

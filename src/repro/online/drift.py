@@ -86,15 +86,11 @@ class DriftGate:
         self.last_decision: Optional[GateDecision] = None
 
     def _prequential(self, model) -> PrequentialReport:
-        # A throwaway single-worker service around the *shared* model
-        # object: scoring is read-only under no_grad, and the recorded
-        # histories die with the service.
-        service = Service(model, workers=1)
-        try:
-            return prequential_run(service, self.records,
-                                   interleave=self.interleave)
-        finally:
-            service.close()
+        # A throwaway service around the *shared* model object: scoring
+        # is read-only under no_grad, and the recorded histories die
+        # with the service.
+        return prequential_run(Service(model), self.records,
+                               interleave=self.interleave)
 
     def evaluate(self, incumbent_model, candidate_model) -> GateDecision:
         """Run both prequential passes and decide; remembers the verdict."""
@@ -176,10 +172,7 @@ def auto_rollout(target, checkpoint, gate: DriftGate, *,
         raise ValueError("auto_rollout to a non-Service target needs "
                          "incumbent_model for the gate pre-check")
     candidate = InferenceEngine.from_checkpoint(checkpoint)
-    try:
-        decision = gate.evaluate(incumbent_model, candidate.model)
-    finally:
-        candidate.close()
+    decision = gate.evaluate(incumbent_model, candidate.model)
     if not decision.allowed:
         return RolloutRefused(message=decision.reason,
                               details=decision.to_details())

@@ -131,12 +131,3 @@ class OnlineTrainer:
     def save(self, path) -> None:
         """Write the refreshed checkpoint (rollout-ready format)."""
         self.engine.save(path)
-
-    def close(self) -> None:
-        self.engine.close()
-
-    def __enter__(self) -> "OnlineTrainer":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

@@ -1,9 +1,8 @@
 """Serving subsystem: a typed, transport-agnostic API over RCKT inference.
 
 ``repro.serve`` turns the repository's counterfactual scorer into an
-engine shaped like a production inference service, reachable three
-equivalent ways — the typed facade, the legacy engine methods (now thin
-shims over it), and HTTP:
+engine shaped like a production inference service, reachable two
+equivalent ways — the typed facade in process, and HTTP:
 
 * :class:`Service` — the typed facade (protocol v2, v1 envelopes still
   accepted): every capability is a typed query (:class:`ScoreQuery`,
@@ -23,13 +22,12 @@ shims over it), and HTTP:
 * :mod:`repro.serve.http_gateway` — stdlib HTTP/JSON gateway
   (``python -m repro.serve``) plus :class:`ServiceClient`; same
   protocol, same errors, over the wire.
-* :class:`InferenceEngine` — the per-model compute core: per-student
-  cached interaction arrays (:class:`HistoryStore`), incremental
-  forward-stream caches under an LRU byte budget
-  (:class:`StreamCacheStore`), sliding-window anchoring, and a
-  persistent worker pool.  Its classic ``score`` / ``influences`` /
-  ``recommend`` / ``submit``/``flush`` methods now shim through the
-  facade.
+* :class:`InferenceEngine` — the per-model state and kernels behind
+  the facade: per-student cached interaction arrays
+  (:class:`HistoryStore`), incremental forward-stream caches under an
+  LRU byte budget (:class:`StreamCacheStore`), and sliding-window
+  anchoring.  It answers no queries itself and scores on the caller's
+  thread; process parallelism is :mod:`repro.cluster`.
 
 Histories are unbounded in length: positional tables grow on demand,
 and ``InferenceEngine(window=W)`` serves arbitrarily long students over
@@ -41,10 +39,10 @@ All scoring goes through the multi-target fast path
 (:mod:`repro.core.multi_target`), which the golden-parity suite pins to
 the legacy per-prefix scores, so every surface is exactly as accurate
 as the paper's evaluation protocol — just batched, cached, windowed,
-typed, and (optionally) threaded.
+and typed.
 """
 
-from .engine import InferenceEngine, PendingScore, ScoreRequest
+from .engine import InferenceEngine
 from .forward_cache import (DEFAULT_STREAM_CACHE_BYTES, StreamCacheStore,
                             StudentStreamCache, build_stream_caches)
 from .history import (ArrayHistory, HistoryStore, HistoryWindow,
@@ -69,17 +67,17 @@ from .protocol import (DEFAULT_MODEL, PROTOCOL_VERSION,
                        query_types_for, reply_from_wire, to_wire)
 from .recourse import RecourseSearch
 from .registry import ModelRegistry, registry_for
-from .service import PendingReply, Service
+from .service import Service
 
 __all__ = [
     # engine core
-    "InferenceEngine", "ScoreRequest", "PendingScore",
+    "InferenceEngine",
     "HistoryStore", "StudentHistory", "HistoryWindow", "ArrayHistory",
     "assemble_padded",
     "StreamCacheStore", "StudentStreamCache", "build_stream_caches",
     "DEFAULT_STREAM_CACHE_BYTES",
     # facade + registry
-    "Service", "PendingReply", "ModelRegistry", "registry_for",
+    "Service", "ModelRegistry", "registry_for",
     # protocol
     "PROTOCOL_VERSION", "SUPPORTED_PROTOCOL_VERSIONS", "DEFAULT_MODEL",
     "ScoreQuery", "ExplainQuery", "WhatIfQuery", "RecommendQuery",

@@ -4,7 +4,7 @@ Usage::
 
     python -m repro.serve --checkpoint rckt.npz
     python -m repro.serve --checkpoint prod=rckt.npz --checkpoint \\
-        canary=rckt_new.npz --port 8080 --window 256 --workers 4
+        canary=rckt_new.npz --port 8080 --window 256
     python -m repro.serve --selfcheck
 
 ``--checkpoint`` takes ``PATH`` (registered as the default model) or
@@ -49,9 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8080,
                         help="0 picks an ephemeral port")
-    parser.add_argument("--max-batch", type=int, default=64)
-    parser.add_argument("--workers", type=int, default=1,
-                        help="persistent scoring threads per model")
     parser.add_argument("--window", type=int, default=None,
                         help="sliding-window context size")
     parser.add_argument("--window-hop", type=int, default=None)
@@ -67,8 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _engine_kwargs(args) -> dict:
-    kwargs = {"workers": args.workers, "window": args.window,
-              "window_hop": args.window_hop}
+    kwargs = {"window": args.window, "window_hop": args.window_hop}
     if args.stream_cache_bytes is not None:
         kwargs["stream_cache_bytes"] = args.stream_cache_bytes
     return kwargs
@@ -80,7 +76,7 @@ def _selfcheck(args) -> int:
 
     model = RCKT(20, 5, RCKTConfig(encoder="dkt", dim=8, layers=1, seed=0))
     engine = InferenceEngine(model, **_engine_kwargs(args))
-    service = Service(engine, max_batch=args.max_batch)
+    service = Service(engine)
     engine.record("probe", 3, 1, (2,))
     server, _ = start_http_thread(service, host=args.host, port=0)
     try:
@@ -133,7 +129,6 @@ def _selfcheck(args) -> int:
             return 1
     finally:
         server.shutdown()
-        service.close()
     print(f"selfcheck: ok (score {direct.score:.6f} and a recourse "
           f"search round-tripped over "
           f"http://{args.host}:{server.server_port})")
@@ -152,7 +147,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"loaded model '{name}' from {path} "
               f"({engine.num_questions} questions, "
               f"{engine.num_concepts} concepts)")
-    service = Service(registry=registry, max_batch=args.max_batch)
+    service = Service(registry=registry)
     server = serve_http(service, host=args.host, port=args.port,
                         verbose=args.verbose)
     print(f"serving {registry.names()} on "
@@ -164,7 +159,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("shutting down")
     finally:
         server.server_close()
-        service.close()
     return 0
 
 

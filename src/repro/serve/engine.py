@@ -1,33 +1,17 @@
-"""The serving engine: one model's compute core behind the typed facade.
+"""The serving engine: one model's state and kernels behind the facade.
 
 The engine owns a checkpointed model plus everything that model's
 serving state needs — per-student histories, incremental forward-stream
-caches, window anchoring, a persistent worker pool — and exposes the
-row-level scheduling primitives (:meth:`InferenceEngine._assemble_rows`,
-:meth:`InferenceEngine._score_context`) the
-:class:`repro.serve.Service` scheduler drives.  The classic convenience
-methods below (``score``/``score_batch``/``influences``/``recommend``)
-are thin deprecation shims over that facade: same scheduler, same
-numbers, with structured error values translated back into the
-``ValueError``s they historically raised.
+caches, window anchoring — and exposes the row-level scheduling
+primitives (:meth:`InferenceEngine._assemble_rows`,
+:meth:`InferenceEngine._score_context`) the :class:`repro.serve.Service`
+scheduler drives.  Queries enter through ``Service.execute`` /
+``Service.execute_batch`` only; the engine itself answers none.  It
+scores on the caller's thread: process parallelism is
+:mod:`repro.cluster`.
 
-Request lifecycle (legacy surface)
-----------------------------------
-1. ``record(student, question, correct, concepts)`` appends one response
-   to the student's cached arrays (O(1) amortized — see
-   :mod:`repro.serve.history`).
-2. ``submit(ScoreRequest(...))`` enqueues a "how would this student do on
-   question q next?" probe and returns a :class:`PendingScore` handle.
-3. When ``max_batch`` requests are pending — or on an explicit
-   ``flush()`` — the engine assembles **one** padded batch across all
-   waiting students (histories of arbitrary, ragged lengths share the
-   batch thanks to the truncated-mask fast path) and resolves every
-   handle from a single stacked counterfactual pass.
-4. ``score(...)`` / ``score_batch(...)`` are the synchronous conveniences
-   built on the same path.
-
-This replaces the seed's serving idiom (one collated single-row
-``predict_scores`` call per probe, as in
+The scheduler replaces the seed's serving idiom (one collated
+single-row ``predict_scores`` call per probe, as in
 :func:`repro.interpret.recommendation.question_value`) with
 column-chunked stacked passes: identical scores, several times the
 throughput — ``benchmarks/bench_inference.py`` tracks the exact factor.
@@ -35,10 +19,8 @@ throughput — ``benchmarks/bench_inference.py`` tracks the exact factor.
 
 from __future__ import annotations
 
-import functools
 import threading
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -46,7 +28,7 @@ import numpy as np
 from repro.core import RCKT, RCKTConfig
 from repro.core.masking import check_window, window_start
 from repro.core.multi_target import (FORWARD_BASES, MultiTargetContext,
-                                     column_banded_chunks, map_chunks,
+                                     column_banded_chunks,
                                      score_batch_targets)
 from repro.data import PAD_ID, Batch, KTDataset
 from repro.tensor import enable_grad, no_grad
@@ -59,61 +41,6 @@ from .forward_cache import (DEFAULT_STREAM_CACHE_BYTES, StreamCacheStore,
                             question_vector_for)
 from .history import HistoryStore, HistoryWindow, assemble_padded
 from .protocol import DEFAULT_MODEL
-
-
-@dataclass(frozen=True)
-class ScoreRequest:
-    """Score P(correct) for ``student_id`` answering ``question_id`` next."""
-
-    student_id: object
-    question_id: int
-    concept_ids: Tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "concept_ids", tuple(self.concept_ids))
-
-
-@dataclass
-class PendingScore:
-    """Handle returned by ``submit``; resolved on the next flush."""
-
-    request: ScoreRequest
-    _value: Optional[float] = field(default=None, repr=False)
-
-    @property
-    def done(self) -> bool:
-        return self._value is not None
-
-    @property
-    def value(self) -> float:
-        if self._value is None:
-            raise RuntimeError("request not flushed yet — call "
-                               "InferenceEngine.flush()")
-        return self._value
-
-
-def _deprecated_shim(replacement: str):
-    """The one adapter every legacy convenience method routes through.
-
-    Emits a single :class:`DeprecationWarning` naming the typed-facade
-    replacement and the documented removal schedule
-    (``docs/API.md``, "Deprecation schedule"), then calls the original
-    method unchanged — behavior stays bit-identical, which the existing
-    shim tests pin.  Warnings point at the *caller* (``stacklevel=2``).
-    """
-    def decorate(method):
-        @functools.wraps(method)
-        def shim(self, *args, **kwargs):
-            warnings.warn(
-                f"InferenceEngine.{method.__name__}() is deprecated; use "
-                f"{replacement} instead (removal schedule: docs/API.md, "
-                f"'Deprecation schedule')",
-                DeprecationWarning, stacklevel=2)
-            return method(self, *args, **kwargs)
-        shim.__deprecated_replacement__ = replacement
-        shim.__wrapped_shim__ = method
-        return shim
-    return decorate
 
 
 @dataclass
@@ -140,23 +67,22 @@ class _ContextRow:
 class InferenceEngine:
     """Multi-student counterfactual scoring around one loaded RCKT model.
 
+    Holds serving state and runs the scoring kernels on the caller's
+    thread (it starts no threads of its own); queries reach it only
+    through :class:`repro.serve.Service`.
+
     Parameters
     ----------
     model:
         A (typically trained) :class:`repro.core.RCKT`.
-    max_batch:
-        Pending-request count that triggers an automatic flush.
     target_batch:
         Chunk size of the underlying stacked passes (see
         :func:`repro.core.multi_target.score_batch_targets`).
-    workers:
-        Thread count for the independent column-banded score chunks
-        (NumPy's kernels release the GIL; 1 disables pooling).
     stream_cache_bytes:
         LRU byte budget for the per-student incremental forward-stream
         caches (:mod:`repro.serve.forward_cache`).  With a warm cache,
-        ``record`` extends the cached encoder state by one step and
-        ``score`` skips the forward half of the encoder entirely; 0 or
+        ``record`` extends the cached encoder state by one step and a
+        score skips the forward half of the encoder entirely; 0 or
         ``None`` disables caching and serves every request through the
         batch re-encoding path (the golden reference the parity suite
         compares against).
@@ -182,21 +108,15 @@ class InferenceEngine:
     Raises
     ------
     ValueError
-        On non-positive ``max_batch``/``workers`` or an invalid
-        ``(window, window_hop)`` pair.
+        On an invalid ``(window, window_hop)`` pair.
     """
 
-    def __init__(self, model: RCKT, max_batch: int = 64,
-                 target_batch: int = 64, workers: int = 1,
+    def __init__(self, model: RCKT, target_batch: int = 64,
                  stream_cache_bytes: Optional[int]
                  = DEFAULT_STREAM_CACHE_BYTES,
                  window: Optional[int] = None,
                  window_hop: Optional[int] = None,
                  name: str = DEFAULT_MODEL):
-        if max_batch <= 0:
-            raise ValueError("max_batch must be positive")
-        if workers <= 0:
-            raise ValueError("workers must be positive")
         if window is None:
             if window_hop is not None:
                 raise ValueError("window_hop requires a window")
@@ -209,52 +129,26 @@ class InferenceEngine:
         self.window_hop = window_hop
         self.model = model
         self.name = name
-        self.max_batch = max_batch
         self.target_batch = target_batch
-        self.workers = workers
         self.students = HistoryStore()
         self.stream_caches = StreamCacheStore(stream_cache_bytes)
-        self._pending: List[PendingScore] = []
         self._lock = threading.Lock()
         self._service = None
-        # One persistent pool per engine, reused across every scoring
-        # call (spinning a ThreadPoolExecutor up per call costs more
-        # than small serving batches do — the ROADMAP's small-batch
-        # latency item).  Threads spawn lazily on first use.
-        self._executor = None
-        if workers > 1:
-            from concurrent.futures import ThreadPoolExecutor
-            self._executor = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="rckt-serve")
         embedder = model.generator.embedder
         self.num_questions = embedder.question_embedding.num_embeddings - 1
         self.num_concepts = embedder.concept_embedding.num_embeddings - 1
-        registry = obs.get_registry()
-        self._obs_forward_calls = registry.counter(
+        self._obs_forward_calls = obs.get_registry().counter(
             metric_names.ENGINE_FORWARD_CALLS_TOTAL)
-        self._obs_worker_tasks = registry.counter(
-            metric_names.ENGINE_WORKER_TASKS_TOTAL)
         model.eval()
 
     @property
     def service(self):
-        """The typed :class:`repro.serve.Service` facade over this engine.
-
-        Built lazily (one single-model registry under this engine's
-        ``name``); the legacy convenience methods below are thin shims
-        over it, so in-process callers and wire callers share one code
-        path, one scheduler, and one error taxonomy.
-        """
+        """A :class:`repro.serve.Service` over this engine alone, built
+        on first use and cached."""
         if self._service is None:
             from .service import Service
             self._service = Service(self)
         return self._service
-
-    def close(self) -> None:
-        """Shut down the persistent worker pool (idempotent)."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
 
     def _window_start(self, history_length: int) -> int:
         """Anchored window start for a history of ``history_length`` steps."""
@@ -339,8 +233,7 @@ class InferenceEngine:
         save_checkpoint(path, model.state_dict(), metadata)
 
     @classmethod
-    def from_checkpoint(cls, path, max_batch: int = 64,
-                        target_batch: int = 64, workers: int = 1,
+    def from_checkpoint(cls, path, target_batch: int = 64,
                         stream_cache_bytes: Optional[int]
                         = DEFAULT_STREAM_CACHE_BYTES,
                         window: Optional[int] = None,
@@ -361,8 +254,8 @@ class InferenceEngine:
                              f"({missing})") from None
         model = RCKT(num_questions, num_concepts, config)
         model.load_state_dict(state)
-        return cls(model, max_batch=max_batch, target_batch=target_batch,
-                   workers=workers, stream_cache_bytes=stream_cache_bytes,
+        return cls(model, target_batch=target_batch,
+                   stream_cache_bytes=stream_cache_bytes,
                    window=window, window_hop=window_hop)
 
     def reload_checkpoint(self, path) -> None:
@@ -418,7 +311,7 @@ class InferenceEngine:
     # History management
     # ------------------------------------------------------------------
     def record(self, student_id, question_id: int, correct: int,
-               concept_ids: Sequence[int]) -> None:
+               concept_ids: Sequence[int]) -> int:
         """Append one observed response to a student's cached history.
 
         Rejects ids outside the checkpoint vocabulary (and non-binary
@@ -429,6 +322,10 @@ class InferenceEngine:
         histories are never length-bounded — beyond the serving window
         (or the initial positional-table size without one) the append
         stays O(1) and scoring windows or grows transparently.
+
+        Returns the history length this append produced, read under the
+        same lock as the append: a concurrent record for the same
+        student cannot land in between.
 
         Raises
         ------
@@ -444,6 +341,7 @@ class InferenceEngine:
                                            concept_ids)
             self._extend_stream_cache(student_id, history, question_id,
                                       correct, concept_ids)
+            return history.length
 
     # invariant: holds-lock
     def _extend_stream_cache(self, student_id, history, question_id: int,
@@ -485,7 +383,7 @@ class InferenceEngine:
         """Warm the history store with an offline log.
 
         Every interaction is validated against the checkpoint vocabulary
-        up front (same errors as :meth:`score`) so a corrupt log cannot
+        up front (same errors as :meth:`record`) so a corrupt log cannot
         half-load.  Stream caches of touched students are invalidated:
         bulk history changes are cheaper to re-encode once at the next
         score than to replay step-by-step.
@@ -518,77 +416,6 @@ class InferenceEngine:
     # ------------------------------------------------------------------
     # Scoring
     # ------------------------------------------------------------------
-    @_deprecated_shim("Service.execute_batch (one BatchEnvelope per flush)")
-    def submit(self, request: ScoreRequest) -> PendingScore:
-        """Enqueue a request; auto-flushes when ``max_batch`` are waiting.
-
-        Invalid requests are rejected here, synchronously — a bad id must
-        never poison a batch other callers are waiting on.
-        """
-        self._validate_ids(request.question_id, request.concept_ids,
-                           request.student_id)
-        pending = PendingScore(request)
-        with self._lock:
-            self._pending.append(pending)
-            ready = len(self._pending) >= self.max_batch
-        if ready:
-            self.flush()
-        return pending
-
-    @_deprecated_shim("Service.execute_batch (one BatchEnvelope per flush)")
-    def flush(self) -> List[PendingScore]:
-        """Resolve all pending requests in one micro-batched pass."""
-        with self._lock:
-            batch, self._pending = self._pending, []
-        if not batch:
-            return []
-        try:
-            scores = self.score_batch([p.request for p in batch])
-        except Exception:
-            # Don't strand the other callers' handles: put the batch
-            # back so a later flush can retry it.
-            with self._lock:
-                self._pending = batch + self._pending
-            raise
-        for pending, score in zip(batch, scores):
-            pending._value = float(score)
-        return batch
-
-    @_deprecated_shim("Service.execute_batch with ScoreQuery values")
-    def score_batch(self, requests: Sequence[ScoreRequest]) -> np.ndarray:
-        """Scores for many (student, next-question) probes at once.
-
-        Deprecation shim: requests become typed
-        :class:`~repro.serve.protocol.ScoreQuery` values executed by the
-        :attr:`service` facade's scheduler — the same shared
-        forward-stream batches, stream-cache reuse, and window anchoring
-        as before, now also reachable over the wire.  Prefer
-        ``engine.service.execute_batch`` in new code.
-
-        Returns scores in request order; raises ``ValueError`` on the
-        first structured error (e.g. ids outside the checkpoint
-        vocabulary), mirroring the pre-facade behavior.
-        """
-        from .protocol import ScoreQuery, is_error
-        if not requests:
-            return np.array([])
-        # Preserve the pre-facade contract: every id is validated (and
-        # the first bad one raised) before any scoring work happens —
-        # a permanently-bad request in a re-queued flush batch must not
-        # make every retry score-and-discard its valid siblings.
-        for request in requests:
-            self._validate_ids(request.question_id, request.concept_ids,
-                               request.student_id)
-        replies = self.service.execute_batch(
-            [ScoreQuery(r.student_id, r.question_id, r.concept_ids,
-                        model=self.name) for r in requests])
-        scores = np.empty(len(replies), dtype=np.float64)
-        for index, reply in enumerate(replies):
-            if is_error(reply):
-                raise ValueError(reply.message)
-            scores[index] = reply.score
-        return scores
-
     # invariant: holds-lock
     def _assemble_rows(self, rows: Sequence[_ContextRow],
                        local_entries: Optional[Dict[int, object]] = None,
@@ -769,21 +596,13 @@ class InferenceEngine:
     def _score_context(self, context: MultiTargetContext,
                        row_indices: np.ndarray,
                        cols: np.ndarray) -> np.ndarray:
-        """Run the per-request backward passes, column-banded and
-        optionally threaded on the persistent pool (chunks are
-        independent)."""
+        """Run the per-request backward passes, column-banded."""
         rows = np.asarray(row_indices, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         scores = np.empty(len(cols), dtype=np.float64)
-
-        def score_chunk(chunk: np.ndarray) -> None:
-            scores[chunk] = context.scores_for(rows[chunk], cols[chunk])
-
-        chunks = column_banded_chunks(cols, self.target_batch)
         self._obs_forward_calls.inc()
-        self._obs_worker_tasks.inc(len(chunks))
-        map_chunks(score_chunk, chunks, self.workers,
-                   executor=self._executor)
+        for chunk in column_banded_chunks(cols, self.target_batch):
+            scores[chunk] = context.scores_for(rows[chunk], cols[chunk])
         return scores
 
     def _score_rows(self, rows: Sequence[_ContextRow],
@@ -806,74 +625,6 @@ class InferenceEngine:
             scores = self._score_context(context, np.arange(len(rows)),
                                          cols)
         return scores, built
-
-    @_deprecated_shim("Service.execute(ScoreQuery(...))")
-    def score(self, student_id, question_id: int,
-              concept_ids: Sequence[int]) -> float:
-        """Synchronous single score (still served by the batched path).
-
-        Returns P(correct) in (0, 1) for ``student_id`` answering
-        ``question_id`` next; raises ``ValueError`` on out-of-vocabulary
-        ids.  Unknown students score from an empty context (0.5).
-        """
-        return float(self.score_batch(
-            [ScoreRequest(student_id, question_id, tuple(concept_ids))])[0])
-
-    # ------------------------------------------------------------------
-    # Interpretation endpoints
-    # ------------------------------------------------------------------
-    @_deprecated_shim("Service.execute(ExplainQuery(...))")
-    def influences(self, student_id):
-        """Response influences of the student's history on their latest
-        response (the engine-side view of the paper's Fig. 3 readout).
-
-        Deprecation shim over the facade: executes a typed
-        :class:`~repro.serve.protocol.ExplainQuery` and returns the
-        reply's full :class:`~repro.core.influence.InfluenceComputation`
-        (new code should use ``engine.service.execute`` and consume the
-        typed, wire-safe :class:`~repro.serve.protocol.ExplainReply`).
-        With a serving window the influences cover the windowed context
-        only — positions the window slid past no longer contribute, which
-        mirrors exactly what a windowed :meth:`score` conditions on.
-
-        Raises ``ValueError`` when fewer than two responses are recorded.
-        """
-        from .protocol import ExplainQuery, is_error
-        reply = self.service.execute(ExplainQuery(student_id,
-                                                  model=self.name))
-        if is_error(reply):
-            raise ValueError(reply.message)
-        return reply.computation
-
-    @_deprecated_shim("Service.execute(RecommendQuery(...))")
-    def recommend(self, student_id, candidates: Sequence[ScoreRequest],
-                  top_k: int = 5, target_success: float = 0.6,
-                  value_weight: float = 1.0, horizon: int = 4):
-        """Batched next-question recommendation.
-
-        Deprecation shim over the facade: candidates become a typed
-        :class:`~repro.serve.protocol.RecommendQuery` and the reply's
-        items convert back to :class:`~repro.interpret.recommendation
-        .QuestionRecommendation` objects, best first (at most
-        ``top_k``).  Raises ``ValueError`` on invalid candidate ids or
-        an empty history.
-        """
-        from repro.interpret.recommendation import QuestionRecommendation
-        from .protocol import CandidateQuestion, RecommendQuery, is_error
-        if not candidates:
-            return []
-        reply = self.service.execute(RecommendQuery(
-            student_id,
-            tuple(CandidateQuestion(c.question_id, tuple(c.concept_ids))
-                  for c in candidates),
-            top_k=top_k, target_success=target_success,
-            value_weight=value_weight, horizon=horizon, model=self.name))
-        if is_error(reply):
-            raise ValueError(reply.message)
-        return [QuestionRecommendation(
-            question_id=item.question_id, concept_ids=item.concept_ids,
-            success_probability=item.success_probability,
-            value=item.value, score=item.score) for item in reply.items]
 
     def _snapshot_window(self, history) -> Tuple[np.ndarray, ...]:
         """Copied arrays of the student's anchored window (lock held).
@@ -957,9 +708,7 @@ class InferenceEngine:
         batch = Batch(questions, responses, concepts, counts, mask)
         with no_grad():
             scores = score_batch_targets(model, batch, cols,
-                                         target_batch=self.target_batch,
-                                         workers=self.workers,
-                                         executor=self._executor)
+                                         target_batch=self.target_batch)
 
         values = np.empty(num_candidates)
         for index in range(num_candidates):

@@ -48,18 +48,13 @@ class ModelRegistry:
         """Bind ``name`` to ``engine`` (replacing any previous binding).
 
         The engine adopts the name so its validation errors can report
-        which model rejected the request — unless the engine is already
-        bound to a :class:`~repro.serve.Service` over a *different*
-        registry: renaming it then would make its legacy shims address a
-        name that facade has never heard of, bricking ``engine.score``
-        et al.  In that case the engine keeps its canonical name (and
-        its working shims) while this registry serves it under ``name``.
+        which model rejected the request.  Replies still echo the name
+        each query addressed, so an engine served under several names
+        answers each under its own.
         """
         if not name:
             raise ValueError("model name must be non-empty")
-        bound = engine._service
-        if bound is None or bound.registry is self:
-            engine.name = name
+        engine.name = name
         with self._lock:
             self._engines[name] = engine
         return engine
@@ -118,9 +113,9 @@ class ModelRegistry:
 def registry_for(model_or_engine, **engine_kwargs) -> ModelRegistry:
     """One-model registry for the facade's single-model sugar.
 
-    An existing engine keeps the name it already carries (so shims and
-    error payloads stay consistent with any external registration); a
-    bare model gets :data:`DEFAULT_MODEL`.
+    An existing engine keeps the name it already carries (so error
+    payloads stay consistent with any external registration); a bare
+    model gets :data:`DEFAULT_MODEL`.
     """
     registry = ModelRegistry()
     if isinstance(model_or_engine, InferenceEngine):

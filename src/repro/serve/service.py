@@ -23,8 +23,8 @@ The scheduler
    half comes from the per-student incremental caches, with every
    missing row (cold students, edited timelines, off-anchor explain
    targets) warm-built in one stacked pass.  Only the per-target
-   backward streams run per query, column-banded and threaded on the
-   engine's persistent worker pool.
+   backward streams run per query, column-banded on the caller's
+   thread.
 4. scores each :class:`RecommendQuery`'s assumed-answer value worlds in
    one stacked pass per query
    (:meth:`InferenceEngine._recommend_values`) against the history
@@ -38,7 +38,6 @@ to the engine's direct paths.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -123,28 +122,6 @@ class _PendingRecommend:
     probabilities: List[float] = field(default_factory=list)
 
 
-@dataclass
-class PendingReply:
-    """Handle returned by :meth:`Service.submit`; resolved on flush."""
-
-    query: object
-    _reply: Optional[object] = field(default=None, repr=False)
-    #: obs-clock stamp taken at admission; the flush observes the
-    #: queue wait into ``service_admission_wait_seconds``.
-    _submitted: Optional[float] = field(default=None, repr=False)
-
-    @property
-    def done(self) -> bool:
-        return self._reply is not None
-
-    @property
-    def reply(self):
-        if self._reply is None:
-            raise RuntimeError("query not flushed yet — call "
-                               "Service.flush()")
-        return self._reply
-
-
 class Service:
     """Typed, transport-agnostic facade over one or many models.
 
@@ -158,25 +135,17 @@ class Service:
         carries another).
     registry:
         A pre-populated :class:`ModelRegistry` for multi-model serving.
-    max_batch:
-        Pending-query count that triggers an automatic flush of the
-        :meth:`submit` queue.
     engine_kwargs:
         Forwarded to :class:`InferenceEngine` when ``model`` is a bare
-        model (``window=...``, ``workers=...``, …).
+        model (``window=...``, ``stream_cache_bytes=...``, …).
     """
 
     def __init__(self, model=None, *, registry: Optional[ModelRegistry]
-                 = None, max_batch: int = 64, **engine_kwargs):
+                 = None, **engine_kwargs):
         if (model is None) == (registry is None):
             raise ValueError("provide exactly one of model or registry")
-        if max_batch <= 0:
-            raise ValueError("max_batch must be positive")
         self.registry = registry if registry is not None \
             else registry_for(model, **engine_kwargs)
-        self.max_batch = max_batch
-        self._pending: List[PendingReply] = []
-        self._lock = threading.Lock()
         # Instrument handles are captured at construction (and never
         # mutated afterwards): swapping the process registry affects
         # services built later, not this one — what the bench's
@@ -186,25 +155,16 @@ class Service:
             metric_names.SERVICE_BATCH_SECONDS)
         self._obs_batch_size = self._obs.histogram(
             metric_names.SERVICE_BATCH_SIZE, buckets=obs.SIZE_BUCKETS)
-        self._obs_admission_wait = self._obs.histogram(
-            metric_names.SERVICE_ADMISSION_WAIT_SECONDS)
         self._obs_coalesced_reads = self._obs.counter(
             metric_names.SERVICE_COALESCED_READS_TOTAL)
-        # The facade is the canonical service of its engines: legacy
-        # engine methods shim through `engine.service`, which must
-        # resolve back here instead of spawning a parallel facade.
-        for name in self.registry.names():
-            engine = self.registry.get(name)
-            if engine is not None and engine._service is None:
-                engine._service = self
 
     @classmethod
     def from_checkpoint(cls, path, name: str = DEFAULT_MODEL,
-                        max_batch: int = 64, **engine_kwargs) -> "Service":
+                        **engine_kwargs) -> "Service":
         """One-model service straight from an engine checkpoint file."""
         registry = ModelRegistry()
         registry.load(name, path, **engine_kwargs)
-        return cls(registry=registry, max_batch=max_batch)
+        return cls(registry=registry)
 
     # ------------------------------------------------------------------
     # Registry conveniences
@@ -222,11 +182,7 @@ class Service:
         return self.registry.describe()
 
     def close(self) -> None:
-        """Shut down every engine's persistent worker pool."""
-        for name in self.registry.names():
-            engine = self.registry.get(name)
-            if engine is not None:
-                engine.close()
+        """Lifecycle hook; a service holds no threads or OS resources."""
 
     # ------------------------------------------------------------------
     # Warm blue/green rollout
@@ -236,10 +192,10 @@ class Service:
         """Blue/green checkpoint rollout with a warm standby.
 
         Builds a *standby* engine from ``path`` (the green side), hands
-        it the live engine's serving state — the shared history store,
-        lock, and persistent worker pool — pre-builds its forward-stream
-        caches for the ``warm_top`` hottest students (the live stream
-        cache's LRU order *is* the hot set), and only then atomically
+        it the live engine's serving state — the shared history store
+        and lock — pre-builds its forward-stream caches for the
+        ``warm_top`` hottest students (the live stream cache's LRU
+        order *is* the hot set), and only then atomically
         rebinds ``name``.  The blue engine keeps serving, records
         included, until the rebind; in-flight queries that already
         resolved it finish on the old weights.  Unlike
@@ -270,7 +226,7 @@ class Service:
             raise KeyError(f"no model named '{name}' is loaded "
                            f"(known: {self.registry.names()})")
         standby = InferenceEngine.from_checkpoint(
-            path, max_batch=old.max_batch, target_batch=old.target_batch,
+            path, target_batch=old.target_batch,
             stream_cache_bytes=old.stream_caches.budget_bytes,
             window=old.window,
             window_hop=old.window_hop if old.window is not None else None)
@@ -292,15 +248,8 @@ class Service:
         # side's reads for as long as both engines are referenced.
         standby.students = old.students
         standby._lock = old._lock
-        # One persistent pool per serving slot: the standby was built
-        # pool-less and inherits the blue engine's threads, so the swap
-        # neither leaks a pool nor strands in-flight chunks.
-        standby.workers = old.workers
-        standby._executor = old._executor
         warmed = self._warm_standby(old, standby, warm_top)
         self.registry.register(name, standby)
-        if standby._service is None:
-            standby._service = self
         return {"model": name, "warmed": warmed,
                 "encoder": standby.model.config.encoder,
                 "students": len(standby.students)}
@@ -354,32 +303,6 @@ class Service:
         if isinstance(query, BatchEnvelope):
             return BatchReply(tuple(self.execute_batch(query)))
         return self.execute_batch([query])[0]
-
-    def submit(self, query) -> PendingReply:
-        """Enqueue a query; auto-flushes once ``max_batch`` wait."""
-        pending = PendingReply(query, _submitted=obs.clock())
-        with self._lock:
-            self._pending.append(pending)
-            ready = len(self._pending) >= self.max_batch
-        if ready:
-            self.flush()
-        return pending
-
-    def flush(self) -> List[PendingReply]:
-        """Resolve every pending handle in one scheduled batch."""
-        with self._lock:
-            batch, self._pending = self._pending, []
-        if not batch:
-            return []
-        admitted = obs.clock()
-        for pending in batch:
-            if pending._submitted is not None:
-                self._obs_admission_wait.observe(
-                    admitted - pending._submitted)
-        replies = self.execute_batch([p.query for p in batch])
-        for pending, reply in zip(batch, replies):
-            pending._reply = reply
-        return batch
 
     def execute_batch(self, queries) -> List[object]:
         """The scheduler: every query of a batch, replies in order.
@@ -493,11 +416,9 @@ class Service:
             return MalformedQuery(
                 f"correct must be 0 or 1, got {query.correct}",
                 details={"correct": query.correct})
-        engine.record(query.student_id, query.question_id, query.correct,
-                      query.concept_ids)
-        return RecordReply(query.student_id,
-                           engine.history_length(query.student_id),
-                           model=model_name)
+        length = engine.record(query.student_id, query.question_id,
+                               query.correct, query.concept_ids)
+        return RecordReply(query.student_id, length, model=model_name)
 
     def _admit_recommend(self, engine, model_name, index,
                          query: RecommendQuery, rows, meta, recommends,

@@ -154,31 +154,3 @@ def test_large_corpus_parity(encoder):
     np.testing.assert_allclose(np.sort(fast_scores),
                                np.sort(legacy_scores), rtol=0, atol=ATOL)
     assert np.array_equal(np.sort(legacy_labels), np.sort(fast_labels))
-
-
-def test_workers_sweep_is_value_and_order_identical():
-    """Chunk-threading only reorders *scheduling*: each chunk computes
-    exactly the arithmetic of the sequential sweep into disjoint output
-    slots, so scores match bit-for-bit, in the same order."""
-    dataset = make_dataset(num_students=10, lengths=(4, 14), seed=5)
-    model = make_model("dkt", dataset)
-    labels_1, scores_1 = model.predict_dataset(dataset, target_batch=8)
-    labels_n, scores_n = model.predict_dataset(dataset, target_batch=8,
-                                               workers=4)
-    assert np.array_equal(labels_1, labels_n)
-    np.testing.assert_allclose(scores_n, scores_1, rtol=0, atol=0)
-
-
-def test_workers_score_batch_targets_identical():
-    from repro.core.multi_target import score_batch_targets
-    dataset = make_dataset(num_students=8)
-    model = make_model("sakt", dataset)
-    sequences = list(dataset)
-    base = collate(sequences)
-    cols = np.array([len(s) - 1 for s in sequences])
-    model.eval()
-    with no_grad():
-        sequential = score_batch_targets(model, base, cols, target_batch=3)
-        threaded = score_batch_targets(model, base, cols, target_batch=3,
-                                       workers=3)
-    np.testing.assert_allclose(threaded, sequential, rtol=0, atol=0)

@@ -134,10 +134,6 @@ class TestTimer:
         assert timer.elapsed_ms == pytest.approx(2500.0)
         assert histogram.count == 1
 
-    def test_utils_reexport_is_the_obs_timer(self):
-        from repro.utils import Timer as LegacyTimer
-        assert LegacyTimer is obs.Timer
-
 
 # ---------------------------------------------------------------------------
 # Registry

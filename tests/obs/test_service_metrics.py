@@ -78,16 +78,6 @@ class TestServiceInstrumentation:
         assert registry.counter_total(
             metric_names.ENGINE_FORWARD_CALLS_TOTAL) >= 1
 
-    def test_submit_flush_observes_admission_wait(self, isolated):
-        registry, service, dataset = isolated
-        student = dataset[0].student_id
-        pending = service.submit(ScoreQuery(student, 1, (1,)))
-        service.flush()
-        assert pending.reply.ok
-        wait = registry.histogram(
-            metric_names.SERVICE_ADMISSION_WAIT_SECONDS)
-        assert wait.count == 1
-
     def test_stream_cache_counters_mirror_store_stats(self, isolated):
         registry, service, dataset = isolated
         student = dataset[0].student_id

@@ -39,9 +39,9 @@ def trained_checkpoint(corpus, tmp_path_factory):
     trained = tmp / "trained.npz"
     InferenceEngine(tiny_model(0)).save(incumbent)
     dataset = build_dataset("gate", sequences, NUM_QUESTIONS, NUM_CONCEPTS)
-    with OnlineTrainer(incumbent, epochs=4, seed=123) as trainer:
-        trainer.fine_tune(dataset)
-        trainer.save(trained)
+    trainer = OnlineTrainer(incumbent, epochs=4, seed=123)
+    trainer.fine_tune(dataset)
+    trainer.save(trained)
     return incumbent, trained
 
 
@@ -67,30 +67,24 @@ class TestGateDecision:
         _, records = corpus
         _, trained = trained_checkpoint
         incumbent_engine = InferenceEngine.from_checkpoint(trained)
-        try:
-            gate = DriftGate(records, max_auc_drop=0.05, min_events=10)
-            decision = gate.evaluate(incumbent_engine.model, tiny_model(9))
-            assert not decision.allowed
-            assert decision.delta < -0.05
-            assert "refused" in decision.reason
-            details = decision.to_details()
-            assert details["events"] == len(records)
-            assert details["threshold"] == 0.05
-        finally:
-            incumbent_engine.close()
+        gate = DriftGate(records, max_auc_drop=0.05, min_events=10)
+        decision = gate.evaluate(incumbent_engine.model, tiny_model(9))
+        assert not decision.allowed
+        assert decision.delta < -0.05
+        assert "refused" in decision.reason
+        details = decision.to_details()
+        assert details["events"] == len(records)
+        assert details["threshold"] == 0.05
 
     def test_allows_an_improved_candidate(self, corpus,
                                           trained_checkpoint):
         _, records = corpus
         _, trained = trained_checkpoint
         candidate = InferenceEngine.from_checkpoint(trained)
-        try:
-            gate = DriftGate(records, max_auc_drop=0.05, min_events=10)
-            decision = gate.evaluate(tiny_model(0), candidate.model)
-            assert decision.allowed
-            assert decision.delta > 0
-        finally:
-            candidate.close()
+        gate = DriftGate(records, max_auc_drop=0.05, min_events=10)
+        decision = gate.evaluate(tiny_model(0), candidate.model)
+        assert decision.allowed
+        assert decision.delta > 0
 
     def test_validates_parameters(self, corpus):
         _, records = corpus
@@ -192,11 +186,8 @@ class TestAutoRollout:
                                incumbent_model=tiny_model(0))
         assert summary == [{"status": "ok"}]
         trained_engine = InferenceEngine.from_checkpoint(trained)
-        try:
-            refused = auto_rollout(router, str(trained), gate,
-                                   incumbent_model=trained_engine.model)
-            # candidate == incumbent: zero drop is within any threshold
-            assert not is_error(refused)
-        finally:
-            trained_engine.close()
+        refused = auto_rollout(router, str(trained), gate,
+                               incumbent_model=trained_engine.model)
+        # candidate == incumbent: zero drop is within any threshold
+        assert not is_error(refused)
         assert router.shipped == [trained, str(trained)]

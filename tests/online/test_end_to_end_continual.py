@@ -78,11 +78,11 @@ def test_continual_loop_from_journal_to_gated_rollout(tmp_path):
         assert baseline.events == len(records)
 
         # Fine-tune the incumbent on the replayed stream.
-        with OnlineTrainer(incumbent_path, epochs=4, seed=123) as trainer:
-            dataset = dataset_from_records(records, trainer.num_questions,
-                                           trainer.num_concepts)
-            assert trainer.fine_tune(dataset)["batches"] > 0
-            trainer.save(refreshed_path)
+        trainer = OnlineTrainer(incumbent_path, epochs=4, seed=123)
+        dataset = dataset_from_records(records, trainer.num_questions,
+                                       trainer.num_concepts)
+        assert trainer.fine_tune(dataset)["batches"] > 0
+        trainer.save(refreshed_path)
 
         # Drift-gated warm rollout across the cluster.
         gate = DriftGate(records, max_auc_drop=0.05, min_events=10)

@@ -50,12 +50,12 @@ def test_two_runs_same_seed_are_byte_identical(checkpoint, corpus,
     records, dataset = corpus
     outputs = []
     for run in range(2):
-        with OnlineTrainer(checkpoint, epochs=2, seed=77) as trainer:
-            trainer.fine_tune(dataset)
-            trainer.fine_tune(dataset)           # second round, same data
-            path = tmp_path / f"run-{run}.npz"
-            trainer.save(path)
-            outputs.append((state_bytes(trainer.model), path))
+        trainer = OnlineTrainer(checkpoint, epochs=2, seed=77)
+        trainer.fine_tune(dataset)
+        trainer.fine_tune(dataset)           # second round, same data
+        path = tmp_path / f"run-{run}.npz"
+        trainer.save(path)
+        outputs.append((state_bytes(trainer.model), path))
     assert outputs[0][0] == outputs[1][0]
     first_state, _ = load_checkpoint(outputs[0][1])
     second_state, _ = load_checkpoint(outputs[1][1])
@@ -81,53 +81,53 @@ def test_different_seeds_diverge(checkpoint, corpus):
     records, dataset = corpus
     states = []
     for seed in (1, 2):
-        with OnlineTrainer(checkpoint, seed=seed) as trainer:
-            trainer.fine_tune(dataset)
-            states.append(state_bytes(trainer.model))
+        trainer = OnlineTrainer(checkpoint, seed=seed)
+        trainer.fine_tune(dataset)
+        states.append(state_bytes(trainer.model))
     assert states[0] != states[1]
 
 
 def test_rounds_advance_and_optimizer_state_persists(checkpoint, corpus):
     _, dataset = corpus
-    with OnlineTrainer(checkpoint, seed=5) as trainer:
-        first = trainer.fine_tune(dataset)
-        after_one = state_bytes(trainer.model)
-        second = trainer.fine_tune(dataset)
-        assert (first["round"], second["round"]) == (0, 1)
-        assert first["batches"] > 0 and second["batches"] > 0
-        assert first["mean_loss"] is not None
-        # round 2 keeps training (weights move again from round 1's)
-        assert state_bytes(trainer.model) != after_one
-        # serving-ready afterwards
-        assert not trainer.model.training
+    trainer = OnlineTrainer(checkpoint, seed=5)
+    first = trainer.fine_tune(dataset)
+    after_one = state_bytes(trainer.model)
+    second = trainer.fine_tune(dataset)
+    assert (first["round"], second["round"]) == (0, 1)
+    assert first["batches"] > 0 and second["batches"] > 0
+    assert first["mean_loss"] is not None
+    # round 2 keeps training (weights move again from round 1's)
+    assert state_bytes(trainer.model) != after_one
+    # serving-ready afterwards
+    assert not trainer.model.training
 
 
 def test_fine_tune_accepts_journal_shaped_records(checkpoint, corpus):
     records, _ = corpus
-    with OnlineTrainer(checkpoint, seed=3) as trainer:
-        dataset = dataset_from_records(records, trainer.num_questions,
-                                       trainer.num_concepts)
-        summary = trainer.fine_tune(dataset)
-        assert summary["sequences"] == len(dataset) > 0
-        assert summary["batches"] > 0
+    trainer = OnlineTrainer(checkpoint, seed=3)
+    dataset = dataset_from_records(records, trainer.num_questions,
+                                   trainer.num_concepts)
+    summary = trainer.fine_tune(dataset)
+    assert summary["sequences"] == len(dataset) > 0
+    assert summary["batches"] > 0
 
 
 def test_empty_round_is_a_no_op(checkpoint):
     empty = build_dataset("empty", [], NUM_QUESTIONS, NUM_CONCEPTS)
-    with OnlineTrainer(checkpoint, seed=3) as trainer:
-        before = state_bytes(trainer.model)
-        summary = trainer.fine_tune(empty)
-        assert summary["batches"] == 0
-        assert summary["mean_loss"] is None
-        assert state_bytes(trainer.model) == before
+    trainer = OnlineTrainer(checkpoint, seed=3)
+    before = state_bytes(trainer.model)
+    summary = trainer.fine_tune(empty)
+    assert summary["batches"] == 0
+    assert summary["mean_loss"] is None
+    assert state_bytes(trainer.model) == before
 
 
 def test_config_overrides_and_validation(checkpoint):
-    with OnlineTrainer(checkpoint, lr=1e-4, batch_size=8,
-                       targets_per_sequence=1, seed=9) as trainer:
-        assert trainer.lr == 1e-4
-        assert trainer.batch_size == 8
-        assert trainer.targets_per_sequence == 1
-        assert trainer.optimizer.lr == 1e-4
+    trainer = OnlineTrainer(checkpoint, lr=1e-4, batch_size=8,
+                            targets_per_sequence=1, seed=9)
+    assert trainer.lr == 1e-4
+    assert trainer.batch_size == 8
+    assert trainer.targets_per_sequence == 1
+    assert trainer.optimizer.lr == 1e-4
     with pytest.raises(ValueError):
         OnlineTrainer(checkpoint, epochs=0)

@@ -1,4 +1,5 @@
-"""The serving engine: history caching, micro-batching, checkpoints."""
+"""The serving engine behind the facade: history caching, seed-idiom
+parity, checkpoints."""
 
 import numpy as np
 import pytest
@@ -7,8 +8,10 @@ from repro.core import RCKT, RCKTConfig
 from repro.data import (Interaction, SimulationConfig, StudentSequence,
                         StudentSimulator, build_dataset, collate)
 from repro.interpret import recommend_questions
-from repro.serve import (HistoryStore, InferenceEngine, PendingScore,
-                         ScoreRequest, StudentHistory)
+from repro.serve import (CandidateQuestion, EmptyHistory, ExplainQuery,
+                         HistoryStore, InferenceEngine, InvalidConcept,
+                         InvalidQuestion, RecommendQuery, RecordEvent,
+                         ScoreQuery, Service, StudentHistory, UnknownStudent)
 
 
 @pytest.fixture(scope="module")
@@ -28,19 +31,21 @@ def model(dataset):
 
 @pytest.fixture()
 def engine(model, dataset):
-    engine = InferenceEngine(model, max_batch=4)
+    engine = InferenceEngine(model)
     engine.load_dataset(dataset)
     return engine
 
 
-def legacy(method, *args, **kwargs):
-    """Exercise a deprecated engine shim, asserting it still warns.
+@pytest.fixture()
+def service(engine):
+    return Service(engine)
 
-    The suite-wide filter turns unasserted shim warnings into errors;
-    these tests cover the legacy surface on purpose.
-    """
-    with pytest.warns(DeprecationWarning, match="deprecated"):
-        return method(*args, **kwargs)
+
+def score(service, student_id, question_id, concept_ids) -> float:
+    reply = service.execute(ScoreQuery(student_id, question_id,
+                                       tuple(concept_ids)))
+    assert reply.ok, reply
+    return reply.score
 
 
 def seed_idiom_score(model, sequence, question_id, concept_ids):
@@ -114,94 +119,64 @@ class TestHistoryStoreAssembly:
 
 
 class TestScoring:
-    def test_matches_seed_serving_idiom(self, engine, model, dataset):
+    def test_matches_seed_serving_idiom(self, service, model, dataset):
         for sequence in list(dataset)[:4]:
             reference = seed_idiom_score(model, sequence, 7, (3,))
-            assert abs(legacy(engine.score, sequence.student_id, 7, (3,))
+            assert abs(score(service, sequence.student_id, 7, (3,))
                        - reference) < 1e-10
 
-    def test_score_batch_mixed_students(self, engine, model, dataset):
+    def test_score_batch_mixed_students(self, service, model, dataset):
         sequences = list(dataset)
-        requests = [ScoreRequest(s.student_id, 1 + k % 50, (1 + k % 8,))
-                    for k, s in enumerate(sequences)]
-        scores = legacy(engine.score_batch, requests)
-        for request, score, sequence in zip(requests, scores, sequences):
+        queries = [ScoreQuery(s.student_id, 1 + k % 50, (1 + k % 8,))
+                   for k, s in enumerate(sequences)]
+        replies = service.execute_batch(queries)
+        for query, reply, sequence in zip(queries, replies, sequences):
             reference = seed_idiom_score(model, sequence,
-                                         request.question_id,
-                                         request.concept_ids)
-            assert abs(score - reference) < 1e-10
+                                         query.question_id,
+                                         query.concept_ids)
+            assert abs(reply.score - reference) < 1e-10
 
-    def test_empty_history_is_neutral(self, engine):
-        assert legacy(engine.score, "brand-new", 3, (1,)) == 0.5
+    def test_empty_history_is_neutral(self, service):
+        assert score(service, "brand-new", 3, (1,)) == 0.5
 
-    def test_out_of_vocabulary_ids_rejected(self, engine):
-        with pytest.raises(ValueError, match="question_id 9999"):
-            legacy(engine.score, "anyone", 9999, (1,))
-        with pytest.raises(ValueError, match="concept id 999"):
-            legacy(engine.score, "anyone", 3, (999,))
+    def test_out_of_vocabulary_ids_rejected(self, engine, service):
+        reply = service.execute(ScoreQuery("anyone", 9999, (1,)))
+        assert isinstance(reply, InvalidQuestion)
+        assert "question_id 9999" in reply.message
+        reply = service.execute(ScoreQuery("anyone", 3, (999,)))
+        assert isinstance(reply, InvalidConcept)
+        assert "concept id 999" in reply.message
         with pytest.raises(ValueError, match="question_id 0"):
             engine.record("anyone", 0, 1, (1,))
 
-    def test_read_paths_do_not_pollute_the_store(self, engine):
+    def test_read_paths_do_not_pollute_the_store(self, engine, service):
         before = len(engine.students)
-        legacy(engine.score, "who-is-this", 3, (1,))
+        score(service, "who-is-this", 3, (1,))
         assert engine.history_length("who-is-this") == 0
-        with pytest.raises(ValueError):
-            legacy(engine.influences, "nor-this-one")
+        reply = service.execute(ExplainQuery("nor-this-one"))
+        assert isinstance(reply, UnknownStudent)
         assert len(engine.students) == before
 
-    def test_record_changes_scores(self, engine):
-        before = legacy(engine.score, "learner", 5, (2,))
-        for _ in range(4):
-            engine.record("learner", 5, 1, (2,))
-        after = legacy(engine.score, "learner", 5, (2,))
+    def test_record_changes_scores(self, engine, service):
+        before = score(service, "learner", 5, (2,))
+        replies = service.execute_batch([RecordEvent("learner", 5, 1, (2,))
+                                         for _ in range(4)])
+        after = score(service, "learner", 5, (2,))
+        assert [reply.history_length for reply in replies] == [1, 2, 3, 4]
         assert engine.history_length("learner") == 4
         assert before == 0.5 and after != before
 
 
-class TestMicroBatching:
-    def test_submit_flush_lifecycle(self, engine, dataset):
-        sequences = list(dataset)[:3]
-        handles = [legacy(engine.submit, ScoreRequest(s.student_id, 9, (4,)))
-                   for s in sequences]
-        assert all(isinstance(h, PendingScore) and not h.done
-                   for h in handles)
-        with pytest.raises(RuntimeError, match="not flushed"):
-            _ = handles[0].value
-        legacy(engine.flush)
-        assert all(h.done for h in handles)
-        direct = legacy(engine.score_batch, [h.request for h in handles])
-        np.testing.assert_allclose([h.value for h in handles], direct,
-                                   rtol=0, atol=0)
-
-    def test_auto_flush_at_max_batch(self, engine, dataset):
-        sequences = list(dataset)[:4]  # max_batch = 4
-        handles = [legacy(engine.submit, ScoreRequest(s.student_id, 2, (1,)))
-                   for s in sequences]
-        assert all(h.done for h in handles)
-
-    def test_flush_empty_queue(self, engine):
-        assert legacy(engine.flush) == []
-
-    def test_invalid_submit_rejected_without_poisoning_queue(self, engine,
-                                                             dataset):
-        good = legacy(engine.submit, ScoreRequest(list(dataset)[0].student_id,
-                                                  2, (1,)))
-        with pytest.raises(ValueError, match="question_id 9999"):
-            legacy(engine.submit, ScoreRequest("x", 9999, (1,)))
-        legacy(engine.flush)
-        assert good.done
-
-
 class TestCheckpointRoundtrip:
-    def test_scores_survive_save_load(self, engine, dataset, tmp_path):
+    def test_scores_survive_save_load(self, engine, service, dataset,
+                                      tmp_path):
         path = tmp_path / "engine.npz"
         engine.save(path)
         restored = InferenceEngine.from_checkpoint(path)
         restored.load_dataset(dataset)
         student = list(dataset)[0].student_id
-        assert legacy(restored.score, student, 7, (3,)) == \
-            legacy(engine.score, student, 7, (3,))
+        assert score(Service(restored), student, 7, (3,)) == \
+            score(service, student, 7, (3,))
 
     def test_missing_metadata_rejected(self, model, tmp_path):
         from repro.utils import save_checkpoint
@@ -213,23 +188,26 @@ class TestCheckpointRoundtrip:
 
 
 class TestInterpretation:
-    def test_influences_endpoint(self, engine, dataset):
+    def test_influences_endpoint(self, service, dataset):
         sequence = next(s for s in dataset if len(s) >= 4)
-        influence = legacy(engine.influences, sequence.student_id)
+        reply = service.execute(ExplainQuery(sequence.student_id))
+        influence = reply.computation
         assert influence.scores.shape == (1,)
         assert influence.history_lengths[0] == len(sequence) - 1
 
-    def test_influences_need_history(self, engine):
-        with pytest.raises(ValueError, match="at least two"):
-            legacy(engine.influences, "brand-new-2")
+    def test_influences_need_history(self, engine, service):
+        engine.record("brand-new-2", 3, 1, (1,))
+        reply = service.execute(ExplainQuery("brand-new-2"))
+        assert isinstance(reply, EmptyHistory)
+        assert "at least two" in reply.message
 
-    def test_recommend_matches_seed_implementation(self, engine, model,
+    def test_recommend_matches_seed_implementation(self, service, model,
                                                    dataset):
         sequence = next(s for s in dataset if len(s) >= 6)
-        candidates = [ScoreRequest(sequence.student_id, q, (1 + q % 8,))
-                      for q in (3, 11, 27, 40)]
-        batched = legacy(engine.recommend, sequence.student_id, candidates,
-                         top_k=4)
+        candidates = tuple(CandidateQuestion(q, (1 + q % 8,))
+                           for q in (3, 11, 27, 40))
+        batched = service.execute(RecommendQuery(
+            sequence.student_id, candidates, top_k=4)).items
         probes = [Interaction(c.question_id, 1, c.concept_ids)
                   for c in candidates]
         reference = recommend_questions(model, sequence, probes, top_k=4)

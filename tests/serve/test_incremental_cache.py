@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.core import ENCODERS, RCKT, RCKTConfig
 from repro.data import (SimulationConfig, StudentSimulator, build_dataset)
-from repro.serve import InferenceEngine, ScoreQuery, ScoreRequest, is_error
+from repro.serve import InferenceEngine, ScoreQuery, is_error
 
 ATOL = 1e-10
 
@@ -48,8 +48,9 @@ def paired_engines(model, **cached_kwargs):
 
 
 def score(engine, student, question_id, concept_ids) -> float:
-    """Single score through the typed facade; errors surface as the
-    legacy ValueError (same message — both paths share _id_error)."""
+    """Single score through the typed facade; an error value surfaces
+    as a ValueError carrying its message (the same text ``record``
+    raises — both paths share _id_error)."""
     reply = engine.service.execute(ScoreQuery(student, question_id,
                                               tuple(concept_ids)))
     if is_error(reply):
@@ -57,10 +58,8 @@ def score(engine, student, question_id, concept_ids) -> float:
     return reply.score
 
 
-def score_many(engine, requests) -> np.ndarray:
-    replies = engine.service.execute_batch(
-        [ScoreQuery(r.student_id, r.question_id, tuple(r.concept_ids))
-         for r in requests])
+def score_many(engine, queries) -> np.ndarray:
+    replies = engine.service.execute_batch(queries)
     for reply in replies:
         if is_error(reply):
             raise ValueError(reply.message)
@@ -115,9 +114,9 @@ class TestInterleavedParityProperty:
                 warm.record(student, question, correct, (concept,))
                 cold.record(student, question, correct, (concept,))
         # Final sweep: every student's next-step probe must agree too.
-        requests = [ScoreRequest(s, 5, (2,)) for s in range(4)]
-        np.testing.assert_allclose(score_many(warm, requests),
-                                   score_many(cold, requests),
+        queries = [ScoreQuery(s, 5, (2,)) for s in range(4)]
+        np.testing.assert_allclose(score_many(warm, queries),
+                                   score_many(cold, queries),
                                    rtol=0, atol=ATOL)
 
 
@@ -149,9 +148,9 @@ class TestCacheLifecycle:
             for step in range(4):
                 warm.record(student, 1 + step, step % 2, (1 + step,))
                 cold.record(student, 1 + step, step % 2, (1 + step,))
-        requests = [ScoreRequest(s, 6, (2,)) for s in range(3)]
-        np.testing.assert_allclose(score_many(warm, requests),
-                                   score_many(cold, requests),
+        queries = [ScoreQuery(s, 6, (2,)) for s in range(3)]
+        np.testing.assert_allclose(score_many(warm, queries),
+                                   score_many(cold, queries),
                                    rtol=0, atol=ATOL)
         stats = warm.stream_cache_stats()
         assert stats["evictions"] >= 1
@@ -258,26 +257,6 @@ class TestValidationHardening:
         with pytest.raises(ValueError) as score_error:
             score(engine, "s", NUM_QUESTIONS + 7, (1,))
         assert str(record_error.value) == str(score_error.value)
-
-
-class TestWorkers:
-    def test_threaded_engine_matches_sequential(self):
-        model = make_model()
-        dataset = make_dataset(num_students=8)
-        threaded = InferenceEngine(model, workers=3, target_batch=4)
-        sequential = InferenceEngine(model, target_batch=4)
-        threaded.load_dataset(dataset)
-        sequential.load_dataset(dataset)
-        requests = [ScoreRequest(s.student_id, 1 + k % NUM_QUESTIONS,
-                                 (1 + k % NUM_CONCEPTS,))
-                    for k, s in enumerate(dataset)]
-        np.testing.assert_allclose(score_many(threaded, requests),
-                                   score_many(sequential, requests),
-                                   rtol=0, atol=0)
-
-    def test_workers_must_be_positive(self):
-        with pytest.raises(ValueError, match="workers"):
-            InferenceEngine(make_model(), workers=0)
 
 
 @pytest.mark.slow

@@ -20,7 +20,7 @@ from repro.core import ENCODERS, RCKT, RCKTConfig, score_batch_targets
 from repro.core.masking import window_start
 from repro.data import Interaction, StudentSequence, collate
 from repro.serve import (CandidateQuestion, ExplainQuery, InferenceEngine,
-                         RecommendQuery, ScoreQuery, ScoreRequest, is_error)
+                         RecommendQuery, ScoreQuery, is_error)
 from repro.tensor import no_grad
 
 ATOL = 1e-10
@@ -59,17 +59,15 @@ def truncated_recompute(model, events, probe, window, hop):
 
 
 def score(engine, student, question_id, concept_ids) -> float:
-    """Single score through the typed facade (the non-deprecated path)."""
+    """Single score through the typed facade."""
     reply = engine.service.execute(ScoreQuery(student, question_id,
                                               tuple(concept_ids)))
     assert not is_error(reply), reply
     return reply.score
 
 
-def score_many(engine, requests) -> np.ndarray:
-    replies = engine.service.execute_batch(
-        [ScoreQuery(r.student_id, r.question_id, tuple(r.concept_ids))
-         for r in requests])
+def score_many(engine, queries) -> np.ndarray:
+    replies = engine.service.execute_batch(queries)
     assert not any(is_error(reply) for reply in replies), replies
     return np.array([reply.score for reply in replies])
 
@@ -163,9 +161,9 @@ def test_interleaved_record_score_windowed_parity(encoder):
             logs[student].append(event)
             cached.record(student, *event)
             uncached.record(student, *event)
-    requests = [ScoreRequest(student, 5, (2,)) for student in range(3)]
-    np.testing.assert_allclose(score_many(cached, requests),
-                               score_many(uncached, requests), atol=ATOL)
+    queries = [ScoreQuery(student, 5, (2,)) for student in range(3)]
+    np.testing.assert_allclose(score_many(cached, queries),
+                               score_many(uncached, queries), atol=ATOL)
 
 
 @pytest.mark.parametrize("encoder", ["sakt", "akt"])

@@ -109,17 +109,6 @@ class TestServiceRollout:
         service.close()
         reference.close()
 
-    def test_shares_the_persistent_pool(self, tmp_path):
-        service = Service(InferenceEngine(make_model(seed=1), workers=3))
-        load_records(service, ["amy"])
-        pool = service.engine()._executor
-        assert pool is not None
-        service.rollout(save_checkpoint(tmp_path, "green", seed=9))
-        assert service.engine()._executor is pool
-        assert service.engine().workers == 3
-        assert service.execute(ScoreQuery("amy", 3, (1,))).ok
-        service.close()
-
     def test_window_configuration_carries_over(self, tmp_path):
         service = Service(InferenceEngine(make_model(seed=1), window=6,
                                           window_hop=2))

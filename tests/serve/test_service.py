@@ -1,4 +1,7 @@
-"""The typed Service facade: parity, scheduler coalescing, taxonomy, shims."""
+"""The typed Service facade: parity, scheduler coalescing, taxonomy."""
+
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -12,8 +15,7 @@ from repro.serve import (BatchEnvelope, CandidateQuestion, EmptyHistory,
                          InternalError, InvalidConcept, InvalidEdit,
                          InvalidQuestion, MalformedQuery, ModelNotLoaded,
                          ModelRegistry, RecommendQuery, RecordEvent,
-                         ScoreQuery, ScoreRequest, Service, UnknownStudent,
-                         WhatIfQuery)
+                         ScoreQuery, Service, UnknownStudent, WhatIfQuery)
 
 ATOL = 1e-10
 NUM_QUESTIONS = 40
@@ -45,13 +47,6 @@ def seed_idiom_score(model, interactions, question_id, concept_ids):
                                       np.array([len(sequence) - 1]))[0])
 
 
-
-def legacy(method, *args, **kwargs):
-    """Exercise a deprecated engine shim, asserting it still warns."""
-    with pytest.warns(DeprecationWarning, match="deprecated"):
-        return method(*args, **kwargs)
-
-
 @pytest.fixture(scope="module")
 def dataset():
     return make_dataset()
@@ -64,7 +59,7 @@ def model(dataset):
 
 @pytest.fixture()
 def service(model, dataset):
-    engine = InferenceEngine(model, max_batch=8)
+    engine = InferenceEngine(model)
     engine.load_dataset(dataset)
     return Service(engine)
 
@@ -434,95 +429,6 @@ class TestErrorTaxonomy:
 
 
 # ---------------------------------------------------------------------------
-# Deprecation shims: old engine methods == facade, bit-identically
-# ---------------------------------------------------------------------------
-class TestDeprecationShims:
-    def test_score_batch_is_bit_identical_to_facade(self, service,
-                                                    dataset):
-        engine = service.engine()
-        requests = [ScoreRequest(s.student_id, 1 + k % NUM_QUESTIONS,
-                                 (1 + k % NUM_CONCEPTS,))
-                    for k, s in enumerate(dataset)]
-        via_shim = legacy(engine.score_batch, requests)
-        via_facade = [service.execute(ScoreQuery(
-            r.student_id, r.question_id, r.concept_ids)).score
-            for r in requests]
-        np.testing.assert_allclose(via_shim, via_facade, rtol=0, atol=0)
-
-    def test_influences_shim_returns_facade_computation(self, service,
-                                                        dataset):
-        engine = service.engine()
-        student = next(s for s in dataset if len(s) >= 4).student_id
-        computation = legacy(engine.influences, student)
-        reply = service.execute(ExplainQuery(student))
-        assert float(computation.scores[0]) == reply.score
-
-    def test_recommend_shim_matches_facade_items(self, service, dataset):
-        engine = service.engine()
-        student = next(s for s in dataset if len(s) >= 6).student_id
-        candidates = [ScoreRequest(student, q, (1 + q % NUM_CONCEPTS,))
-                      for q in (3, 11, 27)]
-        shim = legacy(engine.recommend, student, candidates, top_k=3)
-        facade = service.execute(RecommendQuery(
-            student, tuple(CandidateQuestion(c.question_id, c.concept_ids)
-                           for c in candidates), top_k=3))
-        assert [r.question_id for r in shim] == \
-            [item.question_id for item in facade.items]
-        for mine, item in zip(shim, facade.items):
-            assert mine.score == item.score
-            assert mine.success_probability == item.success_probability
-
-    def test_shim_errors_keep_legacy_exception_contract(self, service):
-        engine = service.engine()
-        with pytest.raises(ValueError, match="question_id 9999"):
-            legacy(engine.score, "amy", 9999, (1,))
-        with pytest.raises(ValueError, match="at least two"):
-            legacy(engine.influences, "ghost")
-
-    def test_engine_service_is_canonical(self, service):
-        # The facade installs itself on its engines: shims route back to
-        # the same scheduler instead of spawning a parallel facade.
-        assert service.engine().service is service
-
-    def test_every_shim_announces_its_replacement(self, service, dataset):
-        """Each legacy entry point warns once per call, names the typed
-        replacement, and points at the published removal schedule — all
-        while returning the same values as before."""
-        engine = service.engine()
-        student = next(s for s in dataset if len(s) >= 4).student_id
-        candidates = [ScoreRequest(student, q, (1 + q % NUM_CONCEPTS,))
-                      for q in (3, 11)]
-        calls = [
-            (lambda: engine.submit(ScoreRequest(student, 5, (1,))),
-             "Service.execute_batch"),
-            (lambda: engine.flush(), "Service.execute_batch"),
-            (lambda: engine.score_batch(
-                [ScoreRequest(student, 5, (1,))]), "ScoreQuery"),
-            (lambda: engine.score(student, 5, (1,)),
-             "Service.execute(ScoreQuery"),
-            (lambda: engine.influences(student), "ExplainQuery"),
-            (lambda: engine.recommend(student, candidates, top_k=2),
-             "RecommendQuery"),
-        ]
-        for call, replacement in calls:
-            with pytest.warns(DeprecationWarning) as captured:
-                call()
-            messages = [str(w.message) for w in captured]
-            assert any(replacement in m for m in messages)
-            assert all("docs/API.md" in m and "Deprecation schedule" in m
-                       for m in messages)
-
-    def test_shim_warning_points_at_the_caller(self, service, dataset):
-        # stacklevel=2: the warning blames the deprecated call site in
-        # user code, not the adapter inside engine.py.
-        engine = service.engine()
-        student = list(dataset)[0].student_id
-        with pytest.warns(DeprecationWarning) as captured:
-            engine.score(student, 5, (1,))
-        assert captured[0].filename == __file__
-
-
-# ---------------------------------------------------------------------------
 # Registry + hot swap
 # ---------------------------------------------------------------------------
 class TestRegistry:
@@ -571,24 +477,21 @@ class TestRegistry:
         with pytest.raises(KeyError, match="unknown"):
             registry.swap("unknown-name", path)
 
-    def test_alias_registration_keeps_shims_working(self, dataset):
-        # Registering an already-bound engine in a *second* registry
-        # must not repoint engine.name: its legacy shims address the
-        # facade it was first bound to.
+    def test_alias_echoes_the_addressed_model_name(self, dataset):
+        # One engine served under two names by two registries: each
+        # reply echoes the name its query addressed, not engine.name.
         engine = InferenceEngine(make_model())
         engine.load_dataset(dataset)
-        service = Service(engine)          # binds under 'default'
-        student = list(dataset)[0].student_id
-        before = legacy(engine.score, student, 3, (1,))
+        service = Service(engine)          # serves it as 'default'
         other = ModelRegistry()
         other.register("canary", engine)
-        assert engine.name == "default"
-        assert legacy(engine.score, student, 3, (1,)) == before   # shims intact
-        # The alias serves the same engine, echoing the addressed name.
+        student = list(dataset)[0].student_id
+        direct = service.execute(ScoreQuery(student, 3, (1,)))
         aliased = Service(registry=other).execute(
             ScoreQuery(student, 3, (1,), model="canary"))
+        assert direct.model == "default"
         assert aliased.model == "canary"
-        assert aliased.score == before
+        assert aliased.score == direct.score
 
     def test_service_from_checkpoint(self, dataset, tmp_path):
         engine = InferenceEngine(make_model())
@@ -601,53 +504,35 @@ class TestRegistry:
 
 
 # ---------------------------------------------------------------------------
-# Admission queue + persistent worker pool
+# Concurrent records
 # ---------------------------------------------------------------------------
-class TestAdmissionAndPool:
-    def test_submit_flush_lifecycle(self, service, dataset):
-        students = [s.student_id for s in list(dataset)[:3]]
-        handles = [service.submit(ScoreQuery(s, 9, (4,)))
-                   for s in students]
-        assert not any(h.done for h in handles)
-        with pytest.raises(RuntimeError, match="not flushed"):
-            _ = handles[0].reply
-        service.flush()
-        direct = [service.execute(ScoreQuery(s, 9, (4,)))
-                  for s in students]
-        for handle, reference in zip(handles, direct):
-            assert handle.done
-            assert handle.reply.score == reference.score
+class TestConcurrentRecords:
+    def test_record_replies_report_distinct_lengths(self, model):
+        """Each RecordReply carries the length its own append produced:
+        8 threads racing 200 records for one student must see every
+        length from 1 to 1600 exactly once."""
+        service = Service(InferenceEngine(model))
+        threads_count, per_thread = 8, 200
+        lengths = [[] for _ in range(threads_count)]
 
-    def test_auto_flush_at_max_batch(self, model, dataset):
-        engine = InferenceEngine(model)
-        engine.load_dataset(dataset)
-        service = Service(engine, max_batch=2)
-        first = service.submit(ScoreQuery(list(dataset)[0].student_id,
-                                          2, (1,)))
-        assert not first.done
-        second = service.submit(ScoreQuery(list(dataset)[1].student_id,
-                                           2, (1,)))
-        assert first.done and second.done
+        def send(slot):
+            for step in range(per_thread):
+                reply = service.execute(RecordEvent(
+                    "shared", 1 + step % NUM_QUESTIONS, step % 2,
+                    (1 + step % NUM_CONCEPTS,)))
+                lengths[slot].append(reply.history_length)
 
-    def test_persistent_pool_reused_and_bit_identical(self, model,
-                                                      dataset):
-        threaded = InferenceEngine(model, workers=3, target_batch=4)
-        sequential = InferenceEngine(model, target_batch=4)
-        threaded.load_dataset(dataset)
-        sequential.load_dataset(dataset)
-        assert threaded._executor is not None
-        pool = threaded._executor
-        queries = [ScoreQuery(s.student_id, 1 + k % NUM_QUESTIONS,
-                              (1 + k % NUM_CONCEPTS,))
-                   for k, s in enumerate(dataset)]
-        first = Service(threaded).execute_batch(queries)
-        second = threaded.service.execute_batch(queries)
-        reference = sequential.service.execute_batch(queries)
-        # Same pool object across calls; no per-call spin-up.
-        assert threaded._executor is pool
-        for a, b, c in zip(first, second, reference):
-            assert a.score == b.score == c.score
-        threaded.close()
-        assert threaded._executor is None
-        # Scoring still works after close (falls back to per-call pools).
-        assert threaded.service.execute(queries[0]).score == first[0].score
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=send, args=(slot,))
+                       for slot in range(threads_count)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(previous)
+        seen = sorted(length for slot in lengths for length in slot)
+        assert seen == list(range(1, threads_count * per_thread + 1))

@@ -50,7 +50,6 @@ def expected_scores(students, probe, seed):
     scores = {student: engine.service.execute(
                   ScoreQuery(student, probe[0], tuple(probe[1]))).score
               for student in students}
-    engine.close()
     return scores
 
 

@@ -1,10 +1,10 @@
-"""Utilities: seeding determinism, checkpointing, timing, gradcheck meta."""
+"""Utilities: seeding determinism, checkpointing, gradcheck meta."""
 
 import numpy as np
 import pytest
 
 from repro.tensor import Tensor
-from repro.utils import (Timer, derive_rng, gradcheck, load_checkpoint,
+from repro.utils import (derive_rng, gradcheck, load_checkpoint,
                          load_model, numerical_gradient, save_checkpoint,
                          save_model, spawn_rngs, stable_hash)
 
@@ -89,14 +89,6 @@ class TestCheckpoint:
         np.savez(path, a=np.zeros(2))
         with pytest.raises(ValueError):
             load_checkpoint(path)
-
-
-class TestTimer:
-    def test_measures_elapsed(self):
-        with Timer() as t:
-            sum(range(10000))
-        assert t.elapsed_s >= 0
-        assert t.elapsed_ms == pytest.approx(t.elapsed_s * 1000)
 
 
 class TestGradcheckMeta:
