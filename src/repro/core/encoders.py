@@ -326,7 +326,11 @@ class _DirectionalTransformer(nn.Module):
         then runs each projection as one small gemm per sequence, which
         OpenBLAS keeps single-threaded.  A single ``(B*L, D)`` gemm
         crosses its threading threshold and ran up to 9x slower on a
-        2-vCPU box.
+        2-vCPU box, and the helper thread it wakes keeps spinning after
+        the call.  The LSTM kernel
+        (:meth:`repro.nn.LSTM.forward_inference_with_state`) follows
+        the same rule; ``tests/serve/test_blas_threads.py`` holds both
+        serving paths to it.
         """
         length = x.shape[1]
         allowed = self._allowed(length, mask)

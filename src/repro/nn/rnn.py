@@ -129,9 +129,17 @@ class LSTM(Module):
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """No-grad kernel returning ``(outputs, h, c)``.
 
-        Raw-NumPy recurrence with the input projection hoisted into one
-        ``(B*L, D) @ (D, 4H)`` gemm instead of one small gemm per step.
-        The per-element gate math matches the autograd cell (shared
+        Raw-NumPy recurrence with the input projection hoisted out of the
+        step loop.  The projection stays ``(B, L, D) @ (D, 4H)`` so NumPy
+        calls BLAS once per ``(L, D)`` sequence: one stacked
+        ``(B*L, D)`` gemm crosses OpenBLAS's threading threshold at
+        serving shapes (8 rows of 40 steps at dim 32), and the helper
+        thread it wakes spin-waits after every call, doubling the CPU a
+        dkt worker burns (``tests/serve/test_blas_threads.py``).  Do not
+        flatten batch dimensions into one gemm in a no-grad kernel, and
+        do not pin the BLAS thread count instead: an environment knob
+        would not reach in-process callers.  The per-element gate math
+        matches the autograd cell (shared
         :func:`repro.tensor.sigmoid_array`).
 
         The returned ``(h, c)`` is each row's carry state after its last
@@ -142,10 +150,9 @@ class LSTM(Module):
         cell = self.cell
         batch, length, _ = x.shape
         hidden = cell.hidden_dim
-        projected = (x.reshape(batch * length, -1) @ cell.weight_x.data)
-        projected = projected.reshape(batch, length, 4 * hidden)
         # Step-major layout keeps each step's slab contiguous in cache.
-        projected = np.ascontiguousarray(projected.swapaxes(0, 1))
+        projected = np.ascontiguousarray(
+            (x @ cell.weight_x.data).swapaxes(0, 1))
         weight_h = cell.weight_h.data
         bias = cell.bias.data
         h = np.zeros((batch, hidden))

@@ -122,6 +122,23 @@ class _PendingRecommend:
     probabilities: List[float] = field(default_factory=list)
 
 
+class _ReplySlots(list):
+    """A batch's reply slots, noting the obs clock when each is filled.
+
+    :meth:`Service.execute_batch` charges every query from its group's
+    start to the moment its own slot was filled, so a score sharing an
+    envelope with a recourse search is not reported at recourse latency.
+    """
+
+    def __init__(self, size: int):
+        super().__init__([None] * size)
+        self.filled_at = [0.0] * size
+
+    def __setitem__(self, index, reply):
+        super().__setitem__(index, reply)
+        self.filled_at[index] = obs.clock()
+
+
 class Service:
     """Typed, transport-agnostic facade over one or many models.
 
@@ -316,7 +333,7 @@ class Service:
         if isinstance(queries, BatchEnvelope):
             queries = queries.queries
         queries = list(queries)
-        replies: List[object] = [None] * len(queries)
+        replies = _ReplySlots(len(queries))
         groups = {}
         for index, query in enumerate(queries):
             if is_error(query):
@@ -345,16 +362,16 @@ class Service:
                 continue
             group_started = obs.clock()
             self._execute_group(engine, model_name, group, replies)
-            group_elapsed = obs.clock() - group_started
-            # Per-type latency is the group latency each query actually
-            # experienced — reads of a batch resolve together, so
-            # per-query wall time *is* the shared-flush wall time.
-            for _index, query in group:
-                self._obs.histogram(metric_names.SERVICE_QUERY_SECONDS,
-                                    type=query.TYPE).observe(group_elapsed)
+            # Each query's own latency: records when applied, plain reads
+            # at the shared flush, recommend/recourse after their
+            # post-flush work, rejections when admission refused them.
+            for index, query in group:
+                self._obs.histogram(
+                    metric_names.SERVICE_QUERY_SECONDS, type=query.TYPE
+                ).observe(replies.filled_at[index] - group_started)
         self._obs_batch_size.observe(len(queries))
         self._obs_batch_seconds.observe(obs.clock() - started)
-        return replies
+        return list(replies)
 
     # ------------------------------------------------------------------
     # Per-model execution
@@ -440,6 +457,13 @@ class Service:
                 expected = "an integer" if kinds == (int,) else "a number"
                 replies[index] = MalformedQuery(
                     f"{name} must be {expected}, got {value!r}",
+                    details={name: value})
+                return
+        for name, value in (("top_k", query.top_k),
+                            ("horizon", query.horizon)):
+            if value < 1:
+                replies[index] = MalformedQuery(
+                    f"{name} must be at least 1, got {value!r}",
                     details={name: value})
                 return
         for candidate in query.candidates:

@@ -213,6 +213,22 @@ def test_error_parity_including_canonical_messages(cluster):
     assert ours[7].ok
 
 
+def test_recommend_bounds_rejected_alike_on_every_surface(cluster):
+    setup = make_records(["amy"], rounds=3)
+    cluster.router.execute_batch(setup)
+    cluster.reference.execute_batch(setup)
+    candidates = (CandidateQuestion(3, (1,)), CandidateQuestion(5, (2,)))
+    probes = [RecommendQuery("amy", candidates, top_k=-1),
+              RecommendQuery("amy", candidates, horizon=0),
+              RecommendQuery("amy", candidates, top_k=1, horizon=1)]
+    ours = cluster.router.execute_batch(probes)
+    assert_wire_identical(ours, cluster.reference.execute_batch(probes))
+    assert isinstance(ours[0], MalformedQuery) and "top_k" in ours[0].message
+    assert isinstance(ours[1], MalformedQuery) \
+        and "horizon" in ours[1].message
+    assert ours[2].ok
+
+
 def test_predecoded_malformed_and_foreign_objects(cluster):
     garbage = query_from_wire({"v": 1, "type": "teleport"})
     replies = cluster.router.execute_batch([garbage, object(),

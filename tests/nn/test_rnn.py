@@ -122,7 +122,7 @@ class TestMaskedLSTM:
         assert graph.requires_grad  # grad on: the autograd cell ran
         with no_grad():
             kernel = lstm(Tensor(x), mask=mask).data
-        assert np.allclose(kernel, graph.data, atol=1e-12)
+        np.testing.assert_allclose(kernel, graph.data, rtol=0, atol=1e-12)
 
     def test_all_true_mask_matches_no_mask(self):
         from repro.tensor import no_grad

@@ -14,8 +14,9 @@ from repro import obs
 from repro.core import RCKT, RCKTConfig
 from repro.data import SimulationConfig, StudentSimulator, build_dataset
 from repro.obs import names as metric_names
-from repro.serve import (BatchEnvelope, InferenceEngine, RecordEvent,
-                         ScoreQuery, Service, ServiceClient,
+from repro.serve import (BatchEnvelope, CandidateQuestion, ExplainQuery,
+                         InferenceEngine, RecommendQuery, RecordEvent,
+                         RecourseQuery, ScoreQuery, Service, ServiceClient,
                          start_http_thread)
 
 NUM_QUESTIONS = 25
@@ -123,6 +124,56 @@ class TestServiceInstrumentation:
         snap = batch_seconds.snapshot()
         assert sum(c for _, c in snap["buckets"]) + snap["overflow"] \
             == snap["count"]
+
+    def test_each_query_is_charged_until_its_own_reply(self, isolated,
+                                                       monkeypatch):
+        """A fake clock advanced only by each stage's work: a query's
+        latency is its group's start to its own slot, not the group's
+        end (a score no longer reads at recourse latency)."""
+        registry, service, dataset = isolated
+        engine = service.engine()
+        now = [0.0]
+
+        def advancing(owner, name, seconds):
+            original = getattr(owner, name)
+
+            def run(*args, **kwargs):
+                now[0] += seconds
+                return original(*args, **kwargs)
+            monkeypatch.setattr(owner, name, run)
+
+        advancing(engine, "record", 1.0)               # each record
+        advancing(service, "_resolve_reads", 10.0)     # the shared flush
+        advancing(engine, "_recommend_values", 100.0)  # recommend worlds
+        advancing(service, "_recourse_reply", 1000.0)  # recourse search
+        first, second, third = (s.student_id for s in dataset)
+        batch = [
+            ScoreQuery(first, 1, (1,)),
+            RecordEvent(second, 2, 1, (1,)),
+            RecommendQuery(first, (CandidateQuestion(3, (1,)),)),
+            RecourseQuery(first, 4, (2,), threshold=0.99, max_edits=1,
+                          beam_width=1,
+                          candidates=(CandidateQuestion(5, (1,)),)),
+            ExplainQuery(third),
+            RecordEvent(second, 6, 0, (2,)),
+        ]
+        previous = obs.set_clock(lambda: now[0])
+        try:
+            replies = service.execute_batch(batch)
+        finally:
+            obs.set_clock(previous)
+        assert all(reply.ok for reply in replies), replies
+
+        def charged(query_type):
+            histogram = registry.histogram(
+                metric_names.SERVICE_QUERY_SECONDS, type=query_type)
+            return histogram.count, histogram.snapshot()["sum"]
+
+        assert charged("record") == (2, 1.0 + 2.0)
+        assert charged("score") == (1, 12.0)
+        assert charged("explain") == (1, 12.0)
+        assert charged("recommend") == (1, 112.0)
+        assert charged("recourse") == (1, 1112.0)
 
 
 class TestGatewaySurface:

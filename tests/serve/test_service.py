@@ -403,6 +403,25 @@ class TestErrorTaxonomy:
         assert isinstance(replies[3], InvalidEdit)
         assert replies[4].ok   # the sibling still scored
 
+    @pytest.mark.parametrize("field,value", [("top_k", 0), ("top_k", -1),
+                                             ("horizon", 0),
+                                             ("horizon", -2)])
+    def test_recommend_bounds_are_malformed(self, service, dataset, field,
+                                            value):
+        # top_k=-1 used to slice off the last item and horizon<=0 to zero
+        # every value; both are now rejected before any forward pass.
+        student = list(dataset)[0].student_id
+        candidates = (CandidateQuestion(3, (1,)),
+                      CandidateQuestion(9, (2,)))
+        replies = service.execute_batch([
+            RecommendQuery(student, candidates, **{field: value}),
+            RecommendQuery(student, candidates, top_k=1, horizon=1),
+        ])
+        assert isinstance(replies[0], MalformedQuery)
+        assert f"{field} must be at least 1" in replies[0].message
+        assert replies[0].detail(field) == value
+        assert replies[1].ok and len(replies[1].items) == 1
+
     def test_internal_error_is_a_value(self, service, dataset,
                                        monkeypatch):
         def boom(*args, **kwargs):
