@@ -9,7 +9,11 @@ implementation detail the wire cannot observe.  Per query it:
 
 1. validates/decodes the envelope exactly like the gateway
    (:func:`repro.serve.protocol.query_from_wire` — garbage becomes
-   structured ``malformed_query`` values, never stack traces);
+   structured ``malformed_query`` values, never stack traces) and
+   screens every slot with the facade's own admission check
+   (:func:`repro.serve.protocol.admission_error`): field-rule
+   violations, nested envelopes and non-query objects are answered by
+   the router itself, with the facade's bytes, and never reach a shard;
 2. splits a mixed-type :class:`~repro.serve.protocol.BatchEnvelope` by
    the consistent-hash ring (:mod:`repro.cluster.ring`) over each
    query's ``student_id``, preserving envelope order within every
@@ -29,10 +33,8 @@ implementation detail the wire cannot observe.  Per query it:
    queries that needed that worker, and nothing ever raises across the
    scatter-gather boundary.
 
-Queries the router cannot place (a nested batch envelope — anything
-without a ``student_id``) are forwarded to a deterministic fallback
-shard whose ``Service`` produces the canonical taxonomy error, so even
-the error *messages* match the single-process facade byte for byte.
+There is no fallback shard: every admitted query carries a valid
+``student_id``, and the ring places it.
 """
 
 from __future__ import annotations
@@ -47,23 +49,15 @@ from repro import obs
 from repro.obs import names as metric_names
 from repro.serve.http_gateway import ServiceClient, _GatewayHandler
 from repro.serve.protocol import (PROTOCOL_VERSION, BatchEnvelope,
-                                  BatchReply, ExplainQuery, InternalError,
-                                  MalformedQuery, NotFound, RecommendQuery,
-                                  RecordEvent, RecourseQuery, ScoreQuery,
-                                  ShardUnavailable, WhatIfQuery,
+                                  BatchReply, InternalError,
+                                  MalformedQuery, NotFound, RecordEvent,
+                                  ShardUnavailable, admission_error,
                                   capabilities, is_error,
                                   negotiated_version, query_from_wire,
                                   to_wire)
 
 from .journal import RecordJournal
 from .ring import DEFAULT_REPLICAS, HashRing
-
-# RecourseQuery rides the same path as every other student-addressed
-# query: the whole edit search runs shard-local on the worker owning
-# the student (its history and warm stream caches live there), and the
-# router only forwards the query and merges the typed reply.
-_QUERY_CLASSES = (ScoreQuery, ExplainQuery, WhatIfQuery, RecommendQuery,
-                  RecourseQuery, RecordEvent)
 
 
 class ScatterGatherRouter:
@@ -118,11 +112,7 @@ class ScatterGatherRouter:
     # Shard state
     # ------------------------------------------------------------------
     def shard_of(self, query) -> int:
-        """The shard owning a query (fallback shard 0 for shardless
-        payloads like nested envelopes — their canonical rejection
-        comes from a worker's ``Service``, identically worded)."""
-        if not hasattr(query, "student_id"):
-            return 0
+        """The shard owning an admitted query's student."""
         return self.ring.shard_for(query.student_id)
 
     def drain(self, shard: int) -> None:
@@ -176,14 +166,11 @@ class ScatterGatherRouter:
         replies: List[object] = [None] * len(queries)
         groups: Dict[int, List[int]] = {}
         for index, query in enumerate(queries):
-            if is_error(query):
-                replies[index] = query   # pre-decoded malformed slot
-            elif not isinstance(query, _QUERY_CLASSES) \
-                    and not isinstance(query, BatchEnvelope):
-                # Unserializable in-process garbage cannot cross the
-                # wire; reject with the facade's exact wording.
-                replies[index] = MalformedQuery(
-                    f"not a protocol query: {type(query).__name__!s}")
+            # The facade's own screen: a rejection never costs a shard
+            # round-trip.
+            error = admission_error(query)
+            if error is not None:
+                replies[index] = error
             else:
                 groups.setdefault(self.shard_of(query), []).append(index)
         draining = self.draining()

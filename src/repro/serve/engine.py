@@ -40,7 +40,12 @@ from .forward_cache import (DEFAULT_STREAM_CACHE_BYTES, StreamCacheStore,
                             base_contents, build_stream_caches,
                             question_vector_for)
 from .history import HistoryStore, HistoryWindow, assemble_padded
-from .protocol import DEFAULT_MODEL
+from .protocol import (DEFAULT_MODEL, InvalidConcept, InvalidQuestion,
+                       ServiceError)
+
+#: Chunk size of the stacked passes (see
+#: :func:`repro.core.multi_target.score_batch_targets`).
+TARGET_BATCH = 64
 
 
 @dataclass
@@ -75,9 +80,6 @@ class InferenceEngine:
     ----------
     model:
         A (typically trained) :class:`repro.core.RCKT`.
-    target_batch:
-        Chunk size of the underlying stacked passes (see
-        :func:`repro.core.multi_target.score_batch_targets`).
     stream_cache_bytes:
         LRU byte budget for the per-student incremental forward-stream
         caches (:mod:`repro.serve.forward_cache`).  With a warm cache,
@@ -111,7 +113,7 @@ class InferenceEngine:
         On an invalid ``(window, window_hop)`` pair.
     """
 
-    def __init__(self, model: RCKT, target_batch: int = 64,
+    def __init__(self, model: RCKT,
                  stream_cache_bytes: Optional[int]
                  = DEFAULT_STREAM_CACHE_BYTES,
                  window: Optional[int] = None,
@@ -129,7 +131,6 @@ class InferenceEngine:
         self.window_hop = window_hop
         self.model = model
         self.name = name
-        self.target_batch = target_batch
         self.students = HistoryStore()
         self.stream_caches = StreamCacheStore(stream_cache_bytes)
         self._lock = threading.Lock()
@@ -160,13 +161,14 @@ class InferenceEngine:
         return f" (model '{self.name}', student {student_id!r})"
 
     def _id_error(self, question_id: int, concept_ids: Sequence[int],
-                  student_id=None) -> Optional[Tuple[str, str, dict]]:
-        """First id-validation failure as ``(kind, message, details)``.
+                  student_id=None) -> Optional[ServiceError]:
+        """First id-validation failure as an :class:`InvalidQuestion` or
+        :class:`InvalidConcept` value, ``None`` when everything is in
+        vocabulary.
 
-        ``kind`` is ``"question"`` / ``"concept"`` / ``"concept_empty"``;
-        the message names the offending id, the valid range, and the
+        The message names the offending id, the valid range, and the
         model/student context so a gateway error payload is actionable
-        on its own.  ``None`` when everything is in vocabulary.
+        on its own.
         """
         context = self._error_context(student_id)
         if not isinstance(question_id, (int, np.integer)) \
@@ -174,44 +176,43 @@ class InferenceEngine:
             # Wire payloads can carry any JSON type: reject before a
             # string reaches an ordered comparison, a JSON `true` turns
             # into question 1, or either reaches an embedding gather.
-            return ("question",
-                    f"question_id must be an integer, got "
-                    f"{question_id!r}{context}",
-                    {"question_id": question_id, "model": self.name})
+            return InvalidQuestion(
+                f"question_id must be an integer, got "
+                f"{question_id!r}{context}",
+                details={"question_id": question_id, "model": self.name})
         if not 1 <= question_id <= self.num_questions:
-            return ("question",
-                    f"question_id {question_id} outside the model's "
-                    f"vocabulary [1, {self.num_questions}]{context}",
-                    {"question_id": question_id,
-                     "valid_range": (1, self.num_questions),
-                     "model": self.name})
+            return InvalidQuestion(
+                f"question_id {question_id} outside the model's "
+                f"vocabulary [1, {self.num_questions}]{context}",
+                details={"question_id": question_id,
+                         "valid_range": (1, self.num_questions),
+                         "model": self.name})
         if not concept_ids:
             # Empty concept sets would divide by a zero concept count
             # deep inside the embedder (Eq. 23 averages over concepts).
-            return ("concept_empty",
-                    f"concept_ids must be non-empty{context}",
-                    {"model": self.name})
+            return InvalidConcept(f"concept_ids must be non-empty{context}",
+                                  details={"model": self.name})
         for concept in concept_ids:
             if not isinstance(concept, (int, np.integer)) \
                     or isinstance(concept, bool):
-                return ("concept",
-                        f"concept id must be an integer, got "
-                        f"{concept!r}{context}",
-                        {"concept_id": concept, "model": self.name})
+                return InvalidConcept(
+                    f"concept id must be an integer, got "
+                    f"{concept!r}{context}",
+                    details={"concept_id": concept, "model": self.name})
             if not 1 <= concept <= self.num_concepts:
-                return ("concept",
-                        f"concept id {concept} outside the model's "
-                        f"vocabulary [1, {self.num_concepts}]{context}",
-                        {"concept_id": int(concept),
-                         "valid_range": (1, self.num_concepts),
-                         "model": self.name})
+                return InvalidConcept(
+                    f"concept id {concept} outside the model's "
+                    f"vocabulary [1, {self.num_concepts}]{context}",
+                    details={"concept_id": int(concept),
+                             "valid_range": (1, self.num_concepts),
+                             "model": self.name})
         return None
 
     def _validate_ids(self, question_id: int, concept_ids: Sequence[int],
                       student_id=None) -> None:
         error = self._id_error(question_id, concept_ids, student_id)
         if error is not None:
-            raise ValueError(error[1])
+            raise ValueError(error.message)
 
     # ------------------------------------------------------------------
     # Persistence
@@ -233,7 +234,7 @@ class InferenceEngine:
         save_checkpoint(path, model.state_dict(), metadata)
 
     @classmethod
-    def from_checkpoint(cls, path, target_batch: int = 64,
+    def from_checkpoint(cls, path,
                         stream_cache_bytes: Optional[int]
                         = DEFAULT_STREAM_CACHE_BYTES,
                         window: Optional[int] = None,
@@ -254,8 +255,7 @@ class InferenceEngine:
                              f"({missing})") from None
         model = RCKT(num_questions, num_concepts, config)
         model.load_state_dict(state)
-        return cls(model, target_batch=target_batch,
-                   stream_cache_bytes=stream_cache_bytes,
+        return cls(model, stream_cache_bytes=stream_cache_bytes,
                    window=window, window_hop=window_hop)
 
     def reload_checkpoint(self, path) -> None:
@@ -323,6 +323,9 @@ class InferenceEngine:
         (or the initial positional-table size without one) the append
         stays O(1) and scoring windows or grows transparently.
 
+        ``correct`` is stored as ``int(correct)``, so ``True`` and
+        ``1.0`` record exactly what ``1`` does, warm cache or cold.
+
         Returns the history length this append produced, read under the
         same lock as the append: a concurrent record for the same
         student cannot land in between.
@@ -336,6 +339,7 @@ class InferenceEngine:
         self._validate_ids(question_id, concept_ids, student_id)
         if correct not in (0, 1):
             raise ValueError(f"correct must be 0 or 1, got {correct}")
+        correct = int(correct)
         with self._lock:
             history = self.students.record(student_id, question_id, correct,
                                            concept_ids)
@@ -601,7 +605,7 @@ class InferenceEngine:
         cols = np.asarray(cols, dtype=np.int64)
         scores = np.empty(len(cols), dtype=np.float64)
         self._obs_forward_calls.inc()
-        for chunk in column_banded_chunks(cols, self.target_batch):
+        for chunk in column_banded_chunks(cols, TARGET_BATCH):
             scores[chunk] = context.scores_for(rows[chunk], cols[chunk])
         return scores
 
@@ -708,7 +712,7 @@ class InferenceEngine:
         batch = Batch(questions, responses, concepts, counts, mask)
         with no_grad():
             scores = score_batch_targets(model, batch, cols,
-                                         target_batch=self.target_batch)
+                                         target_batch=TARGET_BATCH)
 
         values = np.empty(num_candidates)
         for index in range(num_candidates):

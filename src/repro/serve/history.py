@@ -12,7 +12,7 @@ store keeps each student's log as geometrically-grown NumPy arrays, so
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -94,17 +94,6 @@ class StudentHistory:
             raise ValueError(f"suffix start {start} outside history of "
                              f"length {self.length}")
         return HistoryWindow(self, start)
-
-    def to_sequence(self) -> StudentSequence:
-        """Materialize as a :class:`StudentSequence` (interop/debugging)."""
-        from repro.data import Interaction
-        sequence = StudentSequence(self.student_id)
-        for i in range(self.length):
-            ids = tuple(int(c) for c in
-                        self._concepts[i, :self._concept_counts[i]])
-            sequence.append(Interaction(int(self._questions[i]),
-                                        int(self._responses[i]), ids, i + 1))
-        return sequence
 
 
 class HistoryWindow:
@@ -235,7 +224,7 @@ def assemble_padded(histories: Sequence,
 
 
 class HistoryStore:
-    """All students' caches plus vectorized request-batch assembly."""
+    """All students' interaction caches, keyed by student id."""
 
     def __init__(self):
         self._students: Dict[object, StudentHistory] = {}
@@ -278,56 +267,3 @@ class HistoryStore:
             history.append(interaction.question_id, interaction.correct,
                            interaction.concept_ids)
         return history
-
-    def assemble(self, student_ids: Iterable,
-                 probes: Optional[List[Optional[Tuple[int, Sequence[int]]]]]
-                 = None,
-                 starts: Optional[Sequence[int]] = None
-                 ) -> Tuple[Batch, np.ndarray]:
-        """Build a padded batch of the named students' histories.
-
-        Parameters
-        ----------
-        student_ids:
-            One student per output row (repeats allowed).
-        probes:
-            ``probes[k]`` — an optional ``(question_id, concept_ids)``
-            pair — appends a *virtual* next interaction to row ``k``
-            (its response value is irrelevant: the counterfactual
-            variants overwrite the target response).
-        starts:
-            Optional per-row history start positions (sliding-window
-            serving): row ``k`` uses only interactions from
-            ``starts[k]`` on, re-based to column 0 — identical to
-            assembling a history truncated to that suffix.
-
-        Returns
-        -------
-        (Batch, np.ndarray)
-            The padded batch and per-row target columns — the probe
-            position, or the last real position when no probe is given.
-
-        Raises
-        ------
-        ValueError
-            On empty ``student_ids``, probe/start count mismatches, or a
-            row left with no history and no probe.
-        """
-        ids = list(student_ids)
-        if not ids:
-            raise ValueError("assemble needs at least one student")
-        if probes is None:
-            probes = [None] * len(ids)
-        if len(probes) != len(ids):
-            raise ValueError("one probe slot per student required")
-        # Unknown students get a transient empty history: scoring a
-        # cold-start probe is legitimate, but reading must not register
-        # junk entries in the store.
-        histories = [self.peek(student_id) or StudentHistory(student_id)
-                     for student_id in ids]
-        if starts is not None:
-            if len(starts) != len(ids):
-                raise ValueError("one window start per student required")
-            histories = [history if start == 0 else history.suffix(start)
-                         for history, start in zip(histories, starts)]
-        return assemble_padded(histories, probes)

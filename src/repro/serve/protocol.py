@@ -26,11 +26,16 @@ from the gateway and the cluster router.  :func:`capabilities`
 enumerates the supported versions and per-version query types for the
 health/selfcheck reply.
 
-Well-shaped queries carrying ill-*typed* values (a string question id,
-a fractional ``top_k``) decode structurally and are rejected by the
-service's admission validation with the specific taxonomy error —
-either way the gateway answers garbage with a structured error, never a
-stack trace.  Fields that exist only in-process
+Field rules
+-----------
+Well-shaped queries carrying ill-*typed* values (an object as
+``student_id``, a fractional ``top_k``, a NaN ``value_weight``) decode
+structurally; the field rules, not Service code, reject them.  Each
+non-id query field declares one :class:`FieldRule` in its field
+metadata, and :func:`admission_error` — called by the facade and the
+cluster router alike — answers the first violation as ``"<field> must
+be <requirement>, got <value>"``.  Ids stay with the engine, which
+knows the checkpoint's vocabulary.  Fields that exist only in-process
 (``ExplainReply.computation``) are never serialized.
 
 The full field-by-field reference lives in ``docs/API.md``.
@@ -40,8 +45,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
-from typing import ClassVar, Optional, Tuple
+from typing import Callable, ClassVar, Optional, Tuple
 
 PROTOCOL_VERSION = 2
 
@@ -54,6 +61,85 @@ DEFAULT_MODEL = "default"
 
 EDIT_OPS = ("flip", "set", "remove")
 
+#: Hard recourse search-budget caps, enforced by the field rules.
+MAX_EDITS = 16
+MAX_BEAM_WIDTH = 32
+
+
+# ---------------------------------------------------------------------------
+# Field rules
+# ---------------------------------------------------------------------------
+@dataclass(frozen=True)
+class FieldRule:
+    """What one query field may carry.
+
+    A value failing ``check`` is answered as the taxonomy error whose
+    ``code`` this names, with the message ``"<field> must be
+    <requirement>, got <value>"``.  ``docs/API.md`` tabulates every
+    rule (kept in step by ``tools/check_docs.py``).
+    """
+
+    requirement: str
+    check: Callable[[object], bool]
+    code: str = "malformed_query"
+
+
+def _ruled(rule: FieldRule, item: Optional[type] = None, **kwargs):
+    """A dataclass field declaring its rule; ``item`` is the dataclass
+    each element of a tuple field decodes into and is checked against."""
+    metadata = {"rule": rule}
+    if item is not None:
+        metadata["item"] = item
+    return field(metadata=metadata, **kwargs)
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite_number(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:   # an int beyond the float range
+        return False
+
+
+def _is_binary(value) -> bool:
+    # int and float first: wire values skip the slower ABC check that
+    # admits NumPy scalars.
+    return isinstance(value, (int, float, numbers.Real)) and value in (0, 1)
+
+
+def _is_student_id(value) -> bool:
+    # A NaN id never equals itself, so it could never find its history.
+    if type(value) is str or type(value) is int:
+        return True
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, tuple):
+        return all(_is_student_id(item) for item in value)
+    try:
+        hash(value)
+    except TypeError:
+        return False
+    return True
+
+
+def _array_of(cls) -> Callable[[object], bool]:
+    return lambda value: type(value) is tuple and all(
+        type(item) is cls for item in value)
+
+
+_STUDENT_ID = FieldRule("a hashable value without NaN or infinity",
+                        _is_student_id)
+_MODEL = FieldRule("a string", lambda value: isinstance(value, str))
+_AT_LEAST_ONE = FieldRule("an integer >= 1",
+                          lambda value: _is_integer(value) and value >= 1)
+_FINITE = FieldRule("a finite number", _is_finite_number)
+
+
 
 # ---------------------------------------------------------------------------
 # Queries
@@ -64,10 +150,10 @@ class ScoreQuery:
 
     TYPE: ClassVar[str] = "score"
 
-    student_id: object
+    student_id: object = _ruled(_STUDENT_ID)
     question_id: int
     concept_ids: Tuple[int, ...]
-    model: str = DEFAULT_MODEL
+    model: str = _ruled(_MODEL, default=DEFAULT_MODEL)
 
     def __post_init__(self):
         object.__setattr__(self, "concept_ids", tuple(self.concept_ids))
@@ -79,8 +165,8 @@ class ExplainQuery:
 
     TYPE: ClassVar[str] = "explain"
 
-    student_id: object
-    model: str = DEFAULT_MODEL
+    student_id: object = _ruled(_STUDENT_ID)
+    model: str = _ruled(_MODEL, default=DEFAULT_MODEL)
 
 
 @dataclass(frozen=True)
@@ -99,8 +185,12 @@ class HistoryEdit:
 
     TYPE: ClassVar[str] = "edit"
 
-    position: int
-    op: str
+    position: int = _ruled(FieldRule("an integer", _is_integer,
+                                     "invalid_edit"))
+    op: str = _ruled(FieldRule(
+        f"one of {list(EDIT_OPS)}",
+        lambda value: isinstance(value, str) and value in EDIT_OPS,
+        "invalid_edit"))
     value: Optional[int] = None
 
 
@@ -116,11 +206,13 @@ class WhatIfQuery:
 
     TYPE: ClassVar[str] = "what_if"
 
-    student_id: object
+    student_id: object = _ruled(_STUDENT_ID)
     question_id: int
     concept_ids: Tuple[int, ...]
-    edits: Tuple[HistoryEdit, ...]
-    model: str = DEFAULT_MODEL
+    edits: Tuple[HistoryEdit, ...] = _ruled(
+        FieldRule("an array of HistoryEdit", _array_of(HistoryEdit)),
+        item=HistoryEdit)
+    model: str = _ruled(_MODEL, default=DEFAULT_MODEL)
 
     def __post_init__(self):
         object.__setattr__(self, "concept_ids", tuple(self.concept_ids))
@@ -140,19 +232,24 @@ class CandidateQuestion:
         object.__setattr__(self, "concept_ids", tuple(self.concept_ids))
 
 
+_CANDIDATES = FieldRule("an array of CandidateQuestion",
+                        _array_of(CandidateQuestion))
+
+
 @dataclass(frozen=True)
 class RecommendQuery:
     """Rank candidate next questions for a student (Sec. V-C workload)."""
 
     TYPE: ClassVar[str] = "recommend"
 
-    student_id: object
-    candidates: Tuple[CandidateQuestion, ...]
-    top_k: int = 5
-    target_success: float = 0.6
-    value_weight: float = 1.0
-    horizon: int = 4
-    model: str = DEFAULT_MODEL
+    student_id: object = _ruled(_STUDENT_ID)
+    candidates: Tuple[CandidateQuestion, ...] = _ruled(
+        _CANDIDATES, item=CandidateQuestion)
+    top_k: int = _ruled(_AT_LEAST_ONE, default=5)
+    target_success: float = _ruled(_FINITE, default=0.6)
+    value_weight: float = _ruled(_FINITE, default=1.0)
+    horizon: int = _ruled(_AT_LEAST_ONE, default=4)
+    model: str = _ruled(_MODEL, default=DEFAULT_MODEL)
 
     def __post_init__(self):
         object.__setattr__(self, "candidates", tuple(self.candidates))
@@ -175,15 +272,27 @@ class RecourseQuery:
 
     TYPE: ClassVar[str] = "recourse"
 
-    student_id: object
+    student_id: object = _ruled(_STUDENT_ID)
     question_id: int
     concept_ids: Tuple[int, ...]
-    threshold: float = 0.75
-    max_edits: int = 3
-    beam_width: int = 1
-    candidates: Tuple[CandidateQuestion, ...] = ()
-    allow_history_edits: bool = True
-    model: str = DEFAULT_MODEL
+    threshold: float = _ruled(FieldRule(
+        "a finite number in [0, 1]",
+        lambda value: _is_finite_number(value) and 0 <= value <= 1),
+        default=0.75)
+    max_edits: int = _ruled(FieldRule(
+        f"an integer in [1, {MAX_EDITS}]",
+        lambda value: _is_integer(value) and 1 <= value <= MAX_EDITS),
+        default=3)
+    beam_width: int = _ruled(FieldRule(
+        f"an integer in [1, {MAX_BEAM_WIDTH}]",
+        lambda value: _is_integer(value) and 1 <= value <= MAX_BEAM_WIDTH),
+        default=1)
+    candidates: Tuple[CandidateQuestion, ...] = _ruled(
+        _CANDIDATES, item=CandidateQuestion, default=())
+    allow_history_edits: bool = _ruled(
+        FieldRule("a boolean", lambda value: isinstance(value, bool)),
+        default=True)
+    model: str = _ruled(_MODEL, default=DEFAULT_MODEL)
 
     def __post_init__(self):
         object.__setattr__(self, "concept_ids", tuple(self.concept_ids))
@@ -196,11 +305,11 @@ class RecordEvent:
 
     TYPE: ClassVar[str] = "record"
 
-    student_id: object
+    student_id: object = _ruled(_STUDENT_ID)
     question_id: int
-    correct: int
+    correct: int = _ruled(FieldRule("0 or 1", _is_binary))
     concept_ids: Tuple[int, ...]
-    model: str = DEFAULT_MODEL
+    model: str = _ruled(_MODEL, default=DEFAULT_MODEL)
 
     def __post_init__(self):
         object.__setattr__(self, "concept_ids", tuple(self.concept_ids))
@@ -297,7 +406,8 @@ class ExplainReply(Reply):
     target_question_id: int
     target_correct: int
     score: float
-    influences: Tuple[InfluenceItem, ...]
+    influences: Tuple[InfluenceItem, ...] = field(
+        metadata={"item": InfluenceItem})
     model: str = DEFAULT_MODEL
     #: In-process only: the full differentiable
     #: :class:`repro.core.influence.InfluenceComputation` behind the
@@ -343,7 +453,8 @@ class RecommendReply(Reply):
     TYPE: ClassVar[str] = "recommend_reply"
 
     student_id: object
-    items: Tuple[RecommendationItem, ...]
+    items: Tuple[RecommendationItem, ...] = field(
+        metadata={"item": RecommendationItem})
     model: str = DEFAULT_MODEL
 
     def __post_init__(self):
@@ -397,7 +508,7 @@ class RecourseReply(Reply):
     threshold: float
     baseline_score: float
     final_score: float
-    steps: Tuple[RecourseStep, ...]
+    steps: Tuple[RecourseStep, ...] = field(metadata={"item": RecourseStep})
     monotonic: bool
     generations: int
     worlds_scored: int
@@ -614,6 +725,61 @@ def is_error(obj) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Admission
+# ---------------------------------------------------------------------------
+def _rule_table(cls) -> tuple:
+    """``(field, rule, item table)`` for each ruled field; the item
+    table is empty unless the field holds nested dataclasses."""
+    return tuple((spec.name, spec.metadata["rule"],
+                  _rule_table(spec.metadata["item"])
+                  if "item" in spec.metadata else ())
+                 for spec in dataclasses.fields(cls)
+                 if "rule" in spec.metadata)
+
+
+#: Built once at import, looked up by the query's exact type.
+_QUERY_RULES = {cls: _rule_table(cls) for cls in QUERY_TYPES.values()}
+
+
+def _rule_violation(obj, table) -> Optional[ServiceError]:
+    for name, rule, item_table in table:
+        value = getattr(obj, name)
+        if not rule.check(value):
+            return ERROR_TYPES[rule.code](
+                f"{name} must be {rule.requirement}, got {value!r}",
+                details={name: value})
+        if item_table:
+            for item in value:
+                error = _rule_violation(item, item_table)
+                if error is not None:
+                    return error
+    return None
+
+
+def admission_error(query) -> Optional[ServiceError]:
+    """Why ``query`` may not be routed, or ``None`` when it may.
+
+    The one admission check before any model, shard, or history is
+    consulted — :meth:`repro.serve.Service.execute_batch` and the
+    cluster router both run it over every slot, so their rejections are
+    the same values.  A decoding failure answers as itself; a nested
+    envelope or a non-query object is a :class:`MalformedQuery`; a
+    query answers with its first :class:`FieldRule` violation, fields
+    in declaration order and tuple items after their field.
+    """
+    table = _QUERY_RULES.get(type(query))
+    if table is not None:
+        return _rule_violation(query, table)
+    if is_error(query):
+        return query
+    if isinstance(query, BatchEnvelope):
+        return MalformedQuery(
+            "batch envelopes cannot ride inside another batch — "
+            "pass the envelope itself to execute()/POST /v1/batch")
+    return MalformedQuery(f"not a protocol query: {type(query).__name__!s}")
+
+
+# ---------------------------------------------------------------------------
 # Wire codec
 # ---------------------------------------------------------------------------
 #: Fields that exist only in-process and never cross the wire.
@@ -704,8 +870,15 @@ def capabilities() -> dict:
     }
 
 
-def _decode_into(cls, payload: dict, nested: dict):
-    """Instantiate ``cls`` from wire fields (raises on mismatch)."""
+def _decode_into(cls, payload: dict):
+    """Instantiate ``cls`` from wire fields (raises on mismatch).
+
+    An array field whose metadata names an ``item`` dataclass decodes
+    each element into it; any other array becomes a tuple.
+    """
+    if not isinstance(payload, dict):
+        raise TypeError(f"{cls.TYPE} must be an object, got "
+                        f"{type(payload).__name__}")
     kwargs = {}
     for spec in dataclasses.fields(cls):
         if spec.name in _LOCAL_FIELDS:
@@ -718,46 +891,12 @@ def _decode_into(cls, payload: dict, nested: dict):
             value = spec.default_factory()
         else:
             raise KeyError(f"missing field '{spec.name}'")
-        if spec.name in nested and value is not None:
-            decoder = nested[spec.name]
-            value = tuple(decoder(item) for item in value)
-        elif isinstance(value, list):
-            value = tuple(value)
+        if isinstance(value, list):
+            item = spec.metadata.get("item")
+            value = tuple(value) if item is None else tuple(
+                _decode_into(item, element) for element in value)
         kwargs[spec.name] = value
     return cls(**kwargs)
-
-
-def _decode_edit(item) -> HistoryEdit:
-    return _decode_into(HistoryEdit, dict(item), {})
-
-
-def _decode_candidate(item) -> CandidateQuestion:
-    return _decode_into(CandidateQuestion, dict(item), {})
-
-
-def _decode_influence_item(item) -> InfluenceItem:
-    return _decode_into(InfluenceItem, dict(item), {})
-
-
-def _decode_recommendation_item(item) -> RecommendationItem:
-    return _decode_into(RecommendationItem, dict(item), {})
-
-
-def _decode_recourse_step(item) -> RecourseStep:
-    return _decode_into(RecourseStep, dict(item), {})
-
-
-_QUERY_NESTED = {
-    WhatIfQuery: {"edits": _decode_edit},
-    RecommendQuery: {"candidates": _decode_candidate},
-    RecourseQuery: {"candidates": _decode_candidate},
-}
-
-_REPLY_NESTED = {
-    ExplainReply: {"influences": _decode_influence_item},
-    RecommendReply: {"items": _decode_recommendation_item},
-    RecourseReply: {"steps": _decode_recourse_step},
-}
 
 
 def query_from_wire(payload, default_version: Optional[int] = None) -> object:
@@ -818,7 +957,7 @@ def query_from_wire(payload, default_version: Optional[int] = None) -> object:
             details={"type": tag, "version": version,
                      "requires": _QUERY_MIN_VERSION[tag]})
     try:
-        return _decode_into(cls, payload, _QUERY_NESTED.get(cls, {}))
+        return _decode_into(cls, payload)
     except (KeyError, TypeError, ValueError) as error:
         return MalformedQuery(f"cannot decode {tag!r} query: {error}",
                               details={"type": tag})
@@ -870,6 +1009,6 @@ def reply_from_wire(payload) -> object:
     if cls is None:
         raise ValueError(f"unknown reply type {tag!r}")
     try:
-        return _decode_into(cls, payload, _REPLY_NESTED.get(cls, {}))
+        return _decode_into(cls, payload)
     except (KeyError, TypeError) as error:
         raise ValueError(f"cannot decode {tag!r} reply: {error}") from None

@@ -55,10 +55,6 @@ from .forward_cache import base_contents, question_vector_for
 from .history import ArrayHistory
 from .protocol import RecourseQuery, RecourseReply, RecourseStep
 
-#: Hard search-budget caps; admission rejects queries beyond them.
-MAX_EDITS = 16
-MAX_BEAM_WIDTH = 32
-
 
 @dataclass(frozen=True)
 class _Move:

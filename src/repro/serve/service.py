@@ -11,7 +11,9 @@ The scheduler
 -------------
 ``execute_batch`` is the single admission point.  One batch:
 
-1. routes queries to their named model (:class:`ModelRegistry`);
+1. screens every slot with the protocol's field rules
+   (:func:`~repro.serve.protocol.admission_error`), then routes the
+   admitted queries to their named model (:class:`ModelRegistry`);
 2. applies every :class:`RecordEvent` first, in envelope order — all
    read queries then observe the same post-record snapshot;
 3. coalesces the heterogeneous read queries for each model —
@@ -50,26 +52,17 @@ from ..obs import names as metric_names
 from .engine import InferenceEngine, _ContextRow
 from .forward_cache import build_stream_caches
 from .history import ArrayHistory, StudentHistory
-from .protocol import (DEFAULT_MODEL, EDIT_OPS, BatchEnvelope, BatchReply,
+from .protocol import (DEFAULT_MODEL, BatchEnvelope, BatchReply,
                        EmptyHistory,
                        ExplainQuery, ExplainReply, InfluenceItem,
-                       InternalError, InvalidConcept, InvalidEdit,
-                       InvalidQuestion, MalformedQuery, ModelNotLoaded,
+                       InternalError, InvalidEdit, MalformedQuery,
+                       ModelNotLoaded,
                        RecommendQuery, RecommendReply, RecommendationItem,
                        RecordEvent, RecordReply, RecourseQuery, ScoreQuery,
-                       ScoreReply, ServiceError, UnknownStudent,
-                       WhatIfQuery, WhatIfReply, is_error)
-from .recourse import MAX_BEAM_WIDTH, MAX_EDITS, RecourseSearch
+                       ScoreReply, UnknownStudent,
+                       WhatIfQuery, WhatIfReply, admission_error, is_error)
+from .recourse import RecourseSearch
 from .registry import ModelRegistry, registry_for
-
-_QUERY_CLASSES = (ScoreQuery, ExplainQuery, WhatIfQuery, RecommendQuery,
-                  RecourseQuery, RecordEvent)
-
-_ID_ERROR_CLASSES = {
-    "question": InvalidQuestion,
-    "concept": InvalidConcept,
-    "concept_empty": InvalidConcept,
-}
 
 
 @dataclass
@@ -243,8 +236,7 @@ class Service:
             raise KeyError(f"no model named '{name}' is loaded "
                            f"(known: {self.registry.names()})")
         standby = InferenceEngine.from_checkpoint(
-            path, target_batch=old.target_batch,
-            stream_cache_bytes=old.stream_caches.budget_bytes,
+            path, stream_cache_bytes=old.stream_caches.budget_bytes,
             window=old.window,
             window_hop=old.window_hop if old.window is not None else None)
         if (standby.num_questions, standby.num_concepts) \
@@ -326,8 +318,10 @@ class Service:
 
         Accepts a :class:`BatchEnvelope` or any sequence of queries
         (stray :class:`~repro.serve.protocol.MalformedQuery` values from
-        wire decoding pass through as their own replies).  Never raises
-        for a bad query — errors come back as values in its slot.
+        wire decoding pass through as their own replies).  Every slot is
+        screened by :func:`~repro.serve.protocol.admission_error` before
+        any model is consulted.  Never raises for a bad query — errors
+        come back as values in its slot.
         """
         started = obs.clock()
         if isinstance(queries, BatchEnvelope):
@@ -336,15 +330,9 @@ class Service:
         replies = _ReplySlots(len(queries))
         groups = {}
         for index, query in enumerate(queries):
-            if is_error(query):
-                replies[index] = query       # pre-decoded malformed slot
-            elif isinstance(query, BatchEnvelope):
-                replies[index] = MalformedQuery(
-                    "batch envelopes cannot ride inside another batch — "
-                    "pass the envelope itself to execute()/POST /v1/batch")
-            elif not isinstance(query, _QUERY_CLASSES):
-                replies[index] = MalformedQuery(
-                    f"not a protocol query: {type(query).__name__!s}")
+            error = admission_error(query)
+            if error is not None:
+                replies[index] = error
             else:
                 groups.setdefault(query.model, []).append((index, query))
                 self._obs.counter(metric_names.SERVICE_REQUESTS_TOTAL,
@@ -414,25 +402,12 @@ class Service:
                     if replies[index] is None:
                         replies[index] = failure
 
-    def _id_error_value(self, engine: InferenceEngine, question_id,
-                        concept_ids, student_id) -> Optional[ServiceError]:
-        found = engine._id_error(question_id, concept_ids, student_id)
-        if found is None:
-            return None
-        kind, message, details = found
-        return _ID_ERROR_CLASSES[kind](message, details=tuple(
-            details.items()))
-
     def _apply_record(self, engine: InferenceEngine, model_name: str,
                       query: RecordEvent):
-        error = self._id_error_value(engine, query.question_id,
-                                     query.concept_ids, query.student_id)
+        error = engine._id_error(query.question_id, query.concept_ids,
+                                 query.student_id)
         if error is not None:
             return error
-        if query.correct not in (0, 1):
-            return MalformedQuery(
-                f"correct must be 0 or 1, got {query.correct}",
-                details={"correct": query.correct})
         length = engine.record(query.student_id, query.question_id,
                                query.correct, query.concept_ids)
         return RecordReply(query.student_id, length, model=model_name)
@@ -448,28 +423,10 @@ class Service:
         still run per query (:meth:`InferenceEngine._recommend_values`)
         against the snapshot taken here, after the shared flush.
         """
-        for name, value, kinds in (
-                ("top_k", query.top_k, (int,)),
-                ("horizon", query.horizon, (int,)),
-                ("target_success", query.target_success, (int, float)),
-                ("value_weight", query.value_weight, (int, float))):
-            if not isinstance(value, kinds) or isinstance(value, bool):
-                expected = "an integer" if kinds == (int,) else "a number"
-                replies[index] = MalformedQuery(
-                    f"{name} must be {expected}, got {value!r}",
-                    details={name: value})
-                return
-        for name, value in (("top_k", query.top_k),
-                            ("horizon", query.horizon)):
-            if value < 1:
-                replies[index] = MalformedQuery(
-                    f"{name} must be at least 1, got {value!r}",
-                    details={name: value})
-                return
         for candidate in query.candidates:
-            error = self._id_error_value(engine, candidate.question_id,
-                                         candidate.concept_ids,
-                                         query.student_id)
+            error = engine._id_error(candidate.question_id,
+                                     candidate.concept_ids,
+                                     query.student_id)
             if error is not None:
                 replies[index] = error
                 return
@@ -504,57 +461,25 @@ class Service:
         every other read (sharing the student's stream-cache slot); the
         search generations run after the flush, each as its own single
         shared batch (:class:`~repro.serve.recourse.RecourseSearch`).
-        Budget caps and id validation happen here so a bad query never
-        costs a forward pass.
+        The field rules (budget caps included) were checked at admission,
+        and id validation happens here, so a bad query never costs a
+        forward pass.
         """
-        for name, value, kinds in (
-                ("threshold", query.threshold, (int, float)),
-                ("max_edits", query.max_edits, (int,)),
-                ("beam_width", query.beam_width, (int,))):
-            if not isinstance(value, kinds) or isinstance(value, bool):
-                expected = "an integer" if kinds == (int,) else "a number"
-                replies[index] = MalformedQuery(
-                    f"{name} must be {expected}, got {value!r}",
-                    details={name: value})
-                return
-        if not 0.0 <= query.threshold <= 1.0:
-            replies[index] = MalformedQuery(
-                f"threshold must be within [0, 1], got {query.threshold!r}",
-                details={"threshold": query.threshold})
-            return
-        if not 1 <= query.max_edits <= MAX_EDITS:
-            replies[index] = MalformedQuery(
-                f"max_edits must be within [1, {MAX_EDITS}], got "
-                f"{query.max_edits!r}", details={"max_edits":
-                                                 query.max_edits})
-            return
-        if not 1 <= query.beam_width <= MAX_BEAM_WIDTH:
-            replies[index] = MalformedQuery(
-                f"beam_width must be within [1, {MAX_BEAM_WIDTH}], got "
-                f"{query.beam_width!r}", details={"beam_width":
-                                                  query.beam_width})
-            return
-        if not isinstance(query.allow_history_edits, bool):
-            replies[index] = MalformedQuery(
-                f"allow_history_edits must be a boolean, got "
-                f"{query.allow_history_edits!r}",
-                details={"allow_history_edits": query.allow_history_edits})
-            return
         if not query.allow_history_edits and not query.candidates:
             replies[index] = MalformedQuery(
                 f"recourse needs at least one edit dimension: provide "
                 f"candidates or allow history edits"
                 f"{engine._error_context(query.student_id)}")
             return
-        error = self._id_error_value(engine, query.question_id,
-                                     query.concept_ids, query.student_id)
+        error = engine._id_error(query.question_id, query.concept_ids,
+                                 query.student_id)
         if error is not None:
             replies[index] = error
             return
         for candidate in query.candidates:
-            error = self._id_error_value(engine, candidate.question_id,
-                                         candidate.concept_ids,
-                                         query.student_id)
+            error = engine._id_error(candidate.question_id,
+                                     candidate.concept_ids,
+                                     query.student_id)
             if error is not None:
                 replies[index] = error
                 return
@@ -639,8 +564,8 @@ class Service:
 
     def _admit_score(self, engine, index, query: ScoreQuery, rows, meta,
                      replies) -> None:
-        error = self._id_error_value(engine, query.question_id,
-                                     query.concept_ids, query.student_id)
+        error = engine._id_error(query.question_id, query.concept_ids,
+                                 query.student_id)
         if error is not None:
             replies[index] = error
             return
@@ -678,8 +603,8 @@ class Service:
 
     def _admit_what_if(self, engine, index, query: WhatIfQuery, rows,
                        meta, replies) -> None:
-        error = self._id_error_value(engine, query.question_id,
-                                     query.concept_ids, query.student_id)
+        error = engine._id_error(query.question_id, query.concept_ids,
+                                 query.student_id)
         if error is not None:
             replies[index] = error
             return
@@ -711,21 +636,14 @@ class Service:
                              history.length))
 
     def _apply_edits(self, engine, history, query: WhatIfQuery):
-        """Edited detached timeline, or the first ``InvalidEdit``."""
+        """Edited detached timeline, or the first ``InvalidEdit``.
+
+        Each edit's op and integer position passed the field rules; what
+        is left needs the history or compares edits with each other.
+        """
         length = history.length
         for edit in query.edits:
             context = engine._error_context(query.student_id)
-            if edit.op not in EDIT_OPS:
-                return InvalidEdit(
-                    f"unknown edit op '{edit.op}' (expected one of "
-                    f"{list(EDIT_OPS)}){context}",
-                    details={"op": edit.op})
-            if not isinstance(edit.position, int) \
-                    or isinstance(edit.position, bool):
-                return InvalidEdit(
-                    f"edit position must be an integer, got "
-                    f"{edit.position!r}{context}",
-                    details={"position": edit.position})
             if not 0 <= edit.position < length:
                 return InvalidEdit(
                     f"edit position {edit.position} outside the recorded "

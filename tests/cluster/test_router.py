@@ -7,6 +7,9 @@ spawn costs; ``tests/cluster/test_process.py`` and the CI selfcheck
 cover the real multi-process stack.
 """
 
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -199,9 +202,8 @@ def test_error_parity_including_canonical_messages(cluster):
         ScoreQuery("amy", 3, (1,), model="missing"),  # model not loaded
         WhatIfQuery("amy", 3, (1,), (HistoryEdit(99, "flip"),)),
         RecordEvent("amy", 3, 7, (1,)),              # malformed correct
-        # A nested envelope: rejected with the facade's exact wording
-        # (the router forwards it to a worker Service rather than
-        # duplicating the message).
+        # A nested envelope: the router rejects it itself, through the
+        # facade's own admission check.
         BatchEnvelope((ScoreQuery("amy", 3, (1,)),)),
         ScoreQuery("amy", 3, (1,)),                  # healthy sibling
     ]
@@ -238,6 +240,85 @@ def test_predecoded_malformed_and_foreign_objects(cluster):
     assert_wire_identical(replies, reference)
     assert isinstance(replies[0], MalformedQuery)
     assert isinstance(replies[1], MalformedQuery)
+
+
+#: One hostile value per field, as a fixed table (the facade-side fuzz
+#: is tests/serve/test_field_rules.py): (query, field path, value).
+FUZZ_TABLE = [
+    ("score", ("student_id",), {}),
+    ("score", ("student_id",), [[1]]),
+    ("score", ("student_id",), math.nan),
+    ("score", ("model",), {}),
+    ("score", ("model",), None),
+    ("score", ("question_id",), math.nan),
+    ("score", ("concept_ids",), [{}]),
+    ("explain", ("student_id",), [{}]),
+    ("what_if", ("edits",), "x"),
+    ("what_if", ("edits", 0, "op"), True),
+    ("what_if", ("edits", 0, "position"), 1.5),
+    ("what_if", ("edits", 1, "value"), -1),
+    ("recommend", ("value_weight",), math.inf),
+    ("recommend", ("target_success",), 10**30),
+    ("recommend", ("top_k",), -1),
+    ("recommend", ("candidates", 0, "question_id"), None),
+    ("recourse", ("threshold",), -math.inf),
+    ("recourse", ("max_edits",), 10**30),
+    ("recourse", ("allow_history_edits",), None),
+    ("record", ("correct",), 1.5),
+    ("record", ("correct",), True),
+    ("record", ("student_id",), 10**30),
+]
+
+
+def test_field_rule_fuzz_table_matches_the_facade_on_the_wire(cluster):
+    setup = make_records(["amy"], rounds=4)
+    cluster.router.execute_batch(setup)
+    cluster.reference.execute_batch(setup)
+    candidates = (CandidateQuestion(3, (1,)), CandidateQuestion(5, (2,)))
+    valid = {
+        "score": ScoreQuery("amy", 3, (1,)),
+        "explain": ExplainQuery("amy"),
+        "what_if": WhatIfQuery("amy", 3, (1,),
+                               (HistoryEdit(0, "flip"),
+                                HistoryEdit(1, "set", value=1))),
+        "recommend": RecommendQuery("amy", candidates, top_k=2, horizon=2),
+        "recourse": RecourseQuery("amy", 7, (2,), threshold=0.9,
+                                  max_edits=2, candidates=candidates),
+        "record": RecordEvent("amy", 3, 1, (1,)),
+    }
+    probes = []
+    for kind, path, value in FUZZ_TABLE:
+        payload = to_wire(valid[kind])
+        target = payload
+        for step in path[:-1]:
+            target = target[step]
+        target[path[-1]] = value
+        probes.append(query_from_wire(json.loads(json.dumps(payload))))
+    probes.append(ScoreQuery("amy", 3, (1,)))
+    ours = cluster.router.execute_batch(probes)
+    reference = cluster.reference.execute_batch(probes)
+    # JSON text, not dicts: a NaN echoed in details never equals itself.
+    assert [json.dumps(to_wire(r), sort_keys=True) for r in ours] \
+        == [json.dumps(to_wire(r), sort_keys=True) for r in reference]
+    # Only the huge target_success and the two journal-compatible
+    # records are admitted.
+    assert sum(not is_error(r) for r in ours[:-1]) == 3
+    assert ours[-1].ok
+
+
+def test_rule_violations_never_reach_a_shard():
+    router = ScatterGatherRouter([f"http://127.0.0.1:{free_port()}"],
+                                 timeout=2.0)
+    try:
+        replies = router.execute_batch([
+            ScoreQuery("amy", 3, (1,), model={}),
+            BatchEnvelope((ScoreQuery("amy", 3, (1,)),)),
+            ScoreQuery("amy", 3, (1,)),
+        ])
+        assert [type(r) for r in replies] \
+            == [MalformedQuery, MalformedQuery, ShardUnavailable]
+    finally:
+        router.close()
 
 
 # ---------------------------------------------------------------------------
@@ -405,10 +486,10 @@ def test_router_http_face_and_health(cluster):
 # Version negotiation: identical bytes from both public surfaces
 # ---------------------------------------------------------------------------
 def test_negotiation_errors_byte_identical_on_gateway_and_router(cluster):
-    """An unsupported version or unknown/ungated type must serialize to
-    the same JSON from a worker gateway and from the cluster router —
-    clients cannot tell which surface rejected them."""
-    import json
+    """An unsupported version, an unknown/ungated type or a field-rule
+    violation must serialize to the same JSON from a worker gateway and
+    from the cluster router — clients cannot tell which surface
+    rejected them."""
     import urllib.error
     import urllib.request
 
@@ -433,6 +514,14 @@ def test_negotiation_errors_byte_identical_on_gateway_and_router(cluster):
         b'{"v": 1, "type": "teleport"}',
         b'{"v": 2, "type": "teleport"}',
         json.dumps(recourse_v1).encode(),
+        b'{"v": 2, "type": "score", "student_id": {}, '
+        b'"question_id": 3, "concept_ids": [1]}',
+        b'{"v": 2, "type": "score", "student_id": "amy", '
+        b'"question_id": 3, "concept_ids": [1], "model": {}}',
+        b'{"v": 1, "type": "record", "student_id": "amy", '
+        b'"question_id": 3, "correct": 1.5, "concept_ids": [1]}',
+        b'{"v": 2, "type": "recommend", "student_id": "amy", '
+        b'"candidates": [], "value_weight": Infinity}',
     ]
     server, _ = start_router_thread(cluster.router)
     gateway_port = cluster.servers[0].server_port

@@ -11,7 +11,8 @@ from repro.interpret import recommend_questions
 from repro.serve import (CandidateQuestion, EmptyHistory, ExplainQuery,
                          HistoryStore, InferenceEngine, InvalidConcept,
                          InvalidQuestion, RecommendQuery, RecordEvent,
-                         ScoreQuery, Service, StudentHistory, UnknownStudent)
+                         ScoreQuery, Service, StudentHistory, UnknownStudent,
+                         assemble_padded)
 
 
 @pytest.fixture(scope="module")
@@ -86,14 +87,6 @@ class TestStudentHistory:
         with pytest.raises(ValueError):
             history.append(1, 1, ())
 
-    def test_roundtrip_to_sequence(self):
-        history = StudentHistory(7)
-        history.append(3, 1, (2, 5))
-        history.append(9, 0, (1,))
-        sequence = history.to_sequence()
-        assert [i.question_id for i in sequence] == [3, 9]
-        assert [i.concept_ids for i in sequence] == [(2, 5), (1,)]
-
 
 class TestHistoryStoreAssembly:
     def test_ragged_batch_with_probes(self):
@@ -101,21 +94,25 @@ class TestHistoryStoreAssembly:
         store.record("a", 1, 1, (1,))
         store.record("a", 2, 0, (2,))
         store.record("b", 3, 1, (1, 2))
-        batch, cols = store.assemble(["a", "b"],
-                                     probes=[(5, (3,)), (6, (1,))])
+        batch, cols = assemble_padded([store.peek("a"), store.peek("b")],
+                                      [(5, (3,)), (6, (1,))])
         assert batch.questions.shape == (2, 3)
         assert cols.tolist() == [2, 1]
         assert batch.questions[0].tolist() == [1, 2, 5]
-        assert batch.questions[1, :2].tolist() == [3, 6]
+        assert batch.questions[1].tolist() == [3, 6, 0]
+        assert batch.concepts[0, :, 0].tolist() == [1, 2, 3]
+        assert batch.concepts[1, 0].tolist() == [1, 2]
+        assert batch.concept_counts[1].tolist() == [2, 1, 1]
         assert batch.mask.tolist() == [[True, True, True],
                                        [True, True, False]]
 
     def test_empty_student_needs_probe(self):
-        store = HistoryStore()
+        ghost = StudentHistory("ghost")
         with pytest.raises(ValueError, match="no history"):
-            store.assemble(["ghost"])
-        batch, cols = store.assemble(["ghost"], probes=[(4, (1,))])
+            assemble_padded([ghost], [None])
+        batch, cols = assemble_padded([ghost], [(4, (1,))])
         assert cols.tolist() == [0]
+        assert batch.questions.tolist() == [[4]]
 
 
 class TestScoring:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.core import ENCODERS, RCKT, RCKTConfig
 from repro.data import (SimulationConfig, StudentSimulator, build_dataset)
-from repro.serve import InferenceEngine, ScoreQuery, is_error
+from repro.serve import InferenceEngine, RecordEvent, ScoreQuery, is_error
 
 ATOL = 1e-10
 
@@ -238,6 +238,34 @@ class TestValidationHardening:
             score(engine, "s", 3, ())
         assert engine.history_length("s") == 1
         assert score(engine, "s", 3, (1,)) == before
+
+    def test_float_and_bool_correct_record_like_one(self):
+        # The record rule admits 1.0 and true (journals may hold them).
+        # A warm cache used to index the response embedding with the
+        # float, failing after the append and leaving it unjournaled.
+        reference = InferenceEngine(make_model())
+        for question, correct in ((4, 0), (2, 1), (5, 1)):
+            reference.record("s", question, correct, (2,))
+        expected = score(reference, "s", 3, (1,))
+        warm = InferenceEngine(make_model())
+        cold = InferenceEngine(make_model())
+        uncached = InferenceEngine(make_model(), stream_cache_bytes=0)
+        for engine in (warm, cold, uncached):
+            engine.record("s", 4, 0, (2,))
+        score(warm, "s", 3, (1,))
+        assert warm.stream_cache_stats()["entries"] == 1
+        for engine in (warm, cold, uncached):
+            for length, (question, correct) in enumerate(
+                    ((2, 1.0), (5, True)), start=2):
+                reply = engine.service.execute(
+                    RecordEvent("s", question, correct, (2,)))
+                assert reply.ok and reply.history_length == length, reply
+        for engine in (warm, cold, uncached):
+            for ours, theirs in zip(engine.students.peek("s").view(),
+                                    reference.students.peek("s").view()):
+                assert ours.dtype == theirs.dtype
+                assert ours.tolist() == theirs.tolist()
+            assert abs(score(engine, "s", 3, (1,)) - expected) <= ATOL
 
     def test_load_dataset_validates_before_loading_anything(self):
         # A model with a smaller vocabulary than the dataset was built

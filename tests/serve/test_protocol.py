@@ -1,5 +1,7 @@
 """Wire codec and typed-value semantics of the query protocol (v2+v1)."""
 
+import dataclasses
+import itertools
 import json
 
 import pytest
@@ -9,14 +11,16 @@ from repro.serve.protocol import (PROTOCOL_VERSION,
                                   SUPPORTED_PROTOCOL_VERSIONS,
                                   BatchEnvelope, CandidateQuestion,
                                   ExplainReply, HistoryEdit, InfluenceItem,
-                                  InvalidQuestion, MalformedQuery,
+                                  InvalidEdit, InvalidQuestion,
+                                  MalformedQuery, QUERY_TYPES,
                                   RecommendQuery, RecommendReply,
                                   RecommendationItem, RecordEvent,
                                   RecordReply, RecourseQuery, RecourseReply,
                                   RecourseStep, ScoreQuery, ScoreReply,
                                   UnknownQueryType, UnknownStudent,
                                   UnsupportedVersion, WhatIfQuery,
-                                  WhatIfReply, capabilities, is_error,
+                                  WhatIfReply, admission_error,
+                                  capabilities, is_error,
                                   negotiated_version, query_from_wire,
                                   query_types_for, reply_from_wire,
                                   to_wire)
@@ -245,3 +249,58 @@ class TestVersionNegotiation:
     def test_trajectory_property(self):
         reply = REPLIES[5]
         assert reply.trajectory == (0.55, 0.61, 0.82)
+
+
+# ---------------------------------------------------------------------------
+# Field rules: every non-id field is screened by admission_error
+# ---------------------------------------------------------------------------
+class TestFieldRules:
+    @pytest.mark.parametrize(
+        "cls", [*QUERY_TYPES.values(), HistoryEdit, CandidateQuestion],
+        ids=lambda cls: cls.__name__)
+    def test_every_field_declares_a_rule(self, cls):
+        # Ids need the checkpoint's vocabulary (the engine checks them);
+        # an edit's value depends on its op (the scheduler checks it).
+        for spec in dataclasses.fields(cls):
+            exempt = spec.name in ("question_id", "concept_ids") or (
+                cls is HistoryEdit and spec.name == "value")
+            assert ("rule" in spec.metadata) is not exempt, spec.name
+
+    def test_every_record_an_earlier_build_acknowledged_is_admitted(self):
+        # Supervisor.replay raises on any rejected journal record.
+        for student, correct in itertools.product(
+                ("amy", 7, 7.5, True, None, (1, "a")),
+                (0, 1, True, False, 0.0, 1.0)):
+            payload = json.loads(json.dumps(to_wire(
+                RecordEvent(student, 3, correct, (2,)))))
+            assert admission_error(query_from_wire(payload)) is None
+
+    def test_violations_name_the_field_and_the_rule(self):
+        cases = [
+            (RecordEvent({}, 3, 1, (2,)), MalformedQuery,
+             "student_id must be a hashable value without NaN or "
+             "infinity, got {}"),
+            (RecordEvent(float("nan"), 3, 1, (2,)), MalformedQuery,
+             "student_id must be a hashable value without NaN or "
+             "infinity, got nan"),
+            (RecordEvent("amy", 3, 1.5, (2,)), MalformedQuery,
+             "correct must be 0 or 1, got 1.5"),
+            (ScoreQuery("amy", 3, (2,), model=None), MalformedQuery,
+             "model must be a string, got None"),
+            (RecommendQuery("amy", (), target_success=10**400),
+             MalformedQuery, "target_success must be a finite number, "
+             f"got {10**400!r}"),
+            (RecourseQuery("amy", 3, (2,), beam_width=33), MalformedQuery,
+             "beam_width must be an integer in [1, 32], got 33"),
+            (WhatIfQuery("amy", 3, (2,), ("flip",)), MalformedQuery,
+             "edits must be an array of HistoryEdit, got ('flip',)"),
+            (WhatIfQuery("amy", 3, (2,), (HistoryEdit(True, "flip"),)),
+             InvalidEdit, "position must be an integer, got True"),
+            (BatchEnvelope(()), MalformedQuery,
+             "batch envelopes cannot ride inside another batch — pass "
+             "the envelope itself to execute()/POST /v1/batch"),
+            (object(), MalformedQuery, "not a protocol query: object"),
+        ]
+        for query, cls, message in cases:
+            error = admission_error(query)
+            assert type(error) is cls and error.message == message

@@ -388,12 +388,15 @@ class TestErrorTaxonomy:
         # ill-typed values must come back as error values, never raise
         # out of the facade or poison batch siblings.
         student = list(dataset)[0].student_id
+        candidates = (CandidateQuestion(3, (1,)),)
         replies = service.execute_batch([
             RecordEvent(student, "7", 1, (1,)),
             ScoreQuery(student, 3, ("x",)),
-            RecommendQuery(student, (CandidateQuestion(3, (1,)),),
-                           top_k="five"),
+            RecommendQuery(student, candidates, top_k="five"),
             WhatIfQuery(student, 3, (1,), (HistoryEdit("0", "flip"),)),
+            ScoreQuery({}, 3, (1,)),
+            ScoreQuery(student, 3, (1,), model={}),
+            RecommendQuery(student, candidates, value_weight=float("inf")),
             ScoreQuery(student, 3, (1,)),
         ])
         assert isinstance(replies[0], InvalidQuestion)
@@ -401,7 +404,13 @@ class TestErrorTaxonomy:
         assert isinstance(replies[1], InvalidConcept)
         assert isinstance(replies[2], MalformedQuery)
         assert isinstance(replies[3], InvalidEdit)
-        assert replies[4].ok   # the sibling still scored
+        assert replies[4].message == \
+            "student_id must be a hashable value without NaN or " \
+            "infinity, got {}"
+        assert replies[5].message == "model must be a string, got {}"
+        assert replies[6].message == \
+            "value_weight must be a finite number, got inf"
+        assert replies[7].ok   # the sibling still scored
 
     @pytest.mark.parametrize("field,value", [("top_k", 0), ("top_k", -1),
                                              ("horizon", 0),
@@ -418,7 +427,8 @@ class TestErrorTaxonomy:
             RecommendQuery(student, candidates, top_k=1, horizon=1),
         ])
         assert isinstance(replies[0], MalformedQuery)
-        assert f"{field} must be at least 1" in replies[0].message
+        assert replies[0].message \
+            == f"{field} must be an integer >= 1, got {value}"
         assert replies[0].detail(field) == value
         assert replies[1].ok and len(replies[1].items) == 1
 

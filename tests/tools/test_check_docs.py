@@ -4,7 +4,8 @@
 fails on vanished symbols/files/links; this suite covers the parts it
 does not: the in-process check functions themselves and the
 protocol-surface cross-check against ``docs/API.md`` (class mentions,
-error-table codes and HTTP statuses, both drift directions).
+error-table codes and HTTP statuses, field-rule rows, both drift
+directions).
 """
 
 import sys
@@ -127,6 +128,59 @@ def test_protocol_surface_flags_a_phantom_documented_error(tmp_path):
     write_tree(tmp_path, api=api)
     failures = surface_failures(tmp_path)
     assert any("`GhostError`" in f and "does not register" in f
+               for f in failures)
+
+
+RULED_PROTOCOL = PROTOCOL + """
+    import dataclasses
+    from typing import NamedTuple
+
+    class FieldRule(NamedTuple):
+        requirement: str
+        check: object
+        code: str = "malformed_query"
+
+    @dataclasses.dataclass
+    class RankQuery:
+        top_k: int = dataclasses.field(default=5, metadata={
+            "rule": FieldRule("an integer >= 1", None)})
+        op: str = dataclasses.field(default="flip", metadata={
+            "rule": FieldRule("one of ['flip']", None, "invalid_edit")})
+"""
+
+RULED_API_DOC = API_DOC + """
+    ## Field rules
+
+    | Field | Requirement | Code |
+    | --- | --- | --- |
+    | `top_k` | an integer >= 1 | `malformed_query` |
+    | `op` | one of ['flip'] | `invalid_edit` |
+
+    ## Next section
+"""
+
+
+def test_field_rules_accept_a_synced_table(tmp_path):
+    write_tree(tmp_path, protocol=RULED_PROTOCOL, api=RULED_API_DOC)
+    assert surface_failures(tmp_path) == []
+
+
+def test_field_rules_flag_a_row_that_drifts_from_its_rule(tmp_path):
+    api = RULED_API_DOC.replace("an integer >= 1", "an integer >= 0") \
+        .replace("`invalid_edit`", "`malformed_query`")
+    write_tree(tmp_path, protocol=RULED_PROTOCOL, api=api)
+    failures = surface_failures(tmp_path)
+    assert len(failures) == 2
+    assert any("`top_k`" in f and "an integer >= 0" in f for f in failures)
+    assert any("`op`" in f and "invalid_edit" in f for f in failures)
+
+
+def test_field_rules_flag_missing_and_phantom_rows(tmp_path):
+    api = RULED_API_DOC.replace("| `op` |", "| `beam_width` |")
+    write_tree(tmp_path, protocol=RULED_PROTOCOL, api=api)
+    failures = surface_failures(tmp_path)
+    assert any("no row for `op`" in f for f in failures)
+    assert any("`beam_width`" in f and "declares no rule" in f
                for f in failures)
 
 

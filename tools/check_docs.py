@@ -21,8 +21,14 @@ every ``docs/*.md`` it verifies:
   must match ``docs/API.md``: every registered query/reply class is
   mentioned, every taxonomy error has a table row whose ``code`` and
   HTTP status match the class, and the table documents no class the
-  protocol does not define.  Skipped for trees without the protocol
-  module (the synthetic fixtures in the test suite).
+  protocol does not define.  Likewise every field rule declared in the
+  protocol's dataclass field metadata has a row in the API.md "Field
+  rules" table with the same requirement and code, and the table lists
+  no field without a rule.  Rules are callables built from shared
+  constants, so they are read by loading ``protocol.py`` by path (it
+  imports only the standard library) instead of by AST.  Skipped for
+  trees without the protocol module (the synthetic fixtures in the test
+  suite).
 * **Metric catalogue** — the ``COUNTERS`` / ``GAUGES`` / ``HISTOGRAMS``
   kind registries extracted from ``src/repro/obs/names.py`` (via AST)
   must match the catalogue table in ``docs/OBSERVABILITY.md``: every
@@ -41,6 +47,8 @@ from __future__ import annotations
 
 import argparse
 import ast
+import dataclasses
+import importlib.util
 import re
 import sys
 from pathlib import Path
@@ -57,6 +65,11 @@ API_DOC_REL = Path("docs") / "API.md"
 
 # Error-taxonomy table row: | `Class` | `code` | HTTP | ...
 ERROR_ROW = re.compile(r"^\|\s*`(\w+)`\s*\|\s*`(\w+)`\s*\|\s*(\d+)\s*\|")
+
+# Field-rules table row, under API.md's "## Field rules" heading:
+# | `field` | requirement | `code` |
+FIELD_RULES_HEADING = "## Field rules"
+RULE_ROW = re.compile(r"^\|\s*`(\w+)`\s*\|\s*(.+?)\s*\|\s*`(\w+)`\s*\|$")
 
 # Metric-name module + the doc that tabulates its catalogue.
 METRICS_REL = Path("src") / "repro" / "obs" / "names.py"
@@ -187,6 +200,69 @@ def protocol_surface(path: Path) -> dict:
             "errors": errors}
 
 
+def field_rules(path: Path) -> dict:
+    """``{field: {(requirement, code), ...}}`` over every rule declared
+    in a dataclass field's ``metadata["rule"]`` in the protocol module,
+    which is loaded by path."""
+    spec = importlib.util.spec_from_file_location("_check_docs_protocol",
+                                                  path)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses resolves string annotations through sys.modules.
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    rules = {}
+    for value in vars(module).values():
+        if isinstance(value, type) and dataclasses.is_dataclass(value):
+            for declared in dataclasses.fields(value):
+                rule = declared.metadata.get("rule")
+                if rule is not None:
+                    rules.setdefault(declared.name, set()).add(
+                        (rule.requirement, rule.code))
+    return rules
+
+
+def documented_field_rules(text: str) -> dict:
+    """``{field: (requirement, code)}`` from the Field rules table."""
+    rows = {}
+    in_section = False
+    for line in text.splitlines():
+        if line.startswith("## "):
+            in_section = line.strip() == FIELD_RULES_HEADING
+        elif in_section:
+            match = RULE_ROW.match(line.strip())
+            if match:
+                rows[match.group(1)] = (match.group(2), match.group(3))
+    return rows
+
+
+def check_field_rules(protocol: Path, text: str, failures: list) -> int:
+    """API.md's field-rules table must list exactly the declared rules."""
+    rules = field_rules(protocol)
+    documented = documented_field_rules(text)
+    checked = 0
+    for name, declared in sorted(rules.items()):
+        checked += 1
+        if len(declared) > 1:
+            failures.append(f"{PROTOCOL_REL}: field `{name}` declares "
+                            f"differing rules {sorted(declared)}, but "
+                            f"the field-rules table has one row per "
+                            f"field name")
+        elif name not in documented:
+            failures.append(f"{API_DOC_REL}: field-rules table has no "
+                            f"row for `{name}`")
+        elif documented[name] != next(iter(declared)):
+            failures.append(f"{API_DOC_REL}: `{name}` documents rule "
+                            f"{documented[name]} but the protocol "
+                            f"declares {next(iter(declared))}")
+    for name in sorted(set(documented) - set(rules)):
+        failures.append(f"{API_DOC_REL}: field-rules table documents "
+                        f"`{name}`, which declares no rule")
+    return checked
+
+
 def check_protocol_surface(root: Path, failures: list) -> int:
     """docs/API.md must track the protocol module's typed surface."""
     protocol = root / PROTOCOL_REL
@@ -234,7 +310,7 @@ def check_protocol_surface(root: Path, failures: list) -> int:
         failures.append(f"{API_DOC_REL}: error taxonomy table "
                         f"documents `{name}`, which the protocol does "
                         f"not register")
-    return checked
+    return checked + check_field_rules(protocol, text, failures)
 
 
 def metric_catalogue(path: Path) -> dict:
