@@ -12,8 +12,12 @@ committed ``BENCH_inference.json`` baseline and fails (exit 1) when:
   both files lost more than ``--max-regression`` (default 25%) of its
   baseline *speedup*.  Speedups are ratios of two arms measured on the
   same machine in the same process, so they transfer across hardware
-  the way absolute requests/sec never could; a collapsing ratio means
-  the optimized path itself got slower relative to its reference.
+  the way absolute requests/sec never could.  A collapsing ratio means
+  the optimized arm lost ground against its reference arm: either the
+  optimized path got slower, or the reference arm got faster (a shared
+  kernel that speeds up both arms shrinks the ratio when it helps the
+  reference more).  Each gated ratio is printed next to both arms'
+  absolute throughput, fresh and baseline, so the log tells which.
 * **observability overhead** — the ``obs`` section's ``overhead_pct``
   (wall-time cost of the enabled metrics registry vs a disabled one on
   interleaved identical batches) exceeds ``--max-obs-overhead``
@@ -96,8 +100,16 @@ SECTIONS = (
 # budget docs/OBSERVABILITY.md commits to).  Its drift entry is gated
 # like the rest at literal-zero tolerance in spirit: telemetry must
 # never perturb scores, so both arms are compared bit-for-bit.
-THROUGHPUT_GATED = ("eval_sweep", "serving", "serving_incremental",
-                    "long_context", "service_layer")
+# Section -> (optimized arm, reference arm): the throughput keys whose
+# ratio is the section's speedup, printed next to it.
+THROUGHPUT_GATED = {
+    "eval_sweep": ("fast_targets_per_sec", "legacy_targets_per_sec"),
+    "serving": ("fast_targets_per_sec", "legacy_targets_per_sec"),
+    "serving_incremental": ("cached_targets_per_sec", "nocache_targets_per_sec"),
+    "long_context": ("windowed_probes_per_sec", "full_probes_per_sec"),
+    "service_layer": ("batched_queries_per_sec", "single_queries_per_sec"),
+}
+OBS_ARMS = ("instrumented_requests_per_sec", "disabled_requests_per_sec")
 
 
 def load(path: str) -> dict:
@@ -112,6 +124,13 @@ def load(path: str) -> dict:
 def iter_entries(results: dict, section: str):
     for encoder, entry in sorted(results.get(section, {}).items()):
         yield encoder, entry
+
+
+def describe_arms(entry: dict, arms: tuple) -> str:
+    """``fast 620.4/s vs legacy 104.3/s``: both arms' absolute throughput."""
+    return " vs ".join(
+        f"{arm.split('_')[0]} {entry[arm]:.1f}/s" for arm in arms if arm in entry
+    )
 
 
 def main() -> int:
@@ -165,7 +184,7 @@ def main() -> int:
                 )
             checked += 1
 
-    for section in THROUGHPUT_GATED:
+    for section, arms in THROUGHPUT_GATED.items():
         baseline_entries = dict(iter_entries(baseline, section))
         for encoder, entry in iter_entries(fresh, section):
             reference = baseline_entries.get(encoder)
@@ -179,6 +198,10 @@ def main() -> int:
                 f"{section}/{encoder}: speedup {entry['speedup']:.2f}x "
                 f"(baseline {reference['speedup']:.2f}x, floor "
                 f"{floor:.2f}x) {status}"
+            )
+            print(
+                f"  arms: {describe_arms(entry, arms)} "
+                f"(baseline {describe_arms(reference, arms)})"
             )
             if status != "ok":
                 failures.append(
@@ -197,6 +220,7 @@ def main() -> int:
             f"obs/{encoder}: instrumentation overhead {overhead:.2f}% "
             f"(budget {args.max_obs_overhead:.1f}%) {status}"
         )
+        print(f"  arms: {describe_arms(entry, OBS_ARMS)}")
         if status != "ok":
             failures.append(
                 f"obs/{encoder}: instrumentation overhead {overhead:.2f}% "

@@ -189,7 +189,14 @@ class BidirectionalEncoder(nn.Module, abc.ABC):
 
 
 class BiDKTEncoder(BidirectionalEncoder):
-    """Stacked bidirectional LSTM (the RCKT-DKT backbone)."""
+    """Stacked bidirectional LSTM (the RCKT-DKT backbone).
+
+    With grad off and the encoder in eval mode, each direction's stack
+    runs as one no-grad wavefront kernel
+    (:func:`repro.nn.lstm_stack_inference`) — the rule that picks the
+    attention kernel for sakt/akt.  The ``Tensor`` path stays the
+    training path and the reference the kernel is tested against.
+    """
 
     def __init__(self, dim: int, layers: int, rng: np.random.Generator,
                  dropout: float = 0.0):
@@ -202,6 +209,8 @@ class BiDKTEncoder(BidirectionalEncoder):
 
     def _run_stack(self, layers: nn.ModuleList, x: Tensor,
                    mask: Optional[np.ndarray] = None) -> Tensor:
+        if not self.training and not is_grad_enabled():
+            return Tensor(nn.lstm_stack_inference(layers, x.data, mask)[0])
         # Only thread the mask through the recurrence when it actually
         # truncates rows: an all-True mask is a no-op, and skipping it keeps
         # the exact-length bucket paths free of per-step select overhead.
@@ -244,16 +253,8 @@ class BiDKTEncoder(BidirectionalEncoder):
     def forward_stream_with_capture(self, interactions: Tensor,
                                     mask: Optional[np.ndarray] = None
                                     ) -> Tuple[np.ndarray, object]:
-        x = interactions.data
-        if mask is not None:
-            mask = np.asarray(mask, dtype=bool)
-            if mask.all():
-                mask = None
-        finals = []
-        for layer in self.forward_layers:
-            x, h, c = layer.forward_inference_with_state(x, mask)
-            finals.append((h, c))
-        return x, finals
+        return nn.lstm_stack_inference(self.forward_layers,
+                                       interactions.data, mask)
 
     def state_from_capture(self, capture, row_indices,
                            length: int) -> LSTMStreamState:
@@ -328,9 +329,9 @@ class _DirectionalTransformer(nn.Module):
         crosses its threading threshold and ran up to 9x slower on a
         2-vCPU box, and the helper thread it wakes keeps spinning after
         the call.  The LSTM kernel
-        (:meth:`repro.nn.LSTM.forward_inference_with_state`) follows
-        the same rule; ``tests/serve/test_blas_threads.py`` holds both
-        serving paths to it.
+        (:func:`repro.nn.lstm_stack_inference`) follows the same rule;
+        ``tests/serve/test_blas_threads.py`` holds both serving paths to
+        it.
         """
         length = x.shape[1]
         allowed = self._allowed(length, mask)

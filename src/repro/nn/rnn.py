@@ -10,33 +10,181 @@ the caller indexing ``forward[i-1]`` and ``backward[i+1]``.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+import functools
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.tensor import (Tensor, init, is_grad_enabled, sigmoid_array,
-                          stack, where)
+from repro.tensor import Tensor, init, is_grad_enabled, stack, where
 
 from .module import Module
 
+# Largest M·N·K the no-grad kernel hands to one BLAS gemm.  OpenBLAS
+# runs a dgemm on the calling thread up to M·N·K = 10**6 and passes
+# larger ones to a helper thread that spin-waits after every call.
+# Measured with OpenBLAS 0.3.31 on a 2-vCPU Xeon VM (process CPU over
+# calling-thread CPU): ``(rows, 64) @ (64, 256)`` read 1.00x at 61 rows
+# (M·N·K = 999,424) and 2.00x at 62 rows (1,015,808); ``(rows, 32) @
+# (32, 128)`` read 1.00x at 244 rows and 1.36x at 245 (1,003,520).  The
+# bound keeps ~20% below that edge: 48 rows of a 2-layer, dim-32 stack.
+MAX_GEMM_MNK = 786_432
 
-def _lstm_gate_step(projected_t: np.ndarray, h: np.ndarray, c: np.ndarray,
-                    weight_h: np.ndarray, bias: np.ndarray,
-                    hidden: int) -> Tuple[np.ndarray, np.ndarray]:
-    """One fused-gate LSTM step on pre-projected inputs (no-grad NumPy).
 
-    Shared by the batched inference kernel and the serving single-step
-    extension path so the two stay numerically aligned op-for-op.
+@functools.lru_cache(maxsize=None)
+def _gate_constants(hidden: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-column ``(scale, offset)`` of the one-tanh gates, order i, f, g, o.
+
+    ``sigmoid(x) = tanh(x / 2) / 2 + 1 / 2``, so after scaling the
+    pre-activations by ``scale`` (1/2 on i, f, o; 1 on g) one ``tanh``
+    serves all four gates, and ``scale * tanh + offset`` (offset 1/2 on
+    i, f, o; 0 on g) recovers them.  Scaling by 1/2 is exact in binary
+    floating point.  Read-only: the arrays are shared by every caller.
     """
-    z = (projected_t + h @ weight_h) + bias
-    in_forget = sigmoid_array(z[:, :2 * hidden])
-    i_gate = in_forget[:, :hidden]
-    f_gate = in_forget[:, hidden:]
-    g_gate = np.tanh(z[:, 2 * hidden:3 * hidden])
-    o_gate = sigmoid_array(z[:, 3 * hidden:])
-    c_new = f_gate * c + i_gate * g_gate
-    h_new = o_gate * np.tanh(c_new)
+    scale = np.full(4 * hidden, 0.5)
+    scale[2 * hidden:3 * hidden] = 1.0
+    offset = scale.copy()
+    offset[2 * hidden:3 * hidden] = 0.0
+    scale.flags.writeable = False
+    offset.flags.writeable = False
+    return scale, offset
+
+
+def _gate_update(z: np.ndarray, c: np.ndarray
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+    """New ``(h, c)`` from prescaled pre-activations (no-grad NumPy).
+
+    ``z`` is ``(..., 4H)`` with its leading dimensions matching ``c``'s,
+    already multiplied by the gate scale of :func:`_gate_constants`; it
+    is overwritten.  Shared by :func:`lstm_stack_inference` and
+    :meth:`LSTM.step_inference`, so extended serving streams track
+    re-encoded ones to roundoff.
+    """
+    hidden = c.shape[-1]
+    scale, offset = _gate_constants(hidden)
+    np.tanh(z, out=z)
+    z *= scale
+    z += offset
+    c_new = z[..., hidden:2 * hidden] * c
+    c_new += z[..., :hidden] * z[..., 2 * hidden:3 * hidden]
+    h_new = np.tanh(c_new)
+    h_new *= z[..., 3 * hidden:]
     return h_new, c_new
+
+
+def lstm_stack_inference(layers: Sequence["LSTM"], x: np.ndarray,
+                         mask: Optional[np.ndarray] = None
+                         ) -> Tuple[np.ndarray, List[Tuple[np.ndarray,
+                                                           np.ndarray]]]:
+    """No-grad kernel for a stack of same-direction LSTMs.
+
+    Returns the last layer's ``(B, L, H)`` outputs and each layer's
+    final ``(h, c)``: its carry state after its last *real* step, since
+    a padded step (``mask`` False) keeps a layer's state unchanged.  A
+    forward stack can keep extending from there one step at a time via
+    :meth:`LSTM.step_inference` (the serving forward-stream cache).
+
+    The stack runs as a wavefront (Appleyard et al., arXiv:1604.01946):
+    layer ``k`` runs ``k`` steps behind layer ``k - 1``, so one wave
+    step advances every layer with one gemm of the concatenated states
+    ``(rows, nH)`` against the block weight ``[[W_h1, W_x2, 0],
+    [0, W_h2, W_x3], [0, 0, W_h3]]``, then one ``tanh`` for all gates
+    (:func:`_gate_update`).  The prologue and epilogue multiply only the
+    active layers' columns, and layer ``k`` reads mask column ``t`` at
+    wave step ``t + k``.  Layer 1's input projection is hoisted out of
+    the loop as one ``(L, D)`` gemm per sequence.
+
+    Rows run in ``(blocks, rows, nH)`` blocks sized so that each gemm
+    stays under :data:`MAX_GEMM_MNK`, and one ``matmul`` call issues one
+    small gemm per block.  A single wider gemm crosses OpenBLAS's
+    threading threshold at serving shapes, and the helper thread it
+    wakes spin-waits after every call, doubling the CPU a dkt worker
+    burns (``tests/serve/test_blas_threads.py``).  Do not flatten the
+    blocks into one gemm and do not pin the BLAS thread count instead:
+    an environment knob would not reach in-process callers.  Each row's
+    values do not depend on the block geometry, so a row scores the same
+    alone as inside any chunk.
+    """
+    count = len(layers)
+    hidden = layers[0].hidden_dim
+    reverse = layers[0].reverse
+    batch, length, _ = x.shape
+    gates = 4 * hidden
+    width = count * hidden
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.all():
+            mask = None
+
+    # Fold the gate scale into the weights once: column block k holds
+    # layer k's gates, row block k its recurrent and row block k - 1 its
+    # input weights.
+    scale, _ = _gate_constants(hidden)
+    weight = np.zeros((width, count * gates))
+    for k, layer in enumerate(layers):
+        columns = slice(k * gates, (k + 1) * gates)
+        weight[k * hidden:(k + 1) * hidden, columns] = \
+            layer.cell.weight_h.data * scale
+        if k:
+            weight[(k - 1) * hidden:k * hidden, columns] = \
+                layer.cell.weight_x.data * scale
+    bias = np.concatenate([layer.cell.bias.data * scale
+                           for layer in layers])
+
+    max_rows = max(1, MAX_GEMM_MNK // (width * count * gates))
+    blocks = max(1, -(-batch // max_rows))
+    # Two rows at least: NumPy hands a one-row product to gemv, which
+    # rounds differently from gemm, so a lone row would not match itself
+    # inside a larger batch.
+    rows = max(-(-batch // blocks), min(2, max_rows))
+    padded = blocks * rows
+
+    # Step-major (processing order) layer-1 projections; pad rows are 0.
+    projected = np.zeros((length, padded, gates))
+    step_major = (x @ (layers[0].cell.weight_x.data * scale)).swapaxes(0, 1)
+    projected[:, :batch] = step_major[::-1] if reverse else step_major
+    projected = projected.reshape(length, blocks, rows, gates)
+
+    waves = length + count - 1 if length else 0
+    if mask is not None:
+        # skewed[s, ..., k] is layer k's mask at wave step s.
+        real = np.ones((length, padded), dtype=bool)
+        real[:, :batch] = mask.T[::-1] if reverse else mask.T
+        real = real.reshape(length, blocks, rows)
+        skewed = np.ones((waves, blocks, rows, count, 1), dtype=bool)
+        for k in range(count):
+            skewed[k:k + length, :, :, k, 0] = real
+        ragged = (~skewed.all(axis=(1, 2, 3, 4))).tolist()
+
+    h = np.zeros((blocks, rows, width))
+    layer_h = h.reshape(blocks, rows, count, hidden)
+    c = np.zeros((blocks, rows, count, hidden))
+    outputs = np.empty((blocks, rows, length, hidden))
+    for wave in range(waves):
+        lo = max(0, wave - length + 1)
+        hi = min(count, wave + 1)
+        z = h @ weight[:, lo * gates:hi * gates]
+        if lo == 0:  # layer 1 is active: add its hoisted input projection
+            first = z[..., :gates]
+            first += projected[wave]
+        z += bias[lo * gates:hi * gates]
+        h_new, c_new = _gate_update(
+            z.reshape(blocks, rows, hi - lo, gates), c[:, :, lo:hi])
+        if mask is not None and ragged[wave]:
+            step = skewed[wave, :, :, lo:hi]
+            np.copyto(layer_h[:, :, lo:hi], h_new, where=step)
+            np.copyto(c[:, :, lo:hi], c_new, where=step)
+        else:
+            layer_h[:, :, lo:hi] = h_new
+            c[:, :, lo:hi] = c_new
+        if hi == count:
+            done = wave - count + 1
+            outputs[:, :, length - 1 - done if reverse else done] = \
+                layer_h[:, :, -1]
+
+    outputs = outputs.reshape(padded, length, hidden)[:batch]
+    final_h = layer_h.reshape(padded, count, hidden)[:batch]
+    final_c = c.reshape(padded, count, hidden)[:batch]
+    return outputs, [(final_h[:, k], final_c[:, k]) for k in range(count)]
 
 
 class LSTMCell(Module):
@@ -103,7 +251,7 @@ class LSTM(Module):
             mask = np.asarray(mask, dtype=bool)
         if state is None:
             if not is_grad_enabled():
-                return Tensor(self._forward_inference(x.data, mask))
+                return Tensor(lstm_stack_inference([self], x.data, mask)[0])
             state = self.cell.initial_state(batch)
         steps = range(length - 1, -1, -1) if self.reverse else range(length)
         outputs: list = [None] * length
@@ -118,74 +266,20 @@ class LSTM(Module):
             outputs[t] = h
         return stack(outputs, axis=1)
 
-    def _forward_inference(self, x: np.ndarray,
-                           mask: Optional[np.ndarray]) -> np.ndarray:
-        """No-grad kernel; see :meth:`forward_inference_with_state`."""
-        outputs, _, _ = self.forward_inference_with_state(x, mask)
-        return outputs
-
-    def forward_inference_with_state(
-            self, x: np.ndarray, mask: Optional[np.ndarray] = None
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """No-grad kernel returning ``(outputs, h, c)``.
-
-        Raw-NumPy recurrence with the input projection hoisted out of the
-        step loop.  The projection stays ``(B, L, D) @ (D, 4H)`` so NumPy
-        calls BLAS once per ``(L, D)`` sequence: one stacked
-        ``(B*L, D)`` gemm crosses OpenBLAS's threading threshold at
-        serving shapes (8 rows of 40 steps at dim 32), and the helper
-        thread it wakes spin-waits after every call, doubling the CPU a
-        dkt worker burns (``tests/serve/test_blas_threads.py``).  Do not
-        flatten batch dimensions into one gemm in a no-grad kernel, and
-        do not pin the BLAS thread count instead: an environment knob
-        would not reach in-process callers.  The per-element gate math
-        matches the autograd cell (shared
-        :func:`repro.tensor.sigmoid_array`).
-
-        The returned ``(h, c)`` is each row's carry state after its last
-        *real* step (the mask freezes state through trailing padding), so
-        a caller can keep extending the recurrence one step at a time via
-        :meth:`step_inference` — the serving forward-stream cache.
-        """
-        cell = self.cell
-        batch, length, _ = x.shape
-        hidden = cell.hidden_dim
-        # Step-major layout keeps each step's slab contiguous in cache.
-        projected = np.ascontiguousarray(
-            (x @ cell.weight_x.data).swapaxes(0, 1))
-        weight_h = cell.weight_h.data
-        bias = cell.bias.data
-        h = np.zeros((batch, hidden))
-        c = np.zeros((batch, hidden))
-        outputs = np.empty((batch, length, hidden))
-        steps = range(length - 1, -1, -1) if self.reverse else range(length)
-        for t in steps:
-            h_new, c_new = _lstm_gate_step(projected[t], h, c, weight_h,
-                                           bias, hidden)
-            if mask is not None:
-                step = mask[:, t]
-                # Column-sorted target chunks make most steps all-active;
-                # the select is only paid where rows actually diverge.
-                if not step.all():
-                    step = step[:, None]
-                    h_new = np.where(step, h_new, h)
-                    c_new = np.where(step, c_new, c)
-            h, c = h_new, c_new
-            outputs[:, t, :] = h
-        return outputs, h, c
-
     def step_inference(self, x: np.ndarray, h: np.ndarray,
                        c: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """One no-grad recurrence step: ``(B, D)`` input, carried state in,
-        new ``(h, c)`` out.  Shares the gate math with the batch kernel so
+        new ``(h, c)`` out.  Shares the gate math with
+        :func:`lstm_stack_inference`, scaling ``z`` after the sum where
+        the kernel folds the scale into its weights (both exact), so
         incrementally extended streams track re-encoded ones to roundoff.
         Meaningless for ``reverse=True`` layers (anti-causal state cannot
         be extended on the right); callers only cache forward streams.
         """
         cell = self.cell
-        projected = x @ cell.weight_x.data
-        return _lstm_gate_step(projected, h, c, cell.weight_h.data,
-                               cell.bias.data, cell.hidden_dim)
+        z = (x @ cell.weight_x.data + h @ cell.weight_h.data) + cell.bias.data
+        z *= _gate_constants(self.hidden_dim)[0]
+        return _gate_update(z, c)
 
 
 class BiLSTM(Module):

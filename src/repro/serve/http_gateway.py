@@ -130,7 +130,10 @@ class _GatewayHandler(BaseHTTPRequestHandler):
         raw = self.rfile.read(length)
         try:
             return json.loads(raw)
-        except json.JSONDecodeError as error:
+        except ValueError as error:
+            # JSONDecodeError, UnicodeDecodeError (invalid UTF-8) and the
+            # plain ValueError of an integer over Python's 4300-digit
+            # conversion limit all derive from ValueError.
             return MalformedQuery(f"request body is not valid JSON "
                                   f"({error})")
 

@@ -106,11 +106,12 @@ def _as_array(value: Arrayable, dtype=np.float64) -> np.ndarray:
 def sigmoid_array(data: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function on a raw array.
 
-    Shared by :meth:`Tensor.sigmoid` and the no-grad inference kernels
-    (e.g. the LSTM fast path) so both compute bit-identical values.
-    ``exp`` runs once on ``-|x|`` (never overflows); for ``x >= 0`` this is
-    exactly the ``exp(-x)`` of ``1/(1+exp(-x))`` and for ``x < 0`` exactly
-    the ``exp(x)`` of ``exp(x)/(1+exp(x))``, so each element matches the
+    The forward value of :meth:`Tensor.sigmoid`; no inference kernel
+    shares it (the no-grad LSTM kernel takes its sigmoid gates from one
+    ``tanh``, :func:`repro.nn.lstm_stack_inference`).  ``exp`` runs once
+    on ``-|x|`` (never overflows); for ``x >= 0`` this is exactly the
+    ``exp(-x)`` of ``1/(1+exp(-x))`` and for ``x < 0`` exactly the
+    ``exp(x)`` of ``exp(x)/(1+exp(x))``, so each element matches the
     textbook two-branch form bit for bit.
     """
     positive = data >= 0

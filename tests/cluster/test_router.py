@@ -536,6 +536,43 @@ def test_negotiation_errors_byte_identical_on_gateway_and_router(cluster):
         server.server_close()
 
 
+def test_undecodable_bodies_byte_identical_on_gateway_and_router(cluster):
+    """A >4300-digit integer and invalid UTF-8 escape ``JSONDecodeError``;
+    both surfaces answer them as the same ``malformed_query`` bytes."""
+    import urllib.error
+    import urllib.request
+
+    from repro.cluster import start_router_thread
+
+    def post(port, route, body):
+        request = urllib.request.Request(
+            f"http://127.0.0.1:{port}{route}", data=body,
+            headers={"Content-Type": "application/json"})
+        try:
+            with urllib.request.urlopen(request, timeout=10.0) as response:
+                return response.status, response.read()
+        except urllib.error.HTTPError as error:
+            return error.code, error.read()
+
+    bodies = [
+        b'{"v": 2, "type": "score", "student_id": ' + b"7" * 4301 + b"}",
+        b'{"v": 2, "type": "score", "student_id": "\xff"}',
+    ]
+    server, _ = start_router_thread(cluster.router)
+    gateway_port = cluster.servers[0].server_port
+    try:
+        for body in bodies:
+            for route in ("/v1/query", "/v1/batch"):
+                gateway = post(gateway_port, route, body)
+                router = post(server.server_port, route, body)
+                assert gateway == router, (gateway, router)
+                assert gateway[0] == 400
+                assert json.loads(gateway[1])["code"] == "malformed_query"
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
 def test_predecoded_version_errors_stay_local(cluster):
     """Error values decoded before routing fill their slots without a
     shard round-trip, identically to the reference facade."""

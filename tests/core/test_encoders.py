@@ -251,3 +251,137 @@ class TestAttentionKernelParity:
             second = encoder.forward_stream(Tensor(x), mask=mask).data
         assert attention.last_weights is not None  # the Tensor path ran
         assert not np.allclose(first, second)      # with dropout drawn
+
+
+@pytest.mark.parametrize("layers", [1, 2, 3])
+class TestLSTMKernelParity:
+    """The no-grad wavefront kernel (:func:`repro.nn.lstm_stack_inference`)
+    against the grad-enabled ``Tensor`` path it replaces in eval mode."""
+
+    ATOL = 1e-12
+
+    @pytest.mark.parametrize("case", ["ragged", "masked_row", "length_one",
+                                      "single_row"])
+    def test_streams_match_graph_path(self, layers, case, monkeypatch):
+        encoder = encoder_factory("dkt", layers)
+        encoder.eval()
+        x, mask = kernel_inputs(case)
+        kernel = nn.lstm_stack_inference
+        calls = []
+
+        def counted(*args):
+            calls.append(len(args[0]))
+            return kernel(*args)
+
+        monkeypatch.setattr(nn, "lstm_stack_inference", counted)
+        for stream in (encoder.forward_stream, encoder.backward_stream):
+            graph = stream(Tensor(x), mask=mask)
+            assert graph.requires_grad  # grad on: the Tensor path ran
+            with no_grad():
+                fused = stream(Tensor(x), mask=mask).data
+            np.testing.assert_allclose(fused, graph.data, rtol=0,
+                                       atol=self.ATOL)
+        # One kernel call per stream, over the whole stack.
+        assert calls == [layers, layers]
+
+    def test_capture_states_match_stepwise_extension(self, layers):
+        encoder = encoder_factory("dkt", layers)
+        encoder.eval()
+        x, mask = kernel_inputs("ragged")
+        with no_grad():
+            outputs, capture = encoder.forward_stream_with_capture(
+                Tensor(x), mask=mask)
+        for row, length in enumerate(mask.sum(axis=1)):
+            state = encoder.new_forward_state(1)
+            for t in range(length):
+                stepped = encoder.extend_forward_state(
+                    state, x[row:row + 1, t])
+                np.testing.assert_allclose(stepped[0], outputs[row, t],
+                                           rtol=0, atol=self.ATOL)
+            captured = encoder.state_from_capture(capture, [row], length)
+            for layer in range(layers):
+                np.testing.assert_allclose(captured.h[layer], state.h[layer],
+                                           rtol=0, atol=self.ATOL)
+                np.testing.assert_allclose(captured.c[layer], state.c[layer],
+                                           rtol=0, atol=self.ATOL)
+
+    def test_training_mode_under_no_grad_runs_layer_by_layer(
+            self, layers, monkeypatch):
+        """Train mode keeps dropout live between layers, so the stack is
+        not fused: each layer runs the kernel on its own."""
+        encoder = encoder_factory("dkt", layers, dropout=0.5)
+        encoder.train()
+        x, mask = kernel_inputs("ragged")
+        kernel = nn.rnn.lstm_stack_inference
+        calls = []
+
+        def counted(*args):
+            calls.append(len(args[0]))
+            return kernel(*args)
+
+        monkeypatch.setattr(nn.rnn, "lstm_stack_inference", counted)
+        with no_grad():
+            encoder.forward_stream(Tensor(x), mask=mask)
+        assert calls == [1] * layers
+
+
+class TestLSTMKernelGeometry:
+    """A row's values do not depend on the rows batched with it.
+
+    docs/CLUSTER.md promises bit-identical dkt replies whichever shard
+    and chunk a probe lands in; with the kernel's row blocks that needs
+    every row to round the same in any block of any size.  Three layers
+    at dim 32 give 21 rows per block, so 37 rows span two blocks.
+    """
+
+    DIM = 32
+    LAYERS = 3
+
+    def test_backward_stream_alone_matches_ragged_chunk(self):
+        per_row = (self.LAYERS * self.DIM) * (self.LAYERS * 4 * self.DIM)
+        assert nn.rnn.MAX_GEMM_MNK // per_row < 37  # two row blocks
+        encoder = build_encoder("dkt", self.DIM, self.LAYERS,
+                                np.random.default_rng(5))
+        encoder.eval()
+        rng = np.random.default_rng(41)
+        x = rng.normal(size=(37, 12, self.DIM))
+        lengths = rng.integers(8, 13, size=37)
+        mask = np.arange(12)[None] < lengths[:, None]
+        with no_grad():
+            chunk = encoder.backward_stream(Tensor(x), mask=mask).data
+            for row in (0, 20, 36):
+                length = lengths[row]
+                alone = encoder.backward_stream(
+                    Tensor(x[row:row + 1, :length])).data
+                assert np.array_equal(alone[0], chunk[row, :length])
+
+    def test_served_score_alone_matches_batched_chunk(self):
+        from repro.core import RCKT, RCKTConfig
+        from repro.serve import InferenceEngine, ScoreQuery, Service
+
+        model = RCKT(30, 5, RCKTConfig(encoder="dkt", dim=self.DIM,
+                                       layers=self.LAYERS, seed=3))
+        rng = np.random.default_rng(43)
+        histories = {
+            f"s{s}": [(int(rng.integers(1, 30)), int(rng.integers(0, 2)),
+                       (int(rng.integers(1, 5)),))
+                      for _ in range(int(rng.integers(10, 13)))]
+            for s in range(10)
+        }
+        probes = [ScoreQuery(student, 1 + s, (1 + s % 4,))
+                  for s, student in enumerate(histories)]
+
+        def served(queries):
+            engine = InferenceEngine(model)
+            for student, events in histories.items():
+                for question, correct, concepts in events:
+                    engine.record(student, question, correct, concepts)
+            replies = Service(engine).execute_batch(queries)
+            assert all(reply.ok for reply in replies), replies
+            return [reply.score for reply in replies]
+
+        # Ten probes: a 30-row warm-build and 40 backward rows in one
+        # column-banded chunk, each over two row blocks.
+        batched = served(probes)
+        for index in (0, 9):
+            assert served([probes[index]]) == [batched[index]]

@@ -10,6 +10,11 @@ processes of a cluster, and on a shared one it halves the serving
 thread's share.  The no-grad kernels therefore project each ``(L, D)``
 sequence with its own small gemm.
 
+The dkt kernel runs its stacked LSTM layers as one block gemm per step,
+which crosses the threshold at a quarter of the rows a single layer's
+would, so it splits rows into blocks under a fixed M·N·K bound; the
+warm-up case drives it at hundreds of rows.
+
 These tests drive both encoder families' serving paths and assert that
 the process spends at most ``MAX_CPU_OVER_THREAD`` times the serving
 thread's own CPU time, which is itself at most its wall time.  Comparing
@@ -32,6 +37,8 @@ NUM_CONCEPTS = 8
 DIM = 32
 HISTORY = 40
 STUDENTS = 16
+#: Cold students scored in one envelope by the warm-up case.
+WARM_STUDENTS = 256
 #: Process CPU over serving-thread CPU.  Single-threaded BLAS reads 1.0;
 #: a spinning helper reads ~2.
 MAX_CPU_OVER_THREAD = 1.3
@@ -52,13 +59,14 @@ pytestmark = pytest.mark.skipif(
     reason="OpenBLAS starts no helper thread on a single CPU")
 
 
-def make_service(encoder: str, seed: int) -> Service:
-    """A dim-32, 2-layer engine holding ``STUDENTS`` ~40-step histories."""
+def make_service(encoder: str, seed: int,
+                 students: int = STUDENTS) -> Service:
+    """A dim-32, 2-layer engine holding ``students`` ~40-step histories."""
     model = RCKT(NUM_QUESTIONS, NUM_CONCEPTS,
                  RCKTConfig(encoder=encoder, dim=DIM, layers=2, seed=seed))
     engine = InferenceEngine(model)
     rng = np.random.default_rng(seed)
-    for student in range(STUDENTS):
+    for student in range(students):
         for _ in range(HISTORY + student % 5):
             engine.record(f"s{student}", int(rng.integers(1, NUM_QUESTIONS)),
                           int(rng.integers(0, 2)),
@@ -96,6 +104,25 @@ def test_dkt_record_and_score_flush_stays_single_threaded():
     ratio = cpu_over_thread(envelope)
     assert ratio < MAX_CPU_OVER_THREAD, (
         f"dkt serving burnt {ratio:.2f}x the serving thread's CPU: a "
+        f"kernel gemm woke a BLAS helper thread")
+
+
+def test_dkt_warm_build_and_score_stays_single_threaded():
+    """Warm-up shapes: ``WARM_STUDENTS`` cold students in one envelope,
+    so the LSTM kernel runs hundreds of rows per stacked pass."""
+    service = make_service("dkt", seed=4, students=WARM_STUDENTS)
+    engine = service.registry.get("default")
+    queries = [ScoreQuery(f"s{s}", 1 + s % (NUM_QUESTIONS - 1),
+                          (1 + s % 4,)) for s in range(WARM_STUDENTS)]
+
+    def warm_build_and_score():
+        engine.stream_caches.invalidate()
+        replies = service.execute_batch(queries)
+        assert all(reply.ok for reply in replies), replies
+
+    ratio = cpu_over_thread(warm_build_and_score)
+    assert ratio < MAX_CPU_OVER_THREAD, (
+        f"dkt warm-up burnt {ratio:.2f}x the serving thread's CPU: a "
         f"kernel gemm woke a BLAS helper thread")
 
 

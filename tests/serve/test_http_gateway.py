@@ -192,6 +192,25 @@ class TestGatewayPlumbing:
         status, payload = raw_post(server, "/v1/query", b"{not json")
         assert status == 400 and payload["code"] == "malformed_query"
 
+    @pytest.mark.parametrize("body", [
+        b'{"v": 1, "type": "score", "student_id": ' + b"7" * 4301 + b"}",
+        b'{"v": 1, "type": "score", "student_id": "\xff"}',
+    ], ids=["over_4300_digit_int", "invalid_utf8"])
+    def test_undecodable_body_is_400(self, stack, body):
+        """``json.loads`` raises a plain ValueError or a
+        UnicodeDecodeError here, not JSONDecodeError; both must still be
+        answered (and counted), not drop the connection."""
+        from repro.obs import names as metric_names
+        _, _, server, _ = stack
+        requests = server.obs_registry.counter_total(
+            metric_names.HTTP_REQUESTS_TOTAL)
+        for route in ("/v1/query", "/v1/batch"):
+            status, payload = raw_post(server, route, body)
+            assert status == 400 and payload["code"] == "malformed_query"
+            assert "not valid JSON" in payload["message"]
+        assert server.obs_registry.counter_total(
+            metric_names.HTTP_REQUESTS_TOTAL) == requests + 2
+
     def test_empty_body_is_400(self, stack):
         _, _, server, _ = stack
         status, payload = raw_post(server, "/v1/query", b"")
