@@ -49,10 +49,9 @@ from repro import obs
 from repro.obs import names as metric_names
 from repro.serve.http_gateway import ServiceClient, _GatewayHandler
 from repro.serve.protocol import (PROTOCOL_VERSION, BatchEnvelope,
-                                  BatchReply, InternalError,
-                                  MalformedQuery, NotFound, RecordEvent,
-                                  ShardUnavailable, admission_error,
-                                  capabilities, is_error,
+                                  BatchReply, InternalError, NotFound,
+                                  RecordEvent, ShardUnavailable,
+                                  admission_error, capabilities, is_error,
                                   negotiated_version, query_from_wire,
                                   to_wire)
 
@@ -394,10 +393,9 @@ class _RouterHandler(_GatewayHandler):
                 version=version)
 
     def _admin_rollout(self, router, payload) -> None:
-        if not isinstance(payload, dict) or \
-                not isinstance(payload.get("checkpoint"), str):
-            self._send_reply(MalformedQuery(
-                "rollout needs a JSON object with a 'checkpoint' path"))
+        error = self._rollout_body_error(payload)
+        if error is not None:
+            self._send_reply(error)
             return
         results = router.rollout(payload["checkpoint"],
                                  model=payload.get("model"),

@@ -17,8 +17,9 @@ equivalent ways — the typed facade in process, and HTTP:
   heterogeneous query types per model into shared forward-stream
   batches; :meth:`Service.monotonicity_report` sweeps the
   correct-response-lowers-mastery diagnostic per student.
-* :class:`ModelRegistry` — named checkpoints with atomic hot-swap;
-  queries address models by name.
+* :class:`ModelRegistry` — named checkpoints, queries address models
+  by name; :meth:`Service.rollout` swaps in a warm standby engine, the
+  only way a served model changes.
 * :mod:`repro.serve.http_gateway` — stdlib HTTP/JSON gateway
   (``python -m repro.serve``) plus :class:`ServiceClient`; same
   protocol, same errors, over the wire.

@@ -28,10 +28,9 @@ import numpy as np
 from repro.core import RCKT, RCKTConfig
 from repro.core.masking import check_window, window_start
 from repro.core.multi_target import (FORWARD_BASES, MultiTargetContext,
-                                     column_banded_chunks,
-                                     score_batch_targets)
+                                     column_banded_chunks)
 from repro.data import PAD_ID, Batch, KTDataset
-from repro.tensor import enable_grad, no_grad
+from repro.tensor import no_grad
 from repro.utils import load_checkpoint, save_checkpoint
 
 from .. import obs
@@ -39,12 +38,13 @@ from ..obs import names as metric_names
 from .forward_cache import (DEFAULT_STREAM_CACHE_BYTES, StreamCacheStore,
                             base_contents, build_stream_caches,
                             question_vector_for)
-from .history import HistoryStore, HistoryWindow, assemble_padded
+from .history import (ArrayHistory, HistoryStore, HistoryWindow,
+                      assemble_padded)
 from .protocol import (DEFAULT_MODEL, InvalidConcept, InvalidQuestion,
                        ServiceError)
 
-#: Chunk size of the stacked passes (see
-#: :func:`repro.core.multi_target.score_batch_targets`).
+#: Chunk size of the stacked backward passes (see
+#: :func:`repro.core.multi_target.column_banded_chunks`).
 TARGET_BATCH = 64
 
 
@@ -74,7 +74,9 @@ class InferenceEngine:
 
     Holds serving state and runs the scoring kernels on the caller's
     thread (it starts no threads of its own); queries reach it only
-    through :class:`repro.serve.Service`.
+    through :class:`repro.serve.Service`.  The model is bound once, at
+    construction: new weights are served by a :meth:`standby` engine
+    that :meth:`repro.serve.Service.rollout` swaps in.
 
     Parameters
     ----------
@@ -220,18 +222,12 @@ class InferenceEngine:
     def save(self, path) -> None:
         """Persist model weights plus the config/id-space metadata needed
         to rebuild the engine without the original constructor call."""
-        with self._lock:
-            # One capture: metadata and weights must describe the same
-            # model even if a reload swaps self.model mid-save.
-            model = self.model
-        embedder = model.generator.embedder
         metadata = {
-            "config": model.config.__dict__,
-            # Embedding tables carry a +1 row for the padding id.
-            "num_questions": embedder.question_embedding.weight.shape[0] - 1,
-            "num_concepts": embedder.concept_embedding.weight.shape[0] - 1,
+            "config": self.model.config.__dict__,
+            "num_questions": self.num_questions,
+            "num_concepts": self.num_concepts,
         }
-        save_checkpoint(path, model.state_dict(), metadata)
+        save_checkpoint(path, self.model.state_dict(), metadata)
 
     @classmethod
     def from_checkpoint(cls, path,
@@ -258,54 +254,81 @@ class InferenceEngine:
         return cls(model, stream_cache_bytes=stream_cache_bytes,
                    window=window, window_hop=window_hop)
 
-    def reload_checkpoint(self, path) -> None:
-        """Swap in refreshed weights (e.g. a periodic retrain).
+    # ------------------------------------------------------------------
+    # Blue/green standby
+    # ------------------------------------------------------------------
+    def standby(self, path) -> "InferenceEngine":
+        """The green side of a blue/green rollout of checkpoint ``path``.
 
-        Histories survive — they are ground-truth observations — but
-        every cached forward-stream state is invalidated: those arrays
-        are functions of the old weights, and serving them against the
-        new ones would silently mix models.  The next score per student
-        rebuilds the cache through the vectorized warm-up path.
+        The standby gets this engine's serving configuration (cache
+        budget and window) and shares its serving state: the history
+        store — histories are ground-truth observations, valid under
+        any weights — and the lock, which keeps records serialized
+        against reads for as long as either engine is referenced.  Its
+        stream caches start cold, because they are functions of the
+        weights they were computed under; :meth:`warm_standby` fills
+        them.
 
-        The swap is atomic: weights load into a *fresh* model object
-        which replaces ``self.model`` under the lock, so a concurrent
-        score that already captured the old model finishes consistently
-        on the old weights instead of reading a half-updated (or mixed
-        old/new) parameter set.
+        Raises ``ValueError`` when the checkpoint lacks engine metadata
+        or serves a different id space (recorded histories cannot
+        migrate onto it).
         """
-        state, metadata = load_checkpoint(path)
         with self._lock:
-            # The config is immutable across reloads (validated below),
-            # so one captured reference serves both checks and the
-            # fresh-model construction.
-            current = self.model
-        config = metadata.get("config")
-        if config is not None:
-            # The init seed is not architecture: a retrained checkpoint
-            # may legitimately carry a different one.
-            theirs = {k: v for k, v in
-                      RCKTConfig(**config).__dict__.items() if k != "seed"}
-            ours = {k: v for k, v in current.config.__dict__.items()
-                    if k != "seed"}
-            if theirs != ours:
-                raise ValueError(f"checkpoint at {path} was trained with a "
-                                 f"different model config; build a fresh "
-                                 f"engine via from_checkpoint instead")
-        for key in ("num_questions", "num_concepts"):
-            if key in metadata and int(metadata[key]) != getattr(self, key):
-                raise ValueError(f"checkpoint at {path} has a different "
-                                 f"{key} ({metadata[key]} vs "
-                                 f"{getattr(self, key)})")
-        with enable_grad():
-            # Parameter registration must see gradients enabled even if
-            # a scoring thread's no_grad scope is ambient here.
-            model = RCKT(self.num_questions, self.num_concepts,
-                         current.config)
-        model.load_state_dict(state)
-        model.eval()
+            budget = self.stream_caches.budget_bytes
+            students = self.students
+        standby = InferenceEngine.from_checkpoint(
+            path, stream_cache_bytes=budget, window=self.window,
+            window_hop=self.window_hop if self.window is not None else None)
+        if (standby.num_questions, standby.num_concepts) \
+                != (self.num_questions, self.num_concepts):
+            raise ValueError(
+                f"checkpoint at {path} serves a different id space "
+                f"({standby.num_questions} questions / "
+                f"{standby.num_concepts} concepts vs "
+                f"{self.num_questions} / {self.num_concepts}); recorded "
+                f"histories cannot migrate onto it")
+        standby.students = students
+        standby._lock = self._lock
+        return standby
+
+    def warm_standby(self, standby: "InferenceEngine", top: int) -> int:
+        """Pre-build ``standby``'s stream caches for this engine's hot set.
+
+        The hot set is the ``top`` most recently used entries of this
+        engine's stream cache: the students whose next request would
+        score warm.  Their anchored windows are copied under the shared
+        lock (cheap memcpys), and one stacked
+        :func:`~repro.serve.forward_cache.build_stream_caches` pass on
+        the standby's model runs outside it, so this engine keeps
+        serving while the standby warms.  A record that lands before the
+        swap only makes its entry stale, and stale entries heal (discard
+        and rebuild) on first use.  Returns the number of students
+        warmed.
+        """
+        if top <= 0:
+            return 0
+        snapshots = []
         with self._lock:
-            self.model = model
-            self.stream_caches.invalidate()
+            for student_id in self.stream_caches.hot_keys(top):
+                history = self.students.peek(student_id)
+                if history is None or history.length == 0:
+                    continue
+                start = self._window_start(history.length)
+                arrays = [a.copy() for a in
+                          (history.suffix(start) if start
+                           else history).view()]
+                snapshots.append((student_id, start,
+                                  ArrayHistory(student_id, *arrays)))
+        if not snapshots:
+            return 0
+        with no_grad():
+            built = build_stream_caches(standby.model,
+                                        [s[2] for s in snapshots])
+        with self._lock:
+            for (student_id, start, _), entry in zip(snapshots, built):
+                entry.anchor = start
+                standby.stream_caches.put(student_id, entry)
+        return len(snapshots)
 
     # ------------------------------------------------------------------
     # History management
@@ -442,9 +465,9 @@ class InferenceEngine:
         ``local_entries`` maps row index -> a caller-owned
         :class:`~repro.serve.forward_cache.StudentStreamCache` already
         covering that row's ``[start, history.length)`` slice — the
-        recourse search passes clone-extended per-world entries here so
-        a generation of hypothetical timelines costs zero forward
-        passes.  ``built_out`` (when given) is filled with row index ->
+        recourse search and the recommend value worlds pass
+        clone-extended per-world entries here, so a batch of
+        hypothetical timelines costs zero forward passes.  ``built_out`` (when given) is filled with row index ->
         the entry that served the row, letting the caller keep
         warm-built timelines for the next generation.  Both are cache-
         path refinements; the raw path ignores them (worlds are
@@ -614,11 +637,12 @@ class InferenceEngine:
                     ) -> Tuple[np.ndarray, Dict[int, object]]:
         """Score heterogeneous rows as **one** shared batch.
 
-        The building block of the recourse search and the monotonicity
-        report: assemble under the engine lock (one warm-build pass for
-        whatever ``local_entries`` does not already cover), score every
-        row's backward pass outside it.  Returns the per-row scores plus
-        the row index -> stream-cache entry map of the batch (empty with
+        The one scorer of hypothetical worlds — recourse generations,
+        recommend value worlds and the monotonicity report: assemble
+        under the engine lock (one warm-build pass for whatever
+        ``local_entries`` does not already cover), score every row's
+        backward pass outside it.  Returns the per-row scores plus the
+        row index -> stream-cache entry map of the batch (empty with
         caching disabled, where worlds are raw re-encodes instead).
         """
         built: Dict[int, object] = {}
@@ -630,95 +654,22 @@ class InferenceEngine:
                                          cols)
         return scores, built
 
-    def _snapshot_window(self, history) -> Tuple[np.ndarray, ...]:
-        """Copied arrays of the student's anchored window (lock held).
+    def _warm_entry(self, student_id, length: int):
+        """A private clone of the student's warm stream-cache entry.
 
-        The recommendation scheduler scores assumed-answer worlds
-        *after* the engine lock is released; the copies pin the exact
-        context the coalesced success-probability probes were admitted
-        against, so a concurrent ``record`` can never tear a
-        recommendation across two history states.
+        The root timeline of a snapshot's hypothetical worlds: practice
+        worlds clone-extend it by one encoder step instead of
+        re-encoding the history.  Only an entry that covers exactly the
+        serving window of a ``length``-step history qualifies, so a
+        slid window or a record landed since the snapshot returns
+        ``None`` and the worlds warm-build instead.  The clone is taken
+        under the lock because ``record`` extends the stored entry in
+        place.
         """
-        start = self._window_start(history.length)
-        return tuple(a[start:].copy() for a in history.view())
-
-    def _recommend_values(self, snapshot: Tuple[np.ndarray, ...],
-                          candidates, horizon: int) -> np.ndarray:
-        """Counterfactual question values for candidates (Sec. V-C).
-
-        The value half of the recommendation workload: for each
-        candidate and each assumed answer (correct/incorrect), re-ask
-        the ``horizon`` most recent questions of the snapshotted window
-        and measure how far the two assumed worlds pull those re-asked
-        scores apart.  All worlds share one stacked pass.  The success
-        probabilities are *not* computed here — the facade folds those
-        probes into its shared mixed-type read batch — so this builds
-        ``2 * horizon`` rows per candidate instead of the legacy
-        ``1 + 2 * horizon``.
-
-        Row layout and collation width match the legacy stacked path
-        exactly (per-row scores are independent of batch composition),
-        so the values are bit-identical to the pre-coalescing ones.
-        """
+        start = self._window_start(length)
         with self._lock:
-            # Pin the model once: a concurrent reload must not mix two
-            # weight sets across this method's stacked pass.
-            model = self.model
-        q_hist, r_hist, c_hist, k_hist = snapshot
-        n = len(q_hist)
-        history_width = c_hist.shape[1] if n else 1
-        recent = list(range(max(0, n - horizon), n))
-        num_candidates = len(candidates)
-        probes_per_candidate = 2 * len(recent)
-        rows = num_candidates * probes_per_candidate
-        if rows == 0:
-            return np.zeros(num_candidates)
-        length = n + 2
-        width = max(history_width,
-                    max(len(c.concept_ids) for c in candidates))
-
-        questions = np.full((rows, length), PAD_ID, dtype=np.int64)
-        responses = np.zeros((rows, length), dtype=np.int64)
-        concepts = np.full((rows, length, width), PAD_ID, dtype=np.int64)
-        counts = np.ones((rows, length), dtype=np.int64)
-        mask = np.zeros((rows, length), dtype=bool)
-        cols = np.empty(rows, dtype=np.int64)
-
-        questions[:, :n] = q_hist
-        responses[:, :n] = r_hist
-        concepts[:, :n, :history_width] = c_hist
-        counts[:, :n] = k_hist
-
-        row = 0
-        for candidate in candidates:
-            ids = candidate.concept_ids
-            # Candidate answered correct/incorrect at column n, then
-            # each recent question re-asked at column n + 1.
-            for assumed in (1, 0):
-                for past in recent:
-                    questions[row, n] = candidate.question_id
-                    responses[row, n] = assumed
-                    concepts[row, n, :len(ids)] = ids
-                    counts[row, n] = len(ids)
-                    questions[row, n + 1] = q_hist[past]
-                    past_width = k_hist[past]
-                    concepts[row, n + 1, :past_width] = \
-                        c_hist[past, :past_width]
-                    counts[row, n + 1] = past_width
-                    mask[row, :n + 2] = True
-                    cols[row] = n + 1
-                    row += 1
-
-        batch = Batch(questions, responses, concepts, counts, mask)
-        with no_grad():
-            scores = score_batch_targets(model, batch, cols,
-                                         target_batch=TARGET_BATCH)
-
-        values = np.empty(num_candidates)
-        for index in range(num_candidates):
-            worlds = scores[index * probes_per_candidate:
-                            (index + 1) * probes_per_candidate]
-            correct_world = worlds[:len(recent)]
-            incorrect_world = worlds[len(recent):]
-            values[index] = np.abs(correct_world - incorrect_world).mean()
-        return values
+            entry = self.stream_caches.peek(student_id)
+            if entry is None or entry.anchor != start \
+                    or entry.length != length - start:
+                return None
+            return entry.clone()

@@ -341,7 +341,7 @@ class StreamCacheStore:
             self._obs_entries.dec()
 
     def invalidate(self) -> None:
-        """Drop everything (checkpoint reload: states are stale)."""
+        """Drop every entry: each student's next score warm-builds."""
         self._obs_bytes.dec(self.total_bytes)
         self._obs_entries.dec(len(self._entries))
         self._entries.clear()

@@ -258,28 +258,43 @@ class _GatewayHandler(BaseHTTPRequestHandler):
                 f"gateway failure: {type(error).__name__}: {error}"),
                 version=version)
 
+    @staticmethod
+    def _rollout_body_error(payload):
+        """Why a ``/v1/admin/rollout`` body is malformed, or ``None``.
+
+        Body: ``{"checkpoint": path, "model": name?, "warm_top": n?}``.
+        Both faces run this before anything else: the gateway rolls its
+        own service out, the router forwards the body to every shard.
+        """
+        if not isinstance(payload, dict) or \
+                not isinstance(payload.get("checkpoint"), str):
+            return MalformedQuery(
+                "rollout needs a JSON object with a 'checkpoint' path")
+        model = payload.get("model", DEFAULT_MODEL)
+        if not isinstance(model, str):
+            return MalformedQuery(f"model must be a string, got {model!r}")
+        warm_top = payload.get("warm_top", 0)
+        if not isinstance(warm_top, int) or isinstance(warm_top, bool):
+            return MalformedQuery(
+                f"warm_top must be an integer, got {warm_top!r}")
+        return None
+
     def _admin_rollout(self, service, payload) -> None:
         """Warm blue/green rollout (``Service.rollout``) over the wire.
 
-        Body: ``{"checkpoint": path, "model": name?, "warm_top": n?}``.
         The in-process admin errors map onto the taxonomy: an unknown
         model name answers ``model_not_loaded``, a bad checkpoint or
         id-space mismatch ``malformed_query``.
         """
-        if not isinstance(payload, dict) or \
-                not isinstance(payload.get("checkpoint"), str):
-            self._send_reply(MalformedQuery(
-                "rollout needs a JSON object with a 'checkpoint' path"))
-            return
-        model = payload.get("model", DEFAULT_MODEL)
-        warm_top = payload.get("warm_top", 64)
-        if not isinstance(warm_top, int) or isinstance(warm_top, bool):
-            self._send_reply(MalformedQuery(
-                f"warm_top must be an integer, got {warm_top!r}"))
+        error = self._rollout_body_error(payload)
+        if error is not None:
+            self._send_reply(error)
             return
         try:
-            summary = service.rollout(payload["checkpoint"], name=model,
-                                      warm_top=warm_top)
+            summary = service.rollout(
+                payload["checkpoint"],
+                name=payload.get("model", DEFAULT_MODEL),
+                warm_top=payload.get("warm_top", 64))
         except KeyError as error:
             self._send_reply(ModelNotLoaded(str(error).strip("'\"")))
             return

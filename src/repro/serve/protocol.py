@@ -790,18 +790,29 @@ _LOCAL_FIELDS = {"computation"}
 _OPTIONAL_WIRE_FIELDS = {"request_id"}
 
 
-def _jsonable(value):
+def _jsonable(value, exact: bool):
+    """JSON-ready form of one wire value.
+
+    Non-finite floats become the strings ``"nan"``, ``"inf"`` and
+    ``"-inf"``: RFC 8259 has no token for them, and a reply can echo
+    one from its request (an error's details quote the offending
+    value).  ``exact`` keeps them as floats — a query is re-sent as it
+    was decoded (the router's hop to its shards), and Python's ``json``
+    reads the ``NaN``/``Infinity`` tokens back.
+    """
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return _dataclass_wire(value)
+        return _dataclass_wire(value, exact)
     if isinstance(value, (tuple, list)):
-        return [_jsonable(item) for item in value]
+        return [_jsonable(item, exact) for item in value]
     if hasattr(value, "item") and callable(value.item) \
             and getattr(value, "shape", None) == ():
-        return value.item()   # NumPy scalar -> native Python
+        value = value.item()   # NumPy scalar -> native Python
+    if not exact and isinstance(value, float) and not math.isfinite(value):
+        return str(value)
     return value
 
 
-def _dataclass_wire(obj) -> dict:
+def _dataclass_wire(obj, exact: bool) -> dict:
     payload = {"type": obj.TYPE}
     if is_error(obj):
         payload["code"] = obj.code
@@ -812,9 +823,9 @@ def _dataclass_wire(obj) -> dict:
         if spec.name in _OPTIONAL_WIRE_FIELDS and value is None:
             continue
         if spec.name == "details":
-            payload[spec.name] = {k: _jsonable(v) for k, v in value}
+            payload[spec.name] = {k: _jsonable(v, exact) for k, v in value}
         else:
-            payload[spec.name] = _jsonable(value)
+            payload[spec.name] = _jsonable(value, exact)
     return payload
 
 
@@ -824,12 +835,14 @@ def to_wire(obj, version: int = PROTOCOL_VERSION) -> dict:
     ``version`` stamps the envelope — the gateway and router pass the
     *negotiated* version here so a v1 caller gets v1-stamped replies.
     Passing an unsupported version is a server-side programming error
-    and raises.
+    and raises.  Replies and errors render non-finite floats as
+    strings, so every reply body is strict JSON; queries keep them.
     """
     if version not in SUPPORTED_PROTOCOL_VERSIONS:
         raise ValueError(f"cannot serialize protocol version {version!r} "
                          f"(supported: {SUPPORTED_PROTOCOL_VERSIONS})")
-    payload = _dataclass_wire(obj)
+    payload = _dataclass_wire(
+        obj, exact=isinstance(obj, (BatchEnvelope, *QUERY_TYPES.values())))
     if version < 2:
         # request_id is a v2 addition; a v1 payload never carries it.
         payload.pop("request_id", None)

@@ -39,12 +39,21 @@ trajectory, plus a per-step ``lowered_score`` monotonicity diagnostic
 response, so a score that *drops* flags an answer-bias violation —
 :meth:`repro.serve.Service.monotonicity_report` sweeps the same signal
 as a standalone probe.
+
+Recommend value worlds
+----------------------
+A :class:`~repro.serve.protocol.RecommendQuery` value world is a
+practice world with an assumed answer: the snapshot plus one candidate
+answered 1 or 0, probed by each of the ``horizon`` most recent
+questions.  :func:`recommend_values` builds them with the same
+:class:`PracticeWorlds` timelines and clone-extended warm entries the
+search uses, and scores them through the same row scheduler.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,7 +62,74 @@ from repro.data import PAD_ID
 from .engine import InferenceEngine, _ContextRow
 from .forward_cache import base_contents, question_vector_for
 from .history import ArrayHistory
-from .protocol import RecourseQuery, RecourseReply, RecourseStep
+from .protocol import (RecommendQuery, RecourseQuery, RecourseReply,
+                       RecourseStep)
+
+
+class PracticeWorlds:
+    """Hypothetical timelines over one admission-time history snapshot.
+
+    A world is the snapshot with some recorded responses fixed to
+    correct and candidate questions appended with an assumed answer.
+    :meth:`timeline` builds a world's detached history and
+    :meth:`extend` its forward streams from a parent world's warm
+    entry, at the cost of one encoder step.
+    """
+
+    def __init__(self, engine: InferenceEngine, student_id,
+                 snapshot: Tuple[np.ndarray, ...], candidates):
+        generator = engine.model.generator
+        self.student_id = student_id
+        self.snapshot = snapshot
+        self.candidates = candidates
+        self.encoder = generator.encoder
+        self.response_table = \
+            generator.embedder.response_embedding.weight.data
+        self.categories = {
+            answer: base_contents(np.asarray(answer),
+                                  engine.model.config.use_monotonicity)
+            for answer in (0, 1)}
+        self.candidate_vectors = [
+            question_vector_for(generator.embedder, candidate.question_id,
+                                candidate.concept_ids)
+            for candidate in candidates]
+        history_width = snapshot[2].shape[1] if len(snapshot[0]) else 1
+        self.width = max([history_width] + [len(c.concept_ids)
+                                            for c in candidates])
+
+    def timeline(self, practiced: Sequence[Tuple[int, int]],
+                 fixed=()) -> ArrayHistory:
+        """The snapshot with ``fixed`` positions answered correctly and
+        ``practiced`` ``(candidate index, answer)`` pairs appended."""
+        q, r, c, k = self.snapshot
+        n = len(q)
+        total = n + len(practiced)
+        questions = np.empty(total, dtype=np.int64)
+        responses = np.empty(total, dtype=np.int64)
+        concepts = np.full((total, self.width), PAD_ID, dtype=np.int64)
+        counts = np.ones(total, dtype=np.int64)
+        questions[:n] = q
+        responses[:n] = r
+        concepts[:n, :c.shape[1]] = c
+        counts[:n] = k
+        for position in fixed:
+            responses[position] = 1
+        for position, (index, answer) in enumerate(practiced, start=n):
+            ids = self.candidates[index].concept_ids
+            questions[position] = self.candidates[index].question_id
+            responses[position] = answer
+            concepts[position, :len(ids)] = ids
+            counts[position] = len(ids)
+        return ArrayHistory(self.student_id, questions, responses,
+                            concepts, counts)
+
+    def extend(self, entry, index: int, answer: int):
+        """A clone of warm ``entry`` extended by candidate ``index``
+        answered ``answer`` — the child world's private entry."""
+        child = entry.clone()
+        child.extend(self.encoder, self.candidate_vectors[index],
+                     self.categories[answer], self.response_table)
+        return child
 
 
 @dataclass(frozen=True)
@@ -99,33 +175,26 @@ class RecourseSearch:
 
     ``snapshot`` is the *full*-history array copies taken when the
     query's baseline probe was admitted (a concurrent ``record`` must
-    never tear the search across two history states), ``baseline`` the
-    probe's score from the shared mixed-type batch, and ``root_entry``
-    an optional caller-owned clone of the student's warm stream-cache
-    entry anchored at the snapshot's serving window — the seed that
-    makes first-generation practice worlds free of forward passes.
+    never tear the search across two history states), and ``baseline``
+    the probe's score from the shared mixed-type batch.  The root
+    timeline starts from a clone of the student's warm stream-cache
+    entry (:meth:`InferenceEngine._warm_entry`) — which the baseline
+    probe just built if the student was cold — so first-generation
+    practice worlds cost no forward pass.  A stale entry (window slid,
+    or a record landed since admission) only forfeits that warm start.
     """
 
     def __init__(self, engine: InferenceEngine, model_name: str,
                  query: RecourseQuery, snapshot: Tuple[np.ndarray, ...],
-                 baseline: float, root_entry=None):
+                 baseline: float):
         self.engine = engine
         self.model_name = model_name
         self.query = query
         self.snapshot = snapshot
         self.baseline = float(baseline)
         self.base_length = len(snapshot[0])
-        generator = engine.model.generator
-        self.encoder = generator.encoder
-        self.embedder = generator.embedder
-        self.response_table = \
-            self.embedder.response_embedding.weight.data
-        self.correct_categories = base_contents(
-            np.asarray(1), engine.model.config.use_monotonicity)
-        self.candidate_vectors = [
-            question_vector_for(self.embedder, candidate.question_id,
-                                candidate.concept_ids)
-            for candidate in query.candidates]
+        self.worlds = PracticeWorlds(engine, query.student_id, snapshot,
+                                     query.candidates)
         # Edits behind the serving window cannot move the score; only
         # in-window incorrect responses are fixable.
         window_start = engine._window_start(self.base_length)
@@ -133,12 +202,9 @@ class RecourseSearch:
         self.fix_positions = tuple(
             int(p) for p in range(window_start, self.base_length)
             if responses[p] == 0) if query.allow_history_edits else ()
-        history_width = snapshot[2].shape[1] if self.base_length else 1
-        self.width = max([history_width] + [len(c.concept_ids)
-                                            for c in query.candidates])
         root = _World(None, None, frozenset(), (), self.base_length)
         root.score = self.baseline
-        root.entry = root_entry
+        root.entry = engine._warm_entry(query.student_id, self.base_length)
         self.root = root
 
     # ------------------------------------------------------------------
@@ -226,7 +292,9 @@ class RecourseSearch:
         rows = []
         local: Dict[int, object] = {}
         for index, world in enumerate(children):
-            timeline = self._timeline(world)
+            timeline = self.worlds.timeline(
+                [(candidate, 1) for candidate in world.practiced],
+                world.fixed)
             start = engine._window_start(timeline.length)
             rows.append(_ContextRow(timeline, start, probe))
             entry = self._extended_entry(world, start)
@@ -237,30 +305,6 @@ class RecourseSearch:
         for index, world in enumerate(children):
             world.score = float(scores[index])
             world.entry = built.get(index)
-
-    def _timeline(self, world: _World) -> ArrayHistory:
-        q, r, c, k = self.snapshot
-        n = self.base_length
-        total = n + len(world.practiced)
-        questions = np.empty(total, dtype=np.int64)
-        responses = np.empty(total, dtype=np.int64)
-        concepts = np.full((total, self.width), PAD_ID, dtype=np.int64)
-        counts = np.ones(total, dtype=np.int64)
-        questions[:n] = q
-        responses[:n] = r
-        concepts[:n, :c.shape[1]] = c
-        counts[:n] = k
-        for position in world.fixed:
-            responses[position] = 1
-        for offset, candidate_index in enumerate(world.practiced):
-            candidate = self.query.candidates[candidate_index]
-            ids = candidate.concept_ids
-            questions[n + offset] = candidate.question_id
-            responses[n + offset] = 1
-            concepts[n + offset, :len(ids)] = ids
-            counts[n + offset] = len(ids)
-        return ArrayHistory(self.query.student_id, questions, responses,
-                            concepts, counts)
 
     def _extended_entry(self, world: _World, start: int):
         """Clone-extend the parent's warm entry for a practice world.
@@ -279,10 +323,7 @@ class RecourseSearch:
                 or parent.entry.length != parent.length
                 - parent.entry.anchor):
             return None
-        entry = parent.entry.clone()
-        entry.extend(self.encoder, self.candidate_vectors[move.candidate],
-                     self.correct_categories, self.response_table)
-        return entry
+        return self.worlds.extend(parent.entry, move.candidate, 1)
 
     # ------------------------------------------------------------------
     # Reply assembly
@@ -312,3 +353,43 @@ class RecourseSearch:
             steps=tuple(steps), monotonic=monotonic,
             generations=generations, worlds_scored=worlds_scored,
             history_length=world.length, model=self.model_name)
+
+
+def recommend_values(engine: InferenceEngine, query: RecommendQuery,
+                     snapshot: Tuple[np.ndarray, ...]) -> np.ndarray:
+    """Counterfactual question values of the candidates (Sec. V-C).
+
+    For each candidate and each assumed answer (correct, incorrect),
+    re-ask the ``horizon`` most recent questions of the serving window
+    and measure how far the two worlds pull those re-asked scores
+    apart.  ``snapshot`` is the full-history copy the query's success
+    probes were admitted against.  Every world keeps the recorded
+    history's window start, the context those probes scored, and
+    extends a clone of the student's warm entry by its one practice
+    step, so all ``2 * horizon`` rows per candidate share one batch
+    with no forward pass of their own.
+    """
+    length = len(snapshot[0])
+    start = engine._window_start(length)
+    questions, _, concepts, counts = snapshot
+    probes = [(int(questions[p]),
+               tuple(int(c) for c in concepts[p, :counts[p]]))
+              for p in range(max(start, length - query.horizon), length)]
+    worlds = PracticeWorlds(engine, query.student_id, snapshot,
+                            query.candidates)
+    root = engine._warm_entry(query.student_id, length)
+    rows = []
+    local: Dict[int, object] = {}
+    for index in range(len(query.candidates)):
+        for answer in (1, 0):
+            timeline = worlds.timeline([(index, answer)])
+            entry = worlds.extend(root, index, answer) \
+                if root is not None else None
+            for probe in probes:
+                if entry is not None:
+                    local[len(rows)] = entry
+                rows.append(_ContextRow(timeline, start, probe))
+    scores, _ = engine._score_rows(rows, local_entries=local or None)
+    return np.array([np.abs(correct - incorrect).mean()
+                     for correct, incorrect in
+                     scores.reshape(len(query.candidates), 2, len(probes))])

@@ -5,10 +5,10 @@ model weights *plus* that model's per-student histories and
 forward-stream caches, because cached state is a function of the
 weights it was computed under and must live and die with them.
 
-Hot swap generalizes ``InferenceEngine.reload_checkpoint``: ``swap``
-loads refreshed weights into the *named* engine atomically (histories
-survive, stream caches invalidate), and ``register`` rebinds a name to
-a brand-new engine in one assignment — an in-flight query that already
+An engine's model is bound once, at construction.  ``register``
+rebinds a name to a brand-new engine in one assignment, which is how
+:meth:`repro.serve.Service.rollout` — the one way a served model
+changes — swaps in a warm standby: an in-flight query that already
 resolved the old engine finishes consistently on the old model.
 
 Thread-safe: the registry lock guards the name table only; per-engine
@@ -69,22 +69,6 @@ class ModelRegistry:
         miss to a :class:`~repro.serve.protocol.ModelNotLoaded`)."""
         with self._lock:
             return self._engines.get(name)
-
-    def swap(self, name: str, path) -> InferenceEngine:
-        """Atomic in-place hot swap: refreshed weights for ``name``.
-
-        Delegates to :meth:`InferenceEngine.reload_checkpoint`, so the
-        same guarantees apply — histories survive, stream caches
-        invalidate, and a config/id-space mismatch raises ``ValueError``
-        without touching the serving state.  Raises ``KeyError`` for an
-        unregistered name.
-        """
-        engine = self.get(name)
-        if engine is None:
-            raise KeyError(f"no model named '{name}' is registered "
-                           f"(known: {self.names()})")
-        engine.reload_checkpoint(path)
-        return engine
 
     def unregister(self, name: str) -> Optional[InferenceEngine]:
         """Drop a binding; in-flight queries that resolved the engine

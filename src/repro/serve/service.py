@@ -27,11 +27,13 @@ The scheduler
    targets) warm-built in one stacked pass.  Only the per-target
    backward streams run per query, column-banded on the caller's
    thread.
-4. scores each :class:`RecommendQuery`'s assumed-answer value worlds in
-   one stacked pass per query
-   (:meth:`InferenceEngine._recommend_values`) against the history
-   snapshot its probes were admitted with, then blends them with the
-   shared-batch probabilities.
+4. scores each :class:`RecommendQuery`'s assumed-answer value worlds
+   (:func:`~repro.serve.recourse.recommend_values`) and runs each
+   :class:`RecourseQuery`'s search against the history snapshot their
+   probes were admitted with.  Both are hypothetical worlds scored as
+   rows through :meth:`InferenceEngine._score_rows`, extending a clone
+   of the student's warm stream-cache entry instead of re-encoding the
+   history.
 
 Replies come back in query order.  Window semantics are inherited
 unchanged: each row conditions on its anchored window slice, identical
@@ -50,7 +52,6 @@ from repro.tensor import no_grad
 from .. import obs
 from ..obs import names as metric_names
 from .engine import InferenceEngine, _ContextRow
-from .forward_cache import build_stream_caches
 from .history import ArrayHistory, StudentHistory
 from .protocol import (DEFAULT_MODEL, BatchEnvelope, BatchReply,
                        EmptyHistory,
@@ -61,7 +62,7 @@ from .protocol import (DEFAULT_MODEL, BatchEnvelope, BatchReply,
                        RecordEvent, RecordReply, RecourseQuery, ScoreQuery,
                        ScoreReply, UnknownStudent,
                        WhatIfQuery, WhatIfReply, admission_error, is_error)
-from .recourse import RecourseSearch
+from .recourse import RecourseSearch, recommend_values
 from .registry import ModelRegistry, registry_for
 
 
@@ -103,11 +104,10 @@ class _PendingRecourse:
 class _PendingRecommend:
     """One :class:`RecommendQuery` whose probes ride the shared batch.
 
-    ``snapshot`` pins the windowed history copies the probes were
-    admitted against (the value worlds re-score the same context after
-    the engine lock is released); ``probabilities`` collects the
-    per-candidate success scores from the shared context, in candidate
-    order.
+    ``snapshot`` pins *full*-history copies from admission time (the
+    value worlds extend the context the probes scored, after the engine
+    lock is released); ``probabilities`` collects the per-candidate
+    success scores from the shared context, in candidate order.
     """
 
     query: RecommendQuery
@@ -201,22 +201,21 @@ class Service:
                 warm_top: int = 64, gate=None):
         """Blue/green checkpoint rollout with a warm standby.
 
-        Builds a *standby* engine from ``path`` (the green side), hands
-        it the live engine's serving state — the shared history store
-        and lock — pre-builds its forward-stream caches for the
-        ``warm_top`` hottest students (the live stream cache's LRU
-        order *is* the hot set), and only then atomically
-        rebinds ``name``.  The blue engine keeps serving, records
-        included, until the rebind; in-flight queries that already
-        resolved it finish on the old weights.  Unlike
-        :meth:`ModelRegistry.swap` (in-place weight reload, every cache
-        cold afterwards), the hot working set scores warm from the first
-        post-swap request.
+        The one way a served model changes: an engine's model is bound
+        at construction.  The live engine derives a *standby* from
+        ``path`` (the green side, :meth:`InferenceEngine.standby`) that
+        shares its history store and lock, pre-builds the standby's
+        forward-stream caches for the ``warm_top`` hottest students (the
+        live stream cache's LRU order *is* the hot set), and only then
+        is ``name`` atomically rebound.  The blue engine keeps serving,
+        records included, until the rebind; in-flight queries that
+        already resolved it finish on the old weights.  The hot working
+        set scores warm from the first post-swap request.
 
         ``gate``, when given, is a callable ``(incumbent_engine,
         standby_engine) -> Optional[ServiceError]`` consulted after the
-        standby is built and id-space-validated but *before* any live
-        state is adopted.  A returned error value (typically
+        standby is built and id-space-validated but *before* it is
+        warmed or bound.  A returned error value (typically
         :class:`~repro.serve.protocol.RolloutRefused` from a
         ``repro.online`` drift monitor) aborts the rollout and is
         **returned as that value, never raised** — the incumbent keeps
@@ -226,78 +225,25 @@ class Service:
 
         Returns a summary dict (model, warmed count, encoder, students)
         on success.  In-process administration errors raise —
-        ``KeyError`` for an unknown name, ``ValueError`` for an
-        id-space mismatch — exactly like :meth:`ModelRegistry.swap`;
-        the HTTP gateway's ``/v1/admin/rollout`` route maps them onto
-        the error taxonomy.
+        ``KeyError`` for an unknown name, ``ValueError`` for a
+        checkpoint without engine metadata or with a different id
+        space; the HTTP gateway's ``/v1/admin/rollout`` route maps them
+        onto the error taxonomy.
         """
         old = self.registry.get(name)
         if old is None:
             raise KeyError(f"no model named '{name}' is loaded "
                            f"(known: {self.registry.names()})")
-        standby = InferenceEngine.from_checkpoint(
-            path, stream_cache_bytes=old.stream_caches.budget_bytes,
-            window=old.window,
-            window_hop=old.window_hop if old.window is not None else None)
-        if (standby.num_questions, standby.num_concepts) \
-                != (old.num_questions, old.num_concepts):
-            raise ValueError(
-                f"checkpoint at {path} serves a different id space "
-                f"({standby.num_questions} questions / "
-                f"{standby.num_concepts} concepts vs "
-                f"{old.num_questions} / {old.num_concepts}); recorded "
-                f"histories cannot migrate onto it")
+        standby = old.standby(path)
         if gate is not None:
             verdict = gate(old, standby)
             if is_error(verdict):
                 return verdict
-        # Adopt the live serving state: histories are ground-truth
-        # observations shared across model versions, and sharing the
-        # *lock* keeps blue-side records serialized against the green
-        # side's reads for as long as both engines are referenced.
-        standby.students = old.students
-        standby._lock = old._lock
-        warmed = self._warm_standby(old, standby, warm_top)
+        warmed = old.warm_standby(standby, warm_top)
         self.registry.register(name, standby)
         return {"model": name, "warmed": warmed,
                 "encoder": standby.model.config.encoder,
                 "students": len(standby.students)}
-
-    def _warm_standby(self, old: InferenceEngine,
-                      standby: InferenceEngine, warm_top: int) -> int:
-        """Pre-build the standby's stream caches for the hot set.
-
-        Snapshots the hottest students' anchored windows under the
-        shared lock (cheap memcpys), then runs one stacked
-        :func:`~repro.serve.forward_cache.build_stream_caches` pass on
-        the standby model *outside* the lock — the blue side keeps
-        serving while the green side warms.  A record that lands
-        between snapshot and swap merely makes that entry stale, and
-        stale entries self-heal (discard + rebuild) on first use.
-        """
-        if warm_top <= 0 or not standby.stream_caches.enabled:
-            return 0
-        snapshots = []
-        with old._lock:
-            for student_id in old.stream_caches.hot_keys(warm_top):
-                history = old.students.peek(student_id)
-                if history is None or history.length == 0:
-                    continue
-                start = standby._window_start(history.length)
-                arrays = [a.copy() for a in
-                          (history.suffix(start) if start
-                           else history).view()]
-                snapshots.append((student_id, start,
-                                  ArrayHistory(student_id, *arrays)))
-        if not snapshots:
-            return 0
-        with no_grad():
-            built = build_stream_caches(standby.model,
-                                        [s[2] for s in snapshots])
-        for (student_id, start, _), entry in zip(snapshots, built):
-            entry.anchor = start
-            standby.stream_caches.put(student_id, entry)
-        return len(snapshots)
 
     # ------------------------------------------------------------------
     # Admission
@@ -418,10 +364,10 @@ class Service:
         """Admit a recommend query's success probes into the shared batch.
 
         One probe row per candidate (sharing the student's stream-cache
-        slot with any :class:`ScoreQuery` in the batch) — the last
-        uncoalesced read path, folded.  The assumed-answer value worlds
-        still run per query (:meth:`InferenceEngine._recommend_values`)
-        against the snapshot taken here, after the shared flush.
+        slot with any :class:`ScoreQuery` in the batch).  The
+        assumed-answer value worlds run after the shared flush
+        (:func:`~repro.serve.recourse.recommend_values`), against the
+        snapshot taken here.
         """
         for candidate in query.candidates:
             error = engine._id_error(candidate.question_id,
@@ -444,7 +390,7 @@ class Service:
             return
         start = engine._window_start(history.length)
         recommends[index] = _PendingRecommend(
-            query, engine._snapshot_window(history))
+            query, tuple(a.copy() for a in history.view()))
         for candidate in query.candidates:
             rows.append(_ContextRow(history, start,
                                     (candidate.question_id,
@@ -542,8 +488,7 @@ class Service:
                     return
                 context, cols = engine._assemble_rows(rows)
             # Backward passes run outside the engine lock: the context
-            # holds copies (and a consistent model reference even across
-            # a concurrent hot swap).
+            # holds copies.
             probe_rows = np.array([k for k, row in enumerate(meta)
                                    if row.role != "explain"],
                                   dtype=np.int64)
@@ -736,8 +681,7 @@ class Service:
                          pending: _PendingRecommend) -> RecommendReply:
         """Blend shared-batch probabilities with the value worlds."""
         query = pending.query
-        values = engine._recommend_values(pending.snapshot,
-                                          query.candidates, query.horizon)
+        values = recommend_values(engine, query, pending.snapshot)
         items = []
         for candidate, probability, value in zip(query.candidates,
                                                  pending.probabilities,
@@ -756,29 +700,9 @@ class Service:
 
     def _recourse_reply(self, engine: InferenceEngine, model_name: str,
                         pending: _PendingRecourse):
-        """Run the edit search against the admission-time snapshot.
-
-        The student's warm stream-cache entry — which the baseline probe
-        just built if the student was cold — is cloned under the engine
-        lock as the search's root timeline, so first-generation practice
-        worlds extend it instead of re-encoding the history.  A stale
-        entry (window slid, or a record landed since admission) simply
-        forfeits the warm start; the search rebuilds worlds in its own
-        batched passes either way.
-        """
-        query = pending.query
-        length = len(pending.snapshot[0])
-        start = engine._window_start(length)
-        root_entry = None
-        if engine.stream_caches.enabled:
-            with engine._lock:
-                entry = engine.stream_caches.peek(query.student_id)
-                if entry is not None and entry.anchor == start \
-                        and entry.length == length - start:
-                    root_entry = entry.clone()
-        search = RecourseSearch(engine, model_name, query,
-                                pending.snapshot, pending.baseline,
-                                root_entry)
+        """Run the edit search against the admission-time snapshot."""
+        search = RecourseSearch(engine, model_name, pending.query,
+                                pending.snapshot, pending.baseline)
         return search.run()
 
     # ------------------------------------------------------------------

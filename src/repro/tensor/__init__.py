@@ -8,14 +8,12 @@ Public surface::
 from . import init, ops
 from .ops import (binary_cross_entropy, concat, dropout, embedding,
                   log_softmax, masked_softmax, softmax, stack, where)
-from .tensor import (Tensor, enable_grad, is_grad_enabled, no_grad,
-                     sigmoid_array,
+from .tensor import (Tensor, is_grad_enabled, no_grad, sigmoid_array,
                      unbroadcast)
 
 __all__ = [
     "Tensor",
     "no_grad",
-    "enable_grad",
     "is_grad_enabled",
     "sigmoid_array",
     "unbroadcast",

@@ -17,7 +17,7 @@ Design notes
   shape by summing over broadcast axes.
 * Graph recording can be disabled per-thread with :func:`no_grad` (used
   for inference), which makes evaluation allocation-free apart from the
-  raw NumPy work; :func:`enable_grad` re-enables it within such a scope.
+  raw NumPy work.
 """
 
 from __future__ import annotations
@@ -30,10 +30,11 @@ import numpy as np
 
 Arrayable = Union["Tensor", np.ndarray, float, int, list, tuple]
 
-# Per-thread, like torch's: the serving engine scores on worker threads
-# (and hot-reloads checkpoints concurrently), so a process-global flag
-# would let one thread's no_grad exit corrupt another thread's state —
-# worst case leaving gradients globally off after interleaved exits.
+# Per-thread, like torch's: the serving engine scores on its callers'
+# threads (the HTTP gateway runs one per connection), so a
+# process-global flag would let one thread's no_grad exit corrupt
+# another thread's state — worst case leaving gradients globally off
+# after interleaved exits.
 _GRAD_STATE = threading.local()
 
 
@@ -45,28 +46,10 @@ def no_grad():
     inference cheaper and guarantees that ``backward`` cannot reach into
     evaluation-only code.  The flag is thread-local: threads spawned
     inside the block start with gradients *enabled* and must enter their
-    own ``no_grad`` (the chunk pools in ``repro.core.multi_target`` do).
+    own ``no_grad``.
     """
     previous = is_grad_enabled()
     _GRAD_STATE.enabled = False
-    try:
-        yield
-    finally:
-        _GRAD_STATE.enabled = previous
-
-
-@contextlib.contextmanager
-def enable_grad():
-    """Re-enable graph construction inside a ``no_grad`` scope.
-
-    Needed when parameter-carrying modules must be *built* from code
-    that may run under ``no_grad`` — e.g. the serving engine
-    constructing a fresh model for an atomic checkpoint swap while
-    scoring threads hold ``no_grad``: without this, every parameter
-    would silently register as a constant.
-    """
-    previous = is_grad_enabled()
-    _GRAD_STATE.enabled = True
     try:
         yield
     finally:

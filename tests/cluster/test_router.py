@@ -453,6 +453,32 @@ def test_rollout_fans_out_and_stays_bit_identical(cluster, tmp_path):
     assert changed
 
 
+@pytest.mark.parametrize("field, value", [
+    ("model", ["x"]), ("model", None), ("warm_top", "many"),
+    ("warm_top", 2.5), ("warm_top", False)])
+def test_rollout_body_types_are_checked_before_any_shard(cluster, field,
+                                                         value):
+    """The router answers a mistyped admin rollout body itself, with
+    the gateway's ``malformed_query``, and fans nothing out."""
+    from repro.cluster import start_router_thread
+    from repro.serve import reply_from_wire
+
+    engines = [service.engine() for service in cluster.services]
+    server, _ = start_router_thread(cluster.router)
+    try:
+        client = ServiceClient(f"http://127.0.0.1:{server.server_port}",
+                               timeout=10.0)
+        body = {"checkpoint": "green.npz", field: value}
+        reply = reply_from_wire(client._post("/v1/admin/rollout", body))
+        client.close()
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert isinstance(reply, MalformedQuery), reply
+    assert reply.message.startswith(f"{field} must be")
+    assert [service.engine() for service in cluster.services] == engines
+
+
 def test_router_http_face_and_health(cluster):
     from repro.cluster import start_router_thread
     students = ["a", "b", "c", "d"]
@@ -568,6 +594,69 @@ def test_undecodable_bodies_byte_identical_on_gateway_and_router(cluster):
                 assert gateway == router, (gateway, router)
                 assert gateway[0] == 400
                 assert json.loads(gateway[1])["code"] == "malformed_query"
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+def test_echoed_non_finite_values_stay_strict_json(cluster):
+    """An error echoing a non-finite request value (``1e400``, ``NaN``,
+    ``Infinity``) still answers RFC 8259 JSON — the value renders as a
+    string — with the same bytes and taxonomy code on both faces and
+    both query routes."""
+    import urllib.error
+    import urllib.request
+
+    from repro.cluster import start_router_thread
+
+    def post(port, route, body):
+        request = urllib.request.Request(
+            f"http://127.0.0.1:{port}{route}", data=body,
+            headers={"Content-Type": "application/json"})
+        try:
+            with urllib.request.urlopen(request, timeout=10.0) as response:
+                return response.status, response.read()
+        except urllib.error.HTTPError as error:
+            return error.code, error.read()
+
+    queries = [
+        ('{"type": "score", "student_id": "amy", "question_id": 1e400, '
+         '"concept_ids": [1]}', "invalid_question", "inf"),
+        ('{"type": "record", "student_id": "amy", "question_id": 3, '
+         '"correct": NaN, "concept_ids": [1]}', "malformed_query", "nan"),
+        ('{"v": NaN, "type": "score", "student_id": "amy", '
+         '"question_id": 3, "concept_ids": [1]}', "unsupported_version",
+         "nan"),
+        ('{"type": "what_if", "student_id": "amy", "question_id": 3, '
+         '"concept_ids": [1], "edits": [{"position": Infinity, '
+         '"op": "flip"}]}', "invalid_edit", "inf"),
+        ('{"type": "score", "student_id": "amy", "question_id": 3, '
+         '"concept_ids": [Infinity]}', "invalid_concept", "inf"),
+        ('{"type": "recommend", "student_id": "amy", "candidates": '
+         '[{"question_id": -1e400, "concept_ids": [1]}]}',
+         "invalid_question", "-inf"),
+    ]
+    server, _ = start_router_thread(cluster.router)
+    gateway_port = cluster.servers[0].server_port
+    try:
+        for query, code, rendered in queries:
+            bodies = {"/v1/query": query,
+                      "/v1/batch": '{"type": "batch", "queries": [%s]}'
+                                   % query}
+            for route, body in bodies.items():
+                gateway = post(gateway_port, route, body.encode())
+                router = post(server.server_port, route, body.encode())
+                assert gateway == router, (gateway, router)
+                reply = json.loads(gateway[1],
+                                   parse_constant=_reject_constant)
+                if route == "/v1/batch":
+                    reply = reply["replies"][0]
+                assert reply["code"] == code, reply
+                assert rendered in reply["details"].values(), reply
     finally:
         server.shutdown()
         server.server_close()

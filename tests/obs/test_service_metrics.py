@@ -144,7 +144,7 @@ class TestServiceInstrumentation:
 
         advancing(engine, "record", 1.0)               # each record
         advancing(service, "_resolve_reads", 10.0)     # the shared flush
-        advancing(engine, "_recommend_values", 100.0)  # recommend worlds
+        advancing(service, "_recommend_reply", 100.0)  # recommend worlds
         advancing(service, "_recourse_reply", 1000.0)  # recourse search
         first, second, third = (s.student_id for s in dataset)
         batch = [

@@ -1,6 +1,7 @@
 """The HTTP/JSON gateway: wire parity, taxonomy statuses, plumbing."""
 
 import json
+import time
 import urllib.error
 import urllib.request
 
@@ -208,6 +209,13 @@ class TestGatewayPlumbing:
             status, payload = raw_post(server, route, body)
             assert status == 400 and payload["code"] == "malformed_query"
             assert "not valid JSON" in payload["message"]
+        # The handler counts a request after writing its reply, so the
+        # last increment can land just after the client has the reply.
+        deadline = time.monotonic() + 10.0
+        while server.obs_registry.counter_total(
+                metric_names.HTTP_REQUESTS_TOTAL) < requests + 2 \
+                and time.monotonic() < deadline:
+            time.sleep(0.01)
         assert server.obs_registry.counter_total(
             metric_names.HTTP_REQUESTS_TOTAL) == requests + 2
 

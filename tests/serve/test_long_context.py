@@ -19,6 +19,7 @@ import pytest
 from repro.core import ENCODERS, RCKT, RCKTConfig, score_batch_targets
 from repro.core.masking import window_start
 from repro.data import Interaction, StudentSequence, collate
+from repro.interpret import recommend_questions
 from repro.serve import (CandidateQuestion, ExplainQuery, InferenceEngine,
                          RecommendQuery, ScoreQuery, is_error)
 from repro.tensor import no_grad
@@ -186,22 +187,41 @@ def test_past_initial_positional_capacity_without_window(encoder):
 
 
 def test_windowed_influences_and_recommend_cover_the_window():
+    """Explain and recommend condition on the anchored window only; each
+    recommendation item matches the seed implementation on that slice,
+    value worlds included."""
     window, hop = 8, 2
-    model = make_model("dkt")
-    engine = InferenceEngine(model, window=window, window_hop=hop)
-    for question, answer, concepts in synthetic_events(30, seed=21):
-        engine.record("s", question, answer, concepts)
-    reply = engine.service.execute(ExplainQuery("s"))
-    assert not is_error(reply), reply
-    influence = reply.computation
-    # The influence readout conditions on the windowed context only.
-    assert influence.history_lengths[0] <= window
-    assert influence.history_lengths[0] > window - hop - 1
-    recommended = engine.service.execute(RecommendQuery(
-        "s", (CandidateQuestion(4, (1,)), CandidateQuestion(9, (2,))),
-        top_k=2))
-    assert not is_error(recommended), recommended
-    assert len(recommended.items) == 2
+    events = synthetic_events(30, seed=21)
+    start = window_start(len(events), window, hop)
+    window_slice = StudentSequence(
+        "s", [Interaction(q, a, c) for q, a, c in events[start:]])
+    candidates = (CandidateQuestion(4, (1,)), CandidateQuestion(9, (2,)),
+                  CandidateQuestion(17, (3, 5)))
+    probes = [Interaction(c.question_id, 1, c.concept_ids)
+              for c in candidates]
+    for encoder in ("dkt", "akt"):
+        model = make_model(encoder)
+        engine = InferenceEngine(model, window=window, window_hop=hop)
+        for question, answer, concepts in events:
+            engine.record("s", question, answer, concepts)
+        reply = engine.service.execute(ExplainQuery("s"))
+        assert not is_error(reply), reply
+        influence = reply.computation
+        # The influence readout conditions on the windowed context only.
+        assert influence.history_lengths[0] <= window
+        assert influence.history_lengths[0] > window - hop - 1
+        recommended = engine.service.execute(RecommendQuery(
+            "s", candidates, top_k=3))
+        assert not is_error(recommended), recommended
+        reference = recommend_questions(model, window_slice, probes,
+                                        top_k=3)
+        assert [item.question_id for item in recommended.items] \
+            == [ref.question_id for ref in reference], encoder
+        for item, ref in zip(recommended.items, reference):
+            assert abs(item.success_probability
+                       - ref.success_probability) < ATOL, encoder
+            assert abs(item.value - ref.value) < ATOL, encoder
+            assert abs(item.score - ref.score) < ATOL, encoder
 
 
 def test_window_validation():

@@ -6,7 +6,7 @@ import pytest
 from repro.core import RCKT, RCKTConfig
 from repro.serve import (InferenceEngine, MalformedQuery, ModelNotLoaded,
                          ScoreQuery, Service, ServiceClient,
-                         start_http_thread)
+                         reply_from_wire, start_http_thread)
 
 NUM_QUESTIONS = 40
 NUM_CONCEPTS = 6
@@ -173,3 +173,18 @@ class TestRolloutOverHTTP:
         assert "rollout rejected" in missing.message
         bad_body = client.rollout(green, warm_top="many")
         assert isinstance(bad_body, MalformedQuery)
+
+    @pytest.mark.parametrize("field, value", [
+        ("model", ["x"]), ("model", None), ("model", 7),
+        ("warm_top", True)])
+    def test_body_types_are_checked_before_anything_runs(self, stack,
+                                                         tmp_path, field,
+                                                         value):
+        service, client = stack
+        engine = service.engine()
+        body = {"checkpoint": str(save_checkpoint(tmp_path, "green")),
+                field: value}
+        reply = reply_from_wire(client._post("/v1/admin/rollout", body))
+        assert isinstance(reply, MalformedQuery), reply
+        assert reply.message.startswith(f"{field} must be")
+        assert service.engine() is engine

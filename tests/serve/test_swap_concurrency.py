@@ -1,6 +1,6 @@
-"""Registry hot swap under concurrent reads/records (satellite of the
-cluster PR): replies are never torn across checkpoints, and failures —
-if any — are taxonomy values, never exceptions."""
+"""Warm rollouts under concurrent reads/records: replies are never torn
+across checkpoints, and failures — if any — are taxonomy values, never
+exceptions."""
 
 import threading
 
@@ -88,9 +88,7 @@ class TestSwapUnderConcurrency:
                 thread.join(timeout=30.0)
         return replies, exceptions
 
-    @pytest.mark.parametrize("mechanism", ["swap", "rollout"])
-    def test_reads_are_never_torn_across_checkpoints(self, checkpoints,
-                                                     mechanism):
+    def test_reads_are_never_torn_across_checkpoints(self, checkpoints):
         students = [f"s{k}" for k in range(6)]
         probe = (7, (2,))
         blue_scores = expected_scores(students, probe, seed=1)
@@ -105,10 +103,7 @@ class TestSwapUnderConcurrency:
 
         def swap(iteration):
             target = checkpoints["green" if iteration % 2 == 0 else "blue"]
-            if mechanism == "swap":
-                service.registry.swap("default", target)
-            else:
-                service.rollout(target, warm_top=4)
+            service.rollout(target, warm_top=4)
 
         replies, exceptions = self._run(service, students, probe, swap)
         service.close()

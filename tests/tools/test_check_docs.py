@@ -2,10 +2,10 @@
 
 ``tests/test_docs.py`` proves the checker passes on this repository and
 fails on vanished symbols/files/links; this suite covers the parts it
-does not: the in-process check functions themselves and the
+does not: the in-process check functions themselves, the
 protocol-surface cross-check against ``docs/API.md`` (class mentions,
 error-table codes and HTTP statuses, field-rule rows, both drift
-directions).
+directions) and the Removed-table check.
 """
 
 import sys
@@ -203,6 +203,88 @@ def test_link_check_reports_broken_relative_links(tmp_path):
     checked = check_docs.check_links(doc, tmp_path, failures)
     assert checked == 2   # the external URL is skipped
     assert len(failures) == 1 and "gone.md" in failures[0]
+
+
+# ---------------------------------------------------------------------------
+# Removed surface: API.md's Removed table vs src/repro
+# ---------------------------------------------------------------------------
+REMOVED_API_DOC = """
+    # API
+
+    ## Removed
+
+    | Removed | Replacement |
+    | --- | --- |
+    | `Engine.reload`, `Registry.swap` | `Service.rollout` |
+    | `score_all`; the `workers` parameter | `Service.execute_batch` |
+    | `repro.utils.timing.Timer` | `repro.obs.Timer` |
+
+    ## Next
+
+    | `Service` | not part of the table |
+"""
+
+REMOVED_ENGINE = """
+    class Engine:
+        def standby(self):
+            pass
+"""
+
+
+def write_removed_tree(root: Path, engine: str = REMOVED_ENGINE,
+                       api: str = REMOVED_API_DOC) -> Path:
+    module = root / "src" / "repro" / "serve" / "engine.py"
+    module.parent.mkdir(parents=True)
+    module.write_text(textwrap.dedent(engine))
+    (root / "src" / "repro" / "obs.py").write_text("class Timer:\n"
+                                                   "    pass\n")
+    doc = root / "docs" / "API.md"
+    doc.parent.mkdir(parents=True)
+    doc.write_text(textwrap.dedent(api))
+    return root
+
+
+def removed_failures(root: Path) -> list:
+    failures: list = []
+    check_docs.check_removed_surface(root, failures)
+    return failures
+
+
+def test_removed_names_read_only_the_first_column(tmp_path):
+    names = check_docs.removed_names(textwrap.dedent(REMOVED_API_DOC))
+    assert names == ["Engine.reload", "Registry.swap", "score_all",
+                     "workers", "repro.utils.timing.Timer"]
+
+
+def test_removed_surface_accepts_a_tree_without_them(tmp_path):
+    write_removed_tree(tmp_path)
+    assert removed_failures(tmp_path) == []
+
+
+def test_removed_surface_flags_a_method_defined_again(tmp_path):
+    write_removed_tree(tmp_path, engine=REMOVED_ENGINE + """
+        def reload(self, path):
+            pass
+
+    def score_all():
+        pass
+    """)
+    failures = removed_failures(tmp_path)
+    assert len(failures) == 2
+    assert "`Engine.reload` is listed as removed" in failures[0]
+    assert "src/repro/serve/engine.py defines it" in failures[0]
+    assert "`score_all`" in failures[1]
+
+
+def test_removed_surface_flags_a_module_symbol_only_in_its_module(
+        tmp_path):
+    write_removed_tree(tmp_path)
+    timing = tmp_path / "src" / "repro" / "utils" / "timing.py"
+    timing.parent.mkdir()
+    timing.write_text("class Timer:\n    pass\n")
+    failures = removed_failures(tmp_path)
+    assert len(failures) == 1
+    assert "`repro.utils.timing.Timer`" in failures[0]
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,10 @@ every ``docs/*.md`` it verifies:
   imports only the standard library) instead of by AST.  Skipped for
   trees without the protocol module (the synthetic fixtures in the test
   suite).
+* **Removed surface** — no ``Class``, ``Class.method``, function or
+  ``repro.module.Symbol`` named in the first column of the API.md
+  "Removed" table is defined again under ``src/repro`` (via AST), so a
+  deleted duplicate path cannot quietly come back.
 * **Metric catalogue** — the ``COUNTERS`` / ``GAUGES`` / ``HISTOGRAMS``
   kind registries extracted from ``src/repro/obs/names.py`` (via AST)
   must match the catalogue table in ``docs/OBSERVABILITY.md``: every
@@ -70,6 +74,11 @@ ERROR_ROW = re.compile(r"^\|\s*`(\w+)`\s*\|\s*`(\w+)`\s*\|\s*(\d+)\s*\|")
 # | `field` | requirement | `code` |
 FIELD_RULES_HEADING = "## Field rules"
 RULE_ROW = re.compile(r"^\|\s*`(\w+)`\s*\|\s*(.+?)\s*\|\s*`(\w+)`\s*\|$")
+
+# API.md's table of removed surface; first-column names must stay gone.
+REMOVED_HEADING = "## Removed"
+REMOVED_NAME = re.compile(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)`")
+SOURCE_REL = Path("src") / "repro"
 
 # Metric-name module + the doc that tabulates its catalogue.
 METRICS_REL = Path("src") / "repro" / "obs" / "names.py"
@@ -313,6 +322,43 @@ def check_protocol_surface(root: Path, failures: list) -> int:
     return checked + check_field_rules(protocol, text, failures)
 
 
+def removed_names(text: str) -> list:
+    """Backticked names in the first column of the Removed table."""
+    names = []
+    in_section = False
+    for line in text.splitlines():
+        if line.startswith("## "):
+            in_section = line.strip() == REMOVED_HEADING
+        elif in_section and line.startswith("|"):
+            names.extend(REMOVED_NAME.findall(line.split("|")[1]))
+    return names
+
+
+def check_removed_surface(root: Path, failures: list) -> int:
+    """Nothing API.md lists as removed is defined under ``src/repro``.
+
+    ``Name`` and ``Class.method`` match a definition in any module;
+    ``repro.module.Symbol`` matches only in that module.
+    """
+    api_doc = root / API_DOC_REL
+    source = root / SOURCE_REL
+    if not api_doc.is_file() or not source.is_dir():
+        return 0
+    defined = {}
+    for path in sorted(source.rglob("*.py")):
+        module = ".".join(path.relative_to(root / "src")
+                          .with_suffix("").parts)
+        for symbol in module_symbols(path):
+            defined.setdefault(symbol, path.relative_to(root))
+            defined.setdefault(f"{module}.{symbol}", path.relative_to(root))
+    names = removed_names(api_doc.read_text(encoding="utf-8"))
+    for name in names:
+        if name in defined:
+            failures.append(f"{API_DOC_REL}: `{name}` is listed as "
+                            f"removed, but {defined[name]} defines it")
+    return len(names)
+
+
 def metric_catalogue(path: Path) -> dict:
     """``{metric_name: kind}`` extracted from the names module's
     ``COUNTERS`` / ``GAUGES`` / ``HISTOGRAMS`` registries (via AST:
@@ -415,6 +461,7 @@ def main() -> int:
         links += check_links(doc, root, failures)
     check_required_equations(root, failures)
     protocol = check_protocol_surface(root, failures)
+    removed = check_removed_surface(root, failures)
     metrics = check_metric_catalogue(root, failures)
 
     if failures:
@@ -424,7 +471,7 @@ def main() -> int:
         return 1
     print(f"check_docs: ok ({len(docs)} files, {refs} code references, "
           f"{links} relative links, {protocol} protocol surface checks, "
-          f"{metrics} metric catalogue checks)")
+          f"{removed} removed names, {metrics} metric catalogue checks)")
     return 0
 
 
