@@ -20,9 +20,10 @@ One more section tracks the incremental stream cache:
 
 * **serving_incremental** — the steady-state record/score loop with the
   per-student forward-stream caches (:mod:`repro.serve.forward_cache`)
-  against the same engine with caching disabled (the PR 1 path): warm
-  caches skip the forward half of the encoder, so ``record`` costs one
-  step and a score only runs the per-request backward streams.
+  against the same engine with a zero cache budget, which warm-builds
+  every batch's rows and keeps nothing: warm caches skip the forward
+  half of the encoder, so ``record`` costs one step and a score only
+  runs the per-request backward streams.
 
 And one for the PR 3 long-context work:
 

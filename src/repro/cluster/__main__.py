@@ -43,7 +43,7 @@ import tempfile
 from pathlib import Path
 from typing import List, Optional
 
-from repro.serve.__main__ import _parse_checkpoint
+from repro.serve.__main__ import _cache_bytes, _parse_checkpoint
 from repro.serve.protocol import DEFAULT_MODEL, is_error, to_wire
 
 from .journal import DEFAULT_SEGMENT_BYTES, RecordJournal
@@ -73,7 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="consistent-hash ring points per shard")
     parser.add_argument("--window", type=int, default=None)
     parser.add_argument("--window-hop", type=int, default=None)
-    parser.add_argument("--stream-cache-bytes", type=int, default=None)
+    parser.add_argument("--stream-cache-bytes", type=_cache_bytes,
+                        default=None)
     parser.add_argument("--poll-interval", type=float, default=0.5,
                         help="watchdog probe cadence in seconds")
     parser.add_argument("--journal-dir", default=None,

@@ -60,6 +60,7 @@ def main(argv=None) -> int:
     elif args.experiment == "table6":
         result = run_approximation(encoders=("dkt", "akt"), budget=budget)
         print(result.render())
+        print(result.render_timings())
     elif args.experiment == "fig4":
         print(run_lambda_sweep(datasets=tuple(args.datasets or ("assist09",)),
                                budget=budget).render())

@@ -35,18 +35,31 @@ class ApproximationResult:
         return entry["before"]["time_ms"] / max(entry["after"]["time_ms"], 1e-9)
 
     def render(self) -> str:
+        """Quality against the paper; the measured wall-clock numbers
+        change on every run and render apart (:meth:`render_timings`)."""
         rows = []
         for encoder, modes in self.metrics.items():
             for mode, metrics in modes.items():
                 paper = TABLE6.get((mode, f"RCKT-{encoder.upper()}"), {})
                 rows.append([
                     f"RCKT-{encoder.upper()}", mode,
-                    metrics["auc"], metrics["acc"], metrics["time_ms"],
+                    metrics["auc"], metrics["acc"],
                     paper.get("time_ms", float("nan")),
                 ])
         return comparison_table(
-            ["model", "mode", "AUC", "ACC", "time/ms", "paper time/ms"],
+            ["model", "mode", "AUC", "ACC", "paper time/ms"],
             rows, title="Table VI — influence approximation analysis")
+
+    def render_timings(self) -> str:
+        """Measured per-sequence inference time and the speedups."""
+        rows = [[f"RCKT-{encoder.upper()}", mode, metrics["time_ms"]]
+                for encoder, modes in self.metrics.items()
+                for mode, metrics in modes.items()]
+        text = comparison_table(["model", "mode", "time/ms"], rows,
+                                title="Table VI — measured inference time")
+        for encoder in self.metrics:
+            text += f"\nspeedup {encoder}: x{self.speedup(encoder):.1f}"
+        return text
 
 
 def run_approximation(encoders: Sequence[str] = ("dkt",),

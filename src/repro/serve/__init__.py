@@ -47,7 +47,7 @@ from .engine import InferenceEngine
 from .forward_cache import (DEFAULT_STREAM_CACHE_BYTES, StreamCacheStore,
                             StudentStreamCache, build_stream_caches)
 from .history import (ArrayHistory, HistoryStore, HistoryWindow,
-                      StudentHistory, assemble_padded)
+                      StudentHistory)
 from .http_gateway import (ServiceClient, ServiceHTTPServer, serve_http,
                            start_http_thread)
 from .protocol import (DEFAULT_MODEL, PROTOCOL_VERSION,
@@ -74,7 +74,6 @@ __all__ = [
     # engine core
     "InferenceEngine",
     "HistoryStore", "StudentHistory", "HistoryWindow", "ArrayHistory",
-    "assemble_padded",
     "StreamCacheStore", "StudentStreamCache", "build_stream_caches",
     "DEFAULT_STREAM_CACHE_BYTES",
     # facade + registry

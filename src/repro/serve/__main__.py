@@ -37,6 +37,13 @@ def _parse_checkpoint(spec: str):
     return name, path
 
 
+def _cache_bytes(spec: str) -> int:
+    if not spec.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a byte count >= 0, got '{spec}'")
+    return int(spec)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.serve",
@@ -52,9 +59,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--window", type=int, default=None,
                         help="sliding-window context size")
     parser.add_argument("--window-hop", type=int, default=None)
-    parser.add_argument("--stream-cache-bytes", type=int, default=None,
-                        help="LRU budget for forward-stream caches "
-                             "(default: engine default)")
+    parser.add_argument("--stream-cache-bytes", type=_cache_bytes,
+                        default=None,
+                        help="LRU budget for forward-stream caches; 0 "
+                             "keeps nothing (default: engine default)")
     parser.add_argument("--verbose", action="store_true",
                         help="log every request")
     parser.add_argument("--selfcheck", action="store_true",

@@ -38,8 +38,7 @@ from ..obs import names as metric_names
 from .forward_cache import (DEFAULT_STREAM_CACHE_BYTES, StreamCacheStore,
                             base_contents, build_stream_caches,
                             question_vector_for)
-from .history import (ArrayHistory, HistoryStore, HistoryWindow,
-                      assemble_padded)
+from .history import ArrayHistory, HistoryStore
 from .protocol import (DEFAULT_MODEL, InvalidConcept, InvalidQuestion,
                        ServiceError)
 
@@ -86,10 +85,11 @@ class InferenceEngine:
         LRU byte budget for the per-student incremental forward-stream
         caches (:mod:`repro.serve.forward_cache`).  With a warm cache,
         ``record`` extends the cached encoder state by one step and a
-        score skips the forward half of the encoder entirely; 0 or
-        ``None`` disables caching and serves every request through the
-        batch re-encoding path (the golden reference the parity suite
-        compares against).
+        score skips the forward half of the encoder entirely.  0 (or
+        ``None``) keeps nothing: every batch warm-builds the entries it
+        needs and drops them afterwards.  Every budget answers exactly
+        what the offline scorer computes on the anchored window
+        (``tests/serve/test_oracle.py`` checks each query type).
     window:
         Sliding-window context size: every score uses at most the
         student's last ``window`` recorded responses as history (the
@@ -106,13 +106,14 @@ class InferenceEngine:
         records instead of on every append, at the cost of the context
         length breathing in ``(window - hop, window]``.  See
         :func:`repro.core.masking.window_start` — the anchored start is
-        a pure function of the history length, so cached, uncached, and
+        a pure function of the history length, so warm, cold and
         offline recompute paths all agree on the same window.
 
     Raises
     ------
     ValueError
-        On an invalid ``(window, window_hop)`` pair.
+        On an invalid ``(window, window_hop)`` pair or a negative
+        ``stream_cache_bytes``.
     """
 
     def __init__(self, model: RCKT,
@@ -374,8 +375,6 @@ class InferenceEngine:
     def _extend_stream_cache(self, student_id, history, question_id: int,
                              correct: int, concept_ids) -> None:
         """Advance a warm cache by the step just recorded (lock held)."""
-        if not self.stream_caches.enabled:
-            return
         entry = self.stream_caches.peek(student_id)
         if entry is None:
             return  # cold/evicted: next score warm-builds in one pass
@@ -401,7 +400,7 @@ class InferenceEngine:
                          generator.embedder.response_embedding.weight.data)
         except ValueError:
             # Defensive: the cache must never make record() fail where
-            # the uncached engine would have accepted the event.
+            # a cold entry would have accepted the event.
             self.stream_caches.discard(student_id)
             return
         self.stream_caches.note_growth(student_id)
@@ -452,41 +451,27 @@ class InferenceEngine:
 
         The scheduler's core: score probes, what-if replays (edited
         detached histories), and explain targets all become rows of a
-        single :class:`MultiTargetContext`.  With stream caching enabled
-        the forward half comes from the per-student caches — every
-        missing row (cold students, edited histories, off-anchor explain
-        targets) is warm-built in **one** stacked
-        :func:`~repro.serve.forward_cache.build_stream_caches` pass —
-        and only per-target backward streams remain; with caching
-        disabled the rows are assembled as a raw batch and the context
-        encodes the (up to three) base forward streams itself.  Either
-        way a mixed flush issues one shared forward-stream batch.
+        single :class:`MultiTargetContext` whose forward half comes from
+        the per-student stream caches.  Every missing row (cold or
+        evicted students, edited histories, off-anchor explain targets,
+        every row under a zero budget) is warm-built in **one** stacked
+        :func:`~repro.serve.forward_cache.build_stream_caches` pass, so
+        a mixed flush issues one shared forward-stream batch and only
+        per-target backward streams remain.
 
         ``local_entries`` maps row index -> a caller-owned
         :class:`~repro.serve.forward_cache.StudentStreamCache` already
         covering that row's ``[start, history.length)`` slice — the
         recourse search and the recommend value worlds pass
         clone-extended per-world entries here, so a batch of
-        hypothetical timelines costs zero forward passes.  ``built_out`` (when given) is filled with row index ->
-        the entry that served the row, letting the caller keep
-        warm-built timelines for the next generation.  Both are cache-
-        path refinements; the raw path ignores them (worlds are
-        re-encoded, still as one shared batch).
+        hypothetical timelines costs zero forward passes.  ``built_out``
+        (when given) is filled with row index -> the entry that served
+        the row, letting the caller keep warm-built timelines for the
+        next generation.
 
         Returns the context plus per-row target columns.  The assembled
         arrays are copies, so the backward passes run outside the lock.
         """
-        if self.stream_caches.enabled:
-            return self._assemble_rows_cached(rows, local_entries,
-                                              built_out)
-        return self._assemble_rows_raw(rows)
-
-    # invariant: holds-lock
-    def _assemble_rows_cached(self, rows: Sequence[_ContextRow],
-                              local_entries: Optional[Dict[int, object]]
-                              = None,
-                              built_out: Optional[Dict[int, object]] = None
-                              ) -> Tuple[MultiTargetContext, np.ndarray]:
         store = self.stream_caches
         # Windowed serving: each row's context is the anchored suffix of
         # its history; the cached entry (if any) must sit at the same
@@ -602,24 +587,6 @@ class InferenceEngine:
                                      forward_streams=streams)
         return context, cols
 
-    # invariant: holds-lock
-    def _assemble_rows_raw(self, rows: Sequence[_ContextRow]
-                           ) -> Tuple[MultiTargetContext, np.ndarray]:
-        """Cache-disabled fallback: raw batch, context-encoded streams.
-
-        The golden-reference mode the parity suite drives against the
-        cached path — forward streams are computed by the context from
-        the real question/concept ids, still as one shared batch (the
-        padding itself is the store-independent
-        :func:`repro.serve.history.assemble_padded`).
-        """
-        histories = [HistoryWindow(row.history, row.start) if row.start
-                     else row.history for row in rows]
-        base, cols = assemble_padded(histories,
-                                     [row.probe for row in rows])
-        context = MultiTargetContext(self.model, base)
-        return context, cols
-
     def _score_context(self, context: MultiTargetContext,
                        row_indices: np.ndarray,
                        cols: np.ndarray) -> np.ndarray:
@@ -642,8 +609,9 @@ class InferenceEngine:
         under the engine lock (one warm-build pass for whatever
         ``local_entries`` does not already cover), score every row's
         backward pass outside it.  Returns the per-row scores plus the
-        row index -> stream-cache entry map of the batch (empty with
-        caching disabled, where worlds are raw re-encodes instead).
+        row index -> stream-cache entry map of the batch; under a zero
+        budget these are the batch's only copies, and the next recourse
+        generation extends them.
         """
         built: Dict[int, object] = {}
         with no_grad():

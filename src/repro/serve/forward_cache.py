@@ -180,9 +180,11 @@ def build_stream_caches(model, histories) -> List[StudentStreamCache]:
     views, which is how windowed serving warm-builds anchored caches —
     with at least one interaction each.  One stacked forward
     pass (students x variant bases) builds every cache, reusing the
-    exact batch kernels the non-cached scorer runs — so a cache built
-    here scores identically to the uncached path, and every later
-    single-step extension tracks it to roundoff.
+    exact batch kernels the offline scorer runs — so a cache built
+    here scores identically to
+    :func:`~repro.core.multi_target.score_batch_targets` on the same
+    slice, and every later single-step extension tracks it to roundoff.
+    Under a zero budget this is how every row is built.
 
     The model is only read: attention key/value prefixes come back from
     the no-grad kernel by return value, so warm-builds may run
@@ -243,11 +245,16 @@ class StreamCacheStore:
     """LRU over :class:`StudentStreamCache` under a byte budget.
 
     Pure bookkeeping — no locking (the engine serializes access) and no
-    model knowledge.  ``budget_bytes`` of 0/None disables storage
-    entirely, which the engine uses as its "no cache" mode.
+    model knowledge.  A ``budget_bytes`` of 0 (or ``None``) stores
+    nothing: :meth:`put` drops every entry, so each batch warm-builds
+    what it needs and keeps it only for itself.  A negative budget
+    raises ``ValueError``.
     """
 
     def __init__(self, budget_bytes: Optional[int]):
+        if budget_bytes is not None and budget_bytes < 0:
+            raise ValueError(f"stream cache budget must be >= 0 bytes, "
+                             f"got {budget_bytes}")
         self.budget_bytes = budget_bytes or 0
         self._entries: "OrderedDict[object, StudentStreamCache]" = \
             OrderedDict()

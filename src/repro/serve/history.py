@@ -16,7 +16,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.data import Batch, PAD_ID, StudentSequence
+from repro.data import PAD_ID, StudentSequence
 
 
 class StudentHistory:
@@ -166,61 +166,6 @@ class ArrayHistory:
             raise ValueError(f"suffix start {start} outside history of "
                              f"length {self.length}")
         return HistoryWindow(self, start)
-
-
-def assemble_padded(histories: Sequence,
-                    probes: Sequence[Optional[Tuple[int, Sequence[int]]]]
-                    ) -> Tuple[Batch, np.ndarray]:
-    """Pad history objects (plus optional probes) into one batch.
-
-    The single padded-batch assembler behind every raw (non-stream-cache)
-    scoring path: ``histories`` is one history-reading object per output
-    row — :class:`StudentHistory`, :class:`HistoryWindow`, or a detached
-    :class:`ArrayHistory` — and ``probes[k]``, when given, appends a
-    virtual ``(question_id, concept_ids)`` interaction to row ``k``.
-    Returns the batch plus per-row target columns: the probe position,
-    or the last real position when no probe is given (explain rows).
-
-    Raises ``ValueError`` on empty inputs, a probe-count mismatch, or a
-    row left with no history and no probe.
-    """
-    histories = list(histories)
-    if not histories:
-        raise ValueError("assemble needs at least one history")
-    if len(probes) != len(histories):
-        raise ValueError("one probe slot per history required")
-    lengths = np.array([h.length + (1 if probe is not None else 0)
-                        for h, probe in zip(histories, probes)],
-                       dtype=np.int64)
-    if np.any(lengths == 0):
-        raise ValueError("cannot score a student with no history and "
-                         "no probe")
-    width = max(max(h.concept_width for h in histories),
-                max((len(p[1]) for p in probes if p is not None),
-                    default=1))
-    rows = len(histories)
-    length = int(lengths.max())
-    questions = np.full((rows, length), PAD_ID, dtype=np.int64)
-    responses = np.zeros((rows, length), dtype=np.int64)
-    concepts = np.full((rows, length, width), PAD_ID, dtype=np.int64)
-    counts = np.ones((rows, length), dtype=np.int64)
-    mask = np.zeros((rows, length), dtype=bool)
-    for row, (history, probe) in enumerate(zip(histories, probes)):
-        q, r, c, k = history.view()
-        n = history.length
-        questions[row, :n] = q
-        responses[row, :n] = r
-        concepts[row, :n, :history.concept_width] = c
-        counts[row, :n] = k
-        mask[row, :lengths[row]] = True
-        if probe is not None:
-            probe_q, probe_concepts = probe
-            probe_concepts = tuple(probe_concepts)
-            questions[row, n] = probe_q
-            concepts[row, n, :len(probe_concepts)] = probe_concepts
-            counts[row, n] = len(probe_concepts)
-    batch = Batch(questions, responses, concepts, counts, mask)
-    return batch, lengths - 1
 
 
 class HistoryStore:

@@ -723,9 +723,14 @@ class Service:
         forward-stream batch.
 
         Returns a plain dict report — or a taxonomy error value
-        (``model_not_loaded`` / ``unknown_student`` / ``empty_history``),
-        never an exception, mirroring the query surface.
+        (``malformed_query`` for an ill-typed argument, screened by the
+        :class:`ExplainQuery` field rules; ``model_not_loaded`` /
+        ``unknown_student`` / ``empty_history``), never an exception,
+        mirroring the query surface.
         """
+        error = admission_error(ExplainQuery(student_id, model=model))
+        if error is not None:
+            return error
         engine = self.registry.get(model)
         if engine is None:
             return ModelNotLoaded(

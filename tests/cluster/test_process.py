@@ -4,6 +4,7 @@ One deliberately compact test drives the whole OS-process stack (the
 thread-backed suite in ``test_router.py`` covers the routing logic
 breadth; ``python -m repro.cluster --selfcheck`` is the CI smoke lane
 that additionally exercises rollout + post-rollout crash recovery).
+The CLI's argument screen is checked here too.
 """
 
 import numpy as np
@@ -72,3 +73,11 @@ def test_two_process_cluster_round_trip_and_crash_recovery(checkpoint,
         supervisor.stop()
         router.close()
         reference.close()
+
+
+def test_cli_rejects_a_negative_cache_budget(capsys):
+    from repro.cluster.__main__ import build_parser
+    with pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args(["--stream-cache-bytes", "-1"])
+    assert exit_info.value.code == 2
+    assert "byte count >= 0" in capsys.readouterr().err

@@ -4,7 +4,7 @@ Windowed scoring is *defined* as full recompute on the truncated window
 (re-based to position 0), so every test here compares the windowed fast
 paths against literal truncate-and-recollate references.  The anchoring
 function ``window_start`` is pure in the history length, which is what
-lets serving caches, uncached serving, and these offline references all
+lets warm and cold serving caches and these offline references all
 agree on the same context.
 """
 

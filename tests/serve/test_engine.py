@@ -9,10 +9,9 @@ from repro.data import (Interaction, SimulationConfig, StudentSequence,
                         StudentSimulator, build_dataset, collate)
 from repro.interpret import recommend_questions
 from repro.serve import (CandidateQuestion, EmptyHistory, ExplainQuery,
-                         HistoryStore, InferenceEngine, InvalidConcept,
-                         InvalidQuestion, RecommendQuery, RecordEvent,
-                         ScoreQuery, Service, StudentHistory, UnknownStudent,
-                         assemble_padded)
+                         InferenceEngine, InvalidConcept, InvalidQuestion,
+                         RecommendQuery, RecordEvent, ScoreQuery, Service,
+                         StudentHistory, UnknownStudent)
 
 
 @pytest.fixture(scope="module")
@@ -86,33 +85,6 @@ class TestStudentHistory:
             history.append(1, 2, (1,))
         with pytest.raises(ValueError):
             history.append(1, 1, ())
-
-
-class TestHistoryStoreAssembly:
-    def test_ragged_batch_with_probes(self):
-        store = HistoryStore()
-        store.record("a", 1, 1, (1,))
-        store.record("a", 2, 0, (2,))
-        store.record("b", 3, 1, (1, 2))
-        batch, cols = assemble_padded([store.peek("a"), store.peek("b")],
-                                      [(5, (3,)), (6, (1,))])
-        assert batch.questions.shape == (2, 3)
-        assert cols.tolist() == [2, 1]
-        assert batch.questions[0].tolist() == [1, 2, 5]
-        assert batch.questions[1].tolist() == [3, 6, 0]
-        assert batch.concepts[0, :, 0].tolist() == [1, 2, 3]
-        assert batch.concepts[1, 0].tolist() == [1, 2]
-        assert batch.concept_counts[1].tolist() == [2, 1, 1]
-        assert batch.mask.tolist() == [[True, True, True],
-                                       [True, True, False]]
-
-    def test_empty_student_needs_probe(self):
-        ghost = StudentHistory("ghost")
-        with pytest.raises(ValueError, match="no history"):
-            assemble_padded([ghost], [None])
-        batch, cols = assemble_padded([ghost], [(4, (1,))])
-        assert cols.tolist() == [0]
-        assert batch.questions.tolist() == [[4]]
 
 
 class TestScoring:

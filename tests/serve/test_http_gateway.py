@@ -419,3 +419,14 @@ class TestKeepAliveClient:
     def test_rejects_non_http_urls(self):
         with pytest.raises(ValueError, match="plain http"):
             ServiceClient("https://example.com")
+
+
+@pytest.mark.parametrize("budget", ["-1", "lots"])
+def test_cli_rejects_a_bad_cache_budget(budget, capsys):
+    from repro.serve.__main__ import build_parser
+    with pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args(["--stream-cache-bytes", budget])
+    assert exit_info.value.code == 2
+    assert "byte count >= 0" in capsys.readouterr().err
+    assert build_parser().parse_args(
+        ["--stream-cache-bytes", "0"]).stream_cache_bytes == 0

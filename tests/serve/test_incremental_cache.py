@@ -2,16 +2,18 @@
 
 The serving engine's warm-cache fast path must be *score-invisible*: any
 interleaving of ``record()`` / ``score()`` calls — including LRU
-evictions mid-stream — produces the same scores as an engine with
-caching disabled, which serves every request through the batch
-re-encoding path the golden-parity suite pins to the paper's protocol.  Hypothesis drives the interleavings; the explicit tests pin
-the cache-lifecycle edges.
+evictions mid-stream — produces the scores the offline scorer computes
+from scratch on each student's recorded history
+(:func:`test_long_context.truncated_recompute`).  Hypothesis drives the
+interleavings; the explicit tests pin the cache-lifecycle edges.
+``test_oracle.py`` extends the same check to every query type.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_long_context import truncated_recompute
 
 from repro.core import ENCODERS, RCKT, RCKTConfig
 from repro.data import (SimulationConfig, StudentSimulator, build_dataset)
@@ -40,10 +42,10 @@ def make_dataset(num_students=6, seed=9):
                          NUM_QUESTIONS, NUM_CONCEPTS)
 
 
-def paired_engines(model, **cached_kwargs):
-    """(cached, cache-disabled) engines over the same model."""
-    return (InferenceEngine(model, **cached_kwargs),
-            InferenceEngine(model, stream_cache_bytes=0))
+def offline(model, events, question_id, concept_ids) -> float:
+    """The offline score of a probe after ``events`` (no window)."""
+    return truncated_recompute(model, events, (question_id, concept_ids),
+                               None, None)
 
 
 def score(engine, student, question_id, concept_ids) -> float:
@@ -103,20 +105,23 @@ class TestInterleavedParityProperty:
 
     @staticmethod
     def run_interleaving(model, events, **cached_kwargs):
-        warm, cold = paired_engines(model, **cached_kwargs)
+        warm = InferenceEngine(model, **cached_kwargs)
+        logs = {student: [] for student in range(4)}
         for student, question, correct, concept, is_probe in events:
             if is_probe:
                 got = score(warm, student, question, (concept,))
-                expected = score(cold, student, question, (concept,))
+                expected = offline(model, logs[student], question,
+                                   (concept,))
                 assert abs(got - expected) < ATOL
             else:
                 warm.record(student, question, correct, (concept,))
-                cold.record(student, question, correct, (concept,))
+                logs[student].append((question, correct, (concept,)))
         # Final sweep: every student's next-step probe must agree too.
         queries = [ScoreQuery(s, 5, (2,)) for s in range(4)]
-        np.testing.assert_allclose(score_many(warm, queries),
-                                   score_many(cold, queries),
-                                   rtol=0, atol=ATOL)
+        np.testing.assert_allclose(
+            score_many(warm, queries),
+            [offline(model, logs[s], 5, (2,)) for s in range(4)],
+            rtol=0, atol=ATOL)
 
 
 @pytest.mark.parametrize("encoder", ENCODERS)
@@ -142,14 +147,14 @@ class TestCacheLifecycle:
 
     def test_eviction_mid_stream_recovers(self, encoder):
         model = make_model(encoder)
-        warm, cold = paired_engines(model, stream_cache_bytes=1)
+        warm = InferenceEngine(model, stream_cache_bytes=1)
+        events = [(1 + step, step % 2, (1 + step,)) for step in range(4)]
         for student in range(3):
-            for step in range(4):
-                warm.record(student, 1 + step, step % 2, (1 + step,))
-                cold.record(student, 1 + step, step % 2, (1 + step,))
+            for event in events:
+                warm.record(student, *event)
         queries = [ScoreQuery(s, 6, (2,)) for s in range(3)]
         np.testing.assert_allclose(score_many(warm, queries),
-                                   score_many(cold, queries),
+                                   [offline(model, events, 6, (2,))] * 3,
                                    rtol=0, atol=ATOL)
         stats = warm.stream_cache_stats()
         assert stats["evictions"] >= 1
@@ -158,15 +163,15 @@ class TestCacheLifecycle:
     def test_bulk_load_invalidates_stale_cache(self, encoder):
         model = make_model(encoder)
         dataset = make_dataset()
-        warm, cold = paired_engines(model)
+        warm = InferenceEngine(model)
         warm.load_dataset(dataset)
-        cold.load_dataset(dataset)
-        student = list(dataset)[0].student_id
-        score(warm, student, 5, (1,))          # builds a cache
+        sequence = list(dataset)[0]
+        score(warm, sequence.student_id, 5, (1,))   # builds a cache
         warm.load_dataset(dataset)            # appends: cache is stale
-        cold.load_dataset(dataset)
-        assert abs(score(warm, student, 5, (1,))
-                   - score(cold, student, 5, (1,))) < ATOL
+        events = [(i.question_id, i.correct, i.concept_ids)
+                  for i in sequence.interactions] * 2
+        assert abs(score(warm, sequence.student_id, 5, (1,))
+                   - offline(model, events, 5, (1,))) < ATOL
 
 
 class TestValidationHardening:
@@ -215,6 +220,10 @@ class TestValidationHardening:
                 assert ours.tolist() == theirs.tolist()
             assert abs(score(engine, "s", 3, (1,)) - expected) <= ATOL
 
+    def test_negative_cache_budget_is_rejected(self):
+        with pytest.raises(ValueError, match="budget must be >= 0"):
+            InferenceEngine(make_model(), stream_cache_bytes=-1)
+
     def test_load_dataset_validates_before_loading_anything(self):
         # A model with a smaller vocabulary than the dataset was built
         # against: every sequence is out of range.
@@ -242,14 +251,15 @@ def test_long_interleaving_parity_slow(encoder):
     events per encoder, with a mid-stream eviction-heavy budget."""
     rng = np.random.default_rng(31)
     model = make_model(encoder, dim=16)
-    warm, cold = paired_engines(model, stream_cache_bytes=64 * 1024)
+    warm = InferenceEngine(model, stream_cache_bytes=64 * 1024)
+    logs = {student: [] for student in range(8)}
     for step in range(300):
         student = int(rng.integers(0, 8))
         if rng.random() < 0.35:
             question = int(rng.integers(1, NUM_QUESTIONS + 1))
             concept = int(rng.integers(1, NUM_CONCEPTS + 1))
             got = score(warm, student, question, (concept,))
-            expected = score(cold, student, question, (concept,))
+            expected = offline(model, logs[student], question, (concept,))
             assert abs(got - expected) < ATOL, f"step {step}"
         else:
             question = int(rng.integers(1, NUM_QUESTIONS + 1))
@@ -258,4 +268,4 @@ def test_long_interleaving_parity_slow(encoder):
                 int(c) for c in rng.integers(1, NUM_CONCEPTS + 1,
                                              size=rng.integers(1, 3)))))
             warm.record(student, question, correct, concepts)
-            cold.record(student, question, correct, concepts)
+            logs[student].append((question, correct, concepts))

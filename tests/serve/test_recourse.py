@@ -14,10 +14,13 @@ import pytest
 
 from repro.core import ENCODERS, RCKT, RCKTConfig
 from repro.data import Interaction, StudentSequence, collate
-from repro.serve import (CandidateQuestion, InferenceEngine,
-                         InvalidQuestion, MalformedQuery, ModelNotLoaded,
+from repro.serve import (DEFAULT_STREAM_CACHE_BYTES, CandidateQuestion,
+                         ExplainQuery, HistoryEdit,
+                         InferenceEngine, InvalidQuestion, MalformedQuery,
+                         ModelNotLoaded, RecommendQuery, RecordEvent,
                          RecourseQuery, ScoreQuery, Service, ServiceClient,
-                         UnknownStudent, start_http_thread, to_wire)
+                         UnknownStudent, WhatIfQuery, start_http_thread,
+                         to_wire)
 
 NUM_QUESTIONS = 30
 NUM_CONCEPTS = 5
@@ -167,18 +170,30 @@ class TestSearchSemantics:
             assert step.lowered_score == (step.score < previous)
 
     def test_cached_and_uncached_searches_agree_exactly(self):
-        warm_service, _ = make_service()
-        cold_service, _ = make_service(stream_cache_bytes=0)
+        """A warm cache and a zero budget (worlds warm-built per batch,
+        nothing kept) run the same search, and every score on its path
+        equals a from-scratch rescore of the edited timeline."""
         query = RecourseQuery("kai", *TARGET, threshold=0.9, max_edits=3,
                               beam_width=2, candidates=CANDIDATES)
-        try:
-            warm_service.execute(ScoreQuery("kai", *TARGET))  # warm cache
-            warm = warm_service.execute(query)
-            cold = cold_service.execute(query)
-            assert to_wire(warm) == to_wire(cold)
-        finally:
-            warm_service.close()
-            cold_service.close()
+        replies = []
+        for budget in (DEFAULT_STREAM_CACHE_BYTES, 0):
+            service, _ = make_service(stream_cache_bytes=budget)
+            try:
+                service.execute(ScoreQuery("kai", *TARGET))  # warm cache
+                replies.append(service.execute(query))
+            finally:
+                service.close()
+        warm, cold = replies
+        assert to_wire(warm) == to_wire(cold)
+        model = make_model()
+        assert abs(warm.baseline_score - golden_score(
+            model, edited_interactions(), *TARGET)) < ATOL
+        for k, step in enumerate(warm.steps):
+            fixed, practiced = apply_steps(warm.steps[:k + 1])
+            golden = golden_score(
+                model, edited_interactions(fixed, practiced), *TARGET)
+            assert abs(step.score - golden) < ATOL
+        assert warm.achieved == (warm.final_score >= query.threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +309,34 @@ class TestGenerationBatching:
         assert reply.worlds_scored > reply.generations   # shared batches
         assert counts == {"capture": 0, "forward": 0}
 
+    def test_zero_budget_search_extends_its_own_batch_entries(
+            self, monkeypatch):
+        """A zero budget keeps nothing between batches, yet a search
+        still extends the entries its own batches built: the baseline
+        flush and the first generation each run one capture pass, and
+        later generations clone-extend those worlds."""
+        service, engine = make_service(stream_cache_bytes=0)
+        try:
+            replies = service.execute_batch([
+                RecordEvent("kai", 4, 0, (2,)),
+                ScoreQuery("kai", *TARGET),
+                ExplainQuery("kai"),
+                WhatIfQuery("kai", *TARGET, (HistoryEdit(1, "flip"),)),
+                RecommendQuery("kai", CANDIDATES, horizon=2),
+            ])
+            assert all(reply.ok for reply in replies), replies
+            stats = engine.stream_cache_stats()
+            assert (stats["entries"], stats["bytes"],
+                    stats["evictions"]) == (0, 0, 0)
+            counts = self._counting(engine, monkeypatch)
+            reply = service.execute(RecourseQuery(
+                "kai", *TARGET, threshold=0.99, max_edits=3, beam_width=2,
+                candidates=CANDIDATES, allow_history_edits=False))
+            assert reply.ok and reply.generations == 3
+            assert counts == {"capture": 2, "forward": 0}
+        finally:
+            service.close()
+
     def test_history_edit_search_rebuilds_once_per_generation(self,
                                                               monkeypatch):
         """Fix-history worlds rewrite the middle of the timeline, so
@@ -379,7 +422,6 @@ def test_facade_gateway_and_router_agree(encoder):
                            timeout=10.0)
     try:
         students = [f"{encoder}-r{k}" for k in range(4)]
-        from repro.serve import RecordEvent
         records = [RecordEvent(student, question, correct, concepts)
                    for student in students
                    for question, correct, concepts in HISTORY]
@@ -443,6 +485,11 @@ class TestMonotonicityReport:
                           UnknownStudent)
         assert isinstance(service.monotonicity_report("kai", model="no"),
                           ModelNotLoaded)
+        # Ill-typed arguments fail the query surface's field rules.
+        for student_id, model in (([1], "default"), ({}, "default"),
+                                  ("kai", ["x"])):
+            report = service.monotonicity_report(student_id, model=model)
+            assert isinstance(report, MalformedQuery), report
 
     def test_lowered_score_flags_agree_with_the_report(self, stack):
         """A fix_history step at position p in a recourse path scores

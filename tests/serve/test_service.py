@@ -10,12 +10,14 @@ from repro.core import ENCODERS, RCKT, RCKTConfig
 from repro.core.masking import window_start
 from repro.data import (Interaction, SimulationConfig, StudentSequence,
                         StudentSimulator, build_dataset, collate)
-from repro.serve import (BatchEnvelope, CandidateQuestion, EmptyHistory,
+from repro.serve import (DEFAULT_STREAM_CACHE_BYTES, BatchEnvelope,
+                         CandidateQuestion, EmptyHistory,
                          ExplainQuery, HistoryEdit, InferenceEngine,
                          InternalError, InvalidConcept, InvalidEdit,
                          InvalidQuestion, MalformedQuery, ModelNotLoaded,
                          ModelRegistry, RecommendQuery, RecordEvent,
                          ScoreQuery, Service, UnknownStudent, WhatIfQuery)
+from repro.tensor import no_grad
 
 ATOL = 1e-10
 NUM_QUESTIONS = 40
@@ -96,7 +98,6 @@ class TestParity:
         windowed = StudentSequence(
             "ref", list(sequence.interactions)[start:])
         batch = collate([windowed])
-        from repro.tensor import no_grad
         with no_grad():
             direct = engine.model.influences(
                 batch, np.array([len(windowed) - 1]))
@@ -259,16 +260,30 @@ class TestMixedBatchCoalescing:
                                - getattr(many, attribute)) < ATOL
 
     def test_cached_and_uncached_service_agree(self, model, dataset):
-        cached = InferenceEngine(model)
-        cached.load_dataset(dataset)
-        uncached = InferenceEngine(model, stream_cache_bytes=0)
-        uncached.load_dataset(dataset)
-        queries = self._mixed_queries(dataset)
-        warm = Service(cached).execute_batch(queries)
-        cold = Service(uncached).execute_batch(queries)
-        for a, b in zip(warm, cold):
-            if hasattr(a, "score"):
-                assert abs(a.score - b.score) < ATOL
+        """The default budget and a zero budget (every row warm-built
+        per batch, nothing kept) both answer the mixed batch with what
+        the offline scorer computes on each student's history."""
+        first, second, third = (list(sequence.interactions)
+                                for sequence in list(dataset)[:3])
+        edited = list(second)
+        edited[1] = Interaction(edited[1].question_id,
+                                1 - edited[1].correct, edited[1].concept_ids)
+        with no_grad():
+            explained = model.influences(collate([StudentSequence(
+                "ref", first)]), np.array([len(first) - 1])).scores[0]
+        expected = [seed_idiom_score(model, first, 7, (3,)), explained,
+                    seed_idiom_score(model, edited, 9, (1,)),
+                    seed_idiom_score(model, second, 2, (1,)),
+                    seed_idiom_score(model, third, 5, (2,))]
+        baseline = seed_idiom_score(model, second, 9, (1,))
+        for budget in (DEFAULT_STREAM_CACHE_BYTES, 0):
+            engine = InferenceEngine(model, stream_cache_bytes=budget)
+            engine.load_dataset(dataset)
+            replies = Service(engine).execute_batch(
+                self._mixed_queries(dataset))
+            for reply, want in zip(replies, expected):
+                assert abs(reply.score - want) < ATOL, (budget, reply)
+            assert abs(replies[2].baseline_score - baseline) < ATOL
 
     def test_records_apply_before_reads(self, model, dataset):
         engine = InferenceEngine(model)
