@@ -13,9 +13,9 @@ equivalent ways — the typed facade in process, and HTTP:
   :class:`RecordEvent`, batched via :class:`BatchEnvelope`) answered by
   a typed reply or a structured error **value**
   (:class:`~repro.serve.protocol.ServiceError` subclasses — never
-  raised across the boundary).  One admission scheduler coalesces
-  heterogeneous query types per model into shared forward-stream
-  batches; :meth:`Service.monotonicity_report` sweeps the
+  raised across the boundary).  One plan per read query type puts
+  every read of a model into one shared forward-stream batch;
+  :meth:`Service.monotonicity_report` sweeps the
   correct-response-lowers-mastery diagnostic per student.
 * :class:`ModelRegistry` — named checkpoints, queries address models
   by name; :meth:`Service.rollout` swaps in a warm standby engine, the

@@ -2,16 +2,19 @@
 
 The engine owns a checkpointed model plus everything that model's
 serving state needs — per-student histories, incremental forward-stream
-caches, window anchoring — and exposes the row-level scheduling
-primitives (:meth:`InferenceEngine._assemble_rows`,
-:meth:`InferenceEngine._score_context`) the :class:`repro.serve.Service`
-scheduler drives.  Queries enter through ``Service.execute`` /
-``Service.execute_batch`` only; the engine itself answers none.  It
-scores on the caller's thread: process parallelism is
-:mod:`repro.cluster`.
+caches, window anchoring.  Its public interface is what the
+:class:`repro.serve.Service` query plans and the hypothetical-world
+scorers of :mod:`repro.serve.recourse` need: the window anchor
+(:meth:`InferenceEngine.window_start`), the id check
+(:meth:`InferenceEngine.id_error`), the error context, a clone of a
+warm stream-cache entry, and one scoring call,
+:meth:`InferenceEngine.score_rows`, over :class:`ContextRow` values.
+Queries enter through ``Service.execute`` / ``Service.execute_batch``
+only; the engine itself answers none.  It scores on the caller's
+thread: process parallelism is :mod:`repro.cluster`.
 
-The scheduler replaces the seed's serving idiom (one collated
-single-row ``predict_scores`` call per probe, as in
+Scoring replaces the seed's serving idiom (one collated single-row
+``predict_scores`` call per probe, as in
 :func:`repro.interpret.recommendation.question_value`) with
 column-chunked stacked passes: identical scores, several times the
 throughput — ``benchmarks/bench_inference.py`` tracks the exact factor.
@@ -21,7 +24,8 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -48,8 +52,8 @@ TARGET_BATCH = 64
 
 
 @dataclass
-class _ContextRow:
-    """One row of a shared scoring context (the scheduler's unit).
+class ContextRow:
+    """One row of a shared scoring context (the unit of ``score_rows``).
 
     ``history`` is any object with the read interface of
     :class:`~repro.serve.history.StudentHistory` — the stored history,
@@ -66,6 +70,22 @@ class _ContextRow:
     start: int
     probe: Optional[Tuple[int, Tuple[int, ...]]]
     cache_key: object = None
+
+
+class ScoredRows(NamedTuple):
+    """What :meth:`InferenceEngine.score_rows` returns, by row index.
+
+    ``scores[k]`` is row ``k``'s score: its probe's, or for an explain
+    row its last recorded response's.  ``deltas[k]`` holds an explain
+    row's Eq. 12 per-position grids ``(correct, incorrect)`` over its
+    window; ``entries[k]`` is the stream-cache entry that served row
+    ``k`` (under a zero budget the batch's only copy, which the next
+    recourse generation extends).
+    """
+
+    scores: np.ndarray
+    deltas: Dict[int, Tuple[np.ndarray, np.ndarray]]
+    entries: Dict[int, object]
 
 
 class InferenceEngine:
@@ -154,17 +174,17 @@ class InferenceEngine:
             self._service = Service(self)
         return self._service
 
-    def _window_start(self, history_length: int) -> int:
+    def window_start(self, history_length: int) -> int:
         """Anchored window start for a history of ``history_length`` steps."""
         return window_start(history_length, self.window, self.window_hop)
 
-    def _error_context(self, student_id=None) -> str:
+    def error_context(self, student_id=None) -> str:
         if student_id is None:
             return f" (model '{self.name}')"
         return f" (model '{self.name}', student {student_id!r})"
 
-    def _id_error(self, question_id: int, concept_ids: Sequence[int],
-                  student_id=None) -> Optional[ServiceError]:
+    def id_error(self, question_id: int, concept_ids: Sequence[int],
+                 student_id=None) -> Optional[ServiceError]:
         """First id-validation failure as an :class:`InvalidQuestion` or
         :class:`InvalidConcept` value, ``None`` when everything is in
         vocabulary.
@@ -173,7 +193,7 @@ class InferenceEngine:
         model/student context so a gateway error payload is actionable
         on its own.
         """
-        context = self._error_context(student_id)
+        context = self.error_context(student_id)
         if not isinstance(question_id, (int, np.integer)) \
                 or isinstance(question_id, bool):
             # Wire payloads can carry any JSON type: reject before a
@@ -213,7 +233,7 @@ class InferenceEngine:
 
     def _validate_ids(self, question_id: int, concept_ids: Sequence[int],
                       student_id=None) -> None:
-        error = self._id_error(question_id, concept_ids, student_id)
+        error = self.id_error(question_id, concept_ids, student_id)
         if error is not None:
             raise ValueError(error.message)
 
@@ -314,7 +334,7 @@ class InferenceEngine:
                 history = self.students.peek(student_id)
                 if history is None or history.length == 0:
                     continue
-                start = self._window_start(history.length)
+                start = self.window_start(history.length)
                 arrays = [a.copy() for a in
                           (history.suffix(start) if start
                            else history).view()]
@@ -378,7 +398,7 @@ class InferenceEngine:
         entry = self.stream_caches.peek(student_id)
         if entry is None:
             return  # cold/evicted: next score warm-builds in one pass
-        if self._window_start(history.length) != entry.anchor:
+        if self.window_start(history.length) != entry.anchor:
             # The serving window slid past the cached anchor: cached
             # states are functions of their window-relative positions,
             # so the entry cannot be extended — the next score rebuilds
@@ -443,16 +463,16 @@ class InferenceEngine:
     # Scoring
     # ------------------------------------------------------------------
     # invariant: holds-lock
-    def _assemble_rows(self, rows: Sequence[_ContextRow],
-                       local_entries: Optional[Dict[int, object]] = None,
-                       built_out: Optional[Dict[int, object]] = None
-                       ) -> Tuple[MultiTargetContext, np.ndarray]:
+    def _assemble_rows(self, rows: Sequence[ContextRow],
+                       local_entries: Optional[Dict[int, object]] = None
+                       ) -> Tuple[MultiTargetContext, np.ndarray,
+                                  Dict[int, object]]:
         """One shared scoring context over heterogeneous rows (lock held).
 
-        The scheduler's core: score probes, what-if replays (edited
-        detached histories), and explain targets all become rows of a
-        single :class:`MultiTargetContext` whose forward half comes from
-        the per-student stream caches.  Every missing row (cold or
+        The core of :meth:`score_rows`: score probes, what-if replays
+        (edited detached histories), and explain targets all become rows
+        of a single :class:`MultiTargetContext` whose forward half comes
+        from the per-student stream caches.  Every missing row (cold or
         evicted students, edited histories, off-anchor explain targets,
         every row under a zero budget) is warm-built in **one** stacked
         :func:`~repro.serve.forward_cache.build_stream_caches` pass, so
@@ -464,12 +484,11 @@ class InferenceEngine:
         covering that row's ``[start, history.length)`` slice — the
         recourse search and the recommend value worlds pass
         clone-extended per-world entries here, so a batch of
-        hypothetical timelines costs zero forward passes.  ``built_out``
-        (when given) is filled with row index -> the entry that served
-        the row, letting the caller keep warm-built timelines for the
-        next generation.
+        hypothetical timelines costs zero forward passes.
 
-        Returns the context plus per-row target columns.  The assembled
+        Returns the context, the per-row target columns and row index ->
+        the entry that served the row, letting the caller keep
+        warm-built timelines for the next generation.  The assembled
         arrays are copies, so the backward passes run outside the lock.
         """
         store = self.stream_caches
@@ -505,7 +524,7 @@ class InferenceEngine:
             # serving anchor must neither evict nor overwrite the entry
             # the score path keeps extending.
             canonical = (row.cache_key is not None and row.start
-                         == self._window_start(row.history.length))
+                         == self.window_start(row.history.length))
             entry = store.get(row.cache_key) \
                 if row.cache_key is not None else None
             if entry is not None and (entry.anchor != row.start
@@ -531,10 +550,8 @@ class InferenceEngine:
                 entries[slot] = entry
                 if cache_key is not None:
                     store.put(cache_key, entry)
-        if built_out is not None:
-            for index, slot in enumerate(slot_of):
-                if slot is not None:
-                    built_out[index] = entries[slot]
+        served = {index: entries[slot]
+                  for index, slot in enumerate(slot_of) if slot is not None}
 
         count = len(rows)
         width = max(length + (1 if row.probe is not None else 0)
@@ -585,44 +602,56 @@ class InferenceEngine:
         context = MultiTargetContext(self.model, base,
                                      question_vectors=question_vectors,
                                      forward_streams=streams)
-        return context, cols
+        return context, cols, served
 
-    def _score_context(self, context: MultiTargetContext,
-                       row_indices: np.ndarray,
-                       cols: np.ndarray) -> np.ndarray:
-        """Run the per-request backward passes, column-banded."""
-        rows = np.asarray(row_indices, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        scores = np.empty(len(cols), dtype=np.float64)
-        self._obs_forward_calls.inc()
-        for chunk in column_banded_chunks(cols, TARGET_BATCH):
-            scores[chunk] = context.scores_for(rows[chunk], cols[chunk])
-        return scores
-
-    def _score_rows(self, rows: Sequence[_ContextRow],
-                    local_entries: Optional[Dict[int, object]] = None
-                    ) -> Tuple[np.ndarray, Dict[int, object]]:
+    def score_rows(self, admit: Callable[[], Sequence[ContextRow]],
+                   local_entries: Optional[Dict[int, object]] = None
+                   ) -> ScoredRows:
         """Score heterogeneous rows as **one** shared batch.
 
-        The one scorer of hypothetical worlds — recourse generations,
-        recommend value worlds and the monotonicity report: assemble
-        under the engine lock (one warm-build pass for whatever
-        ``local_entries`` does not already cover), score every row's
-        backward pass outside it.  Returns the per-row scores plus the
-        row index -> stream-cache entry map of the batch; under a zero
-        budget these are the batch's only copies, and the next recourse
-        generation extends them.
+        The engine's one scoring call: the facade's read flush, recourse
+        generations, recommend value worlds and the monotonicity report
+        all score here.  ``admit()`` runs under the engine lock and
+        returns the rows, so rows may hold live histories and every row
+        of a batch sees one history state; callers with rows in hand
+        pass ``lambda: rows``.  The rows are assembled under the lock
+        (one warm-build pass for whatever ``local_entries`` does not
+        already cover); the backward passes run after it is released,
+        probe rows column-banded through
+        :meth:`MultiTargetContext.scores_for` and explain rows
+        (``probe is None``) through one
+        :meth:`MultiTargetContext.influences_for`.
         """
-        built: Dict[int, object] = {}
         with no_grad():
             with self._lock:
-                context, cols = self._assemble_rows(
-                    rows, local_entries=local_entries, built_out=built)
-            scores = self._score_context(context, np.arange(len(rows)),
-                                         cols)
-        return scores, built
+                rows = admit()
+                if not rows:
+                    return ScoredRows(np.empty(0), {}, {})
+                context, cols, entries = self._assemble_rows(rows,
+                                                             local_entries)
+            # The context holds copies: the backward passes need no lock.
+            scores = np.full(len(rows), np.nan)
+            probes = np.flatnonzero([row.probe is not None
+                                     for row in rows])
+            if len(probes):
+                self._obs_forward_calls.inc()
+                probe_cols = cols[probes]
+                for chunk in column_banded_chunks(probe_cols, TARGET_BATCH):
+                    scores[probes[chunk]] = context.scores_for(
+                        probes[chunk], probe_cols[chunk])
+            deltas = {}
+            explains = np.flatnonzero([row.probe is None for row in rows])
+            if len(explains):
+                computation = context.influences_for(explains,
+                                                     cols[explains])
+                scores[explains] = computation.scores
+                for position, row in enumerate(explains):
+                    deltas[int(row)] = (
+                        computation.correct_deltas.data[position],
+                        computation.incorrect_deltas.data[position])
+        return ScoredRows(scores, deltas, entries)
 
-    def _warm_entry(self, student_id, length: int):
+    def warm_entry(self, student_id, length: int):
         """A private clone of the student's warm stream-cache entry.
 
         The root timeline of a snapshot's hypothetical worlds: practice
@@ -634,7 +663,7 @@ class InferenceEngine:
         under the lock because ``record`` extends the stored entry in
         place.
         """
-        start = self._window_start(length)
+        start = self.window_start(length)
         with self._lock:
             entry = self.stream_caches.peek(student_id)
             if entry is None or entry.anchor != start \

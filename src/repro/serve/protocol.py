@@ -35,8 +35,9 @@ non-id query field declares one :class:`FieldRule` in its field
 metadata, and :func:`admission_error` — called by the facade and the
 cluster router alike — answers the first violation as ``"<field> must
 be <requirement>, got <value>"``.  Ids stay with the engine, which
-knows the checkpoint's vocabulary.  Fields that exist only in-process
-(``ExplainReply.computation``) are never serialized.
+knows the checkpoint's vocabulary.  Every field of every query and
+reply crosses the wire: in process and over HTTP, a reply carries the
+same fields.
 
 The full field-by-field reference lives in ``docs/API.md``.
 """
@@ -409,10 +410,6 @@ class ExplainReply(Reply):
     influences: Tuple[InfluenceItem, ...] = field(
         metadata={"item": InfluenceItem})
     model: str = DEFAULT_MODEL
-    #: In-process only: the full differentiable
-    #: :class:`repro.core.influence.InfluenceComputation` behind the
-    #: itemized view.  Never serialized; ``None`` across the wire.
-    computation: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "influences", tuple(self.influences))
@@ -782,9 +779,6 @@ def admission_error(query) -> Optional[ServiceError]:
 # ---------------------------------------------------------------------------
 # Wire codec
 # ---------------------------------------------------------------------------
-#: Fields that exist only in-process and never cross the wire.
-_LOCAL_FIELDS = {"computation"}
-
 #: Optional fields omitted from the wire when ``None``, so payloads
 #: that never set them stay byte-identical to pre-field builds.
 _OPTIONAL_WIRE_FIELDS = {"request_id"}
@@ -817,8 +811,6 @@ def _dataclass_wire(obj, exact: bool) -> dict:
     if is_error(obj):
         payload["code"] = obj.code
     for spec in dataclasses.fields(obj):
-        if spec.name in _LOCAL_FIELDS:
-            continue
         value = getattr(obj, spec.name)
         if spec.name in _OPTIONAL_WIRE_FIELDS and value is None:
             continue
@@ -894,8 +886,6 @@ def _decode_into(cls, payload: dict):
                         f"{type(payload).__name__}")
     kwargs = {}
     for spec in dataclasses.fields(cls):
-        if spec.name in _LOCAL_FIELDS:
-            continue
         if spec.name in payload:
             value = payload[spec.name]
         elif spec.default is not dataclasses.MISSING:

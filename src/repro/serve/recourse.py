@@ -23,9 +23,11 @@ minimal edit set (ties broken toward the highest score).  ``beam_width``
 bounds how many worlds survive each generation (1 = greedy); duplicate
 edit *sets* reached along different paths are expanded once.
 
-Batching contract (the whole point of riding the PR 4 scheduler):
-every generation is scored through
-:meth:`~repro.serve.engine.InferenceEngine._score_rows` as rows of
+Batching contract: the query's plan (:mod:`repro.serve.service`)
+puts the target's baseline probe in the batch's shared flush, and its
+``finish`` runs the search after that flush.  Every generation is
+scored through
+:meth:`~repro.serve.engine.InferenceEngine.score_rows` as rows of
 **one** shared forward-stream batch — and practice worlds whose parent
 timeline is already warm extend a ``clone()`` of the parent's stream
 cache by a single encoder step, costing *zero* forward passes.  Only
@@ -47,7 +49,7 @@ practice world with an assumed answer: the snapshot plus one candidate
 answered 1 or 0, probed by each of the ``horizon`` most recent
 questions.  :func:`recommend_values` builds them with the same
 :class:`PracticeWorlds` timelines and clone-extended warm entries the
-search uses, and scores them through the same row scheduler.
+search uses, and scores them through the same call.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ import numpy as np
 
 from repro.data import PAD_ID
 
-from .engine import InferenceEngine, _ContextRow
+from .engine import ContextRow, InferenceEngine
 from .forward_cache import base_contents, question_vector_for
 from .history import ArrayHistory
 from .protocol import (RecommendQuery, RecourseQuery, RecourseReply,
@@ -178,7 +180,7 @@ class RecourseSearch:
     never tear the search across two history states), and ``baseline``
     the probe's score from the shared mixed-type batch.  The root
     timeline starts from a clone of the student's warm stream-cache
-    entry (:meth:`InferenceEngine._warm_entry`) — which the baseline
+    entry (:meth:`InferenceEngine.warm_entry`) — which the baseline
     probe just built if the student was cold — so first-generation
     practice worlds cost no forward pass.  A stale entry (window slid,
     or a record landed since admission) only forfeits that warm start.
@@ -197,14 +199,14 @@ class RecourseSearch:
                                      query.candidates)
         # Edits behind the serving window cannot move the score; only
         # in-window incorrect responses are fixable.
-        window_start = engine._window_start(self.base_length)
+        window_start = engine.window_start(self.base_length)
         responses = snapshot[1]
         self.fix_positions = tuple(
             int(p) for p in range(window_start, self.base_length)
             if responses[p] == 0) if query.allow_history_edits else ()
         root = _World(None, None, frozenset(), (), self.base_length)
         root.score = self.baseline
-        root.entry = engine._warm_entry(query.student_id, self.base_length)
+        root.entry = engine.warm_entry(query.student_id, self.base_length)
         self.root = root
 
     # ------------------------------------------------------------------
@@ -295,16 +297,16 @@ class RecourseSearch:
             timeline = self.worlds.timeline(
                 [(candidate, 1) for candidate in world.practiced],
                 world.fixed)
-            start = engine._window_start(timeline.length)
-            rows.append(_ContextRow(timeline, start, probe))
+            start = engine.window_start(timeline.length)
+            rows.append(ContextRow(timeline, start, probe))
             entry = self._extended_entry(world, start)
             if entry is not None:
                 local[index] = entry
-        scores, built = engine._score_rows(rows,
-                                           local_entries=local or None)
+        scored = engine.score_rows(lambda: rows,
+                                   local_entries=local or None)
         for index, world in enumerate(children):
-            world.score = float(scores[index])
-            world.entry = built.get(index)
+            world.score = float(scored.scores[index])
+            world.entry = scored.entries.get(index)
 
     def _extended_entry(self, world: _World, start: int):
         """Clone-extend the parent's warm entry for a practice world.
@@ -370,14 +372,14 @@ def recommend_values(engine: InferenceEngine, query: RecommendQuery,
     with no forward pass of their own.
     """
     length = len(snapshot[0])
-    start = engine._window_start(length)
+    start = engine.window_start(length)
     questions, _, concepts, counts = snapshot
     probes = [(int(questions[p]),
                tuple(int(c) for c in concepts[p, :counts[p]]))
               for p in range(max(start, length - query.horizon), length)]
     worlds = PracticeWorlds(engine, query.student_id, snapshot,
                             query.candidates)
-    root = engine._warm_entry(query.student_id, length)
+    root = engine.warm_entry(query.student_id, length)
     rows = []
     local: Dict[int, object] = {}
     for index in range(len(query.candidates)):
@@ -388,8 +390,9 @@ def recommend_values(engine: InferenceEngine, query: RecommendQuery,
             for probe in probes:
                 if entry is not None:
                     local[len(rows)] = entry
-                rows.append(_ContextRow(timeline, start, probe))
-    scores, _ = engine._score_rows(rows, local_entries=local or None)
+                rows.append(ContextRow(timeline, start, probe))
+    scores = engine.score_rows(lambda: rows,
+                               local_entries=local or None).scores
     return np.array([np.abs(correct - incorrect).mean()
                      for correct, incorrect in
                      scores.reshape(len(query.candidates), 2, len(probes))])

@@ -15,9 +15,11 @@ from repro.core import RCKT, RCKTConfig
 from repro.data import SimulationConfig, StudentSimulator, build_dataset
 from repro.obs import names as metric_names
 from repro.serve import (BatchEnvelope, CandidateQuestion, ExplainQuery,
-                         InferenceEngine, RecommendQuery, RecordEvent,
-                         RecourseQuery, ScoreQuery, Service, ServiceClient,
-                         start_http_thread)
+                         HistoryEdit, InferenceEngine, InvalidQuestion,
+                         RecommendQuery, RecordEvent, RecourseQuery,
+                         RecourseSearch, ScoreQuery, Service, ServiceClient,
+                         WhatIfQuery, start_http_thread)
+from repro.serve import service as service_module
 
 NUM_QUESTIONS = 25
 NUM_CONCEPTS = 4
@@ -129,7 +131,7 @@ class TestServiceInstrumentation:
                                                        monkeypatch):
         """A fake clock advanced only by each stage's work: a query's
         latency is its group's start to its own slot, not the group's
-        end (a score no longer reads at recourse latency)."""
+        end, so a score does not read at recourse latency."""
         registry, service, dataset = isolated
         engine = service.engine()
         now = [0.0]
@@ -142,10 +144,10 @@ class TestServiceInstrumentation:
                 return original(*args, **kwargs)
             monkeypatch.setattr(owner, name, run)
 
-        advancing(engine, "record", 1.0)               # each record
-        advancing(service, "_resolve_reads", 10.0)     # the shared flush
-        advancing(service, "_recommend_reply", 100.0)  # recommend worlds
-        advancing(service, "_recourse_reply", 1000.0)  # recourse search
+        advancing(engine, "record", 1.0)                 # each record
+        advancing(engine, "score_rows", 10.0)            # each scoring call
+        advancing(service_module, "recommend_values", 100.0)  # value worlds
+        advancing(RecourseSearch, "run", 1000.0)         # recourse search
         first, second, third = (s.student_id for s in dataset)
         batch = [
             ScoreQuery(first, 1, (1,)),
@@ -169,11 +171,37 @@ class TestServiceInstrumentation:
                 metric_names.SERVICE_QUERY_SECONDS, type=query_type)
             return histogram.count, histogram.snapshot()["sum"]
 
+        # Score and explain reply at the shared flush (records, then one
+        # scoring call); recommend and recourse after their worlds, each
+        # of which scores through one more call.
         assert charged("record") == (2, 1.0 + 2.0)
         assert charged("score") == (1, 12.0)
         assert charged("explain") == (1, 12.0)
-        assert charged("recommend") == (1, 112.0)
-        assert charged("recourse") == (1, 1112.0)
+        assert charged("recommend") == (1, 122.0)
+        assert charged("recourse") == (1, 1132.0)
+
+    def test_coalesced_reads_count_rows_not_queries(self, isolated):
+        """``service_coalesced_reads_total`` counts the rows of the
+        shared flush: a what-if adds two, a recommend one per candidate,
+        a rejected query none, and hypothetical worlds scored after the
+        flush are not rows of it."""
+        registry, service, dataset = isolated
+        first, second, third = (s.student_id for s in dataset)
+        replies = service.execute_batch([
+            ScoreQuery(first, 1, (1,)),                             # 1
+            ExplainQuery(second),                                   # 1
+            WhatIfQuery(third, 2, (1,), (HistoryEdit(0, "flip"),)),  # 2
+            RecommendQuery(first, (CandidateQuestion(3, (1,)),
+                                   CandidateQuestion(4, (2,)))),    # 2
+            RecourseQuery(second, 4, (2,), threshold=0.99,
+                          max_edits=1, beam_width=1,
+                          candidates=(CandidateQuestion(5, (1,)),)),  # 1
+            ScoreQuery(third, NUM_QUESTIONS + 1, (1,)),             # 0
+        ])
+        assert all(reply.ok for reply in replies[:5]), replies
+        assert isinstance(replies[5], InvalidQuestion)
+        assert registry.counter_total(
+            metric_names.SERVICE_COALESCED_READS_TOTAL) == 7
 
 
 class TestGatewaySurface:

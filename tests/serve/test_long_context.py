@@ -190,10 +190,9 @@ def test_windowed_influences_and_recommend_cover_the_window():
             engine.record("s", question, answer, concepts)
         reply = engine.service.execute(ExplainQuery("s"))
         assert not is_error(reply), reply
-        influence = reply.computation
         # The influence readout conditions on the windowed context only.
-        assert influence.history_lengths[0] <= window
-        assert influence.history_lengths[0] > window - hop - 1
+        assert len(reply.influences) <= window
+        assert len(reply.influences) > window - hop - 1
         recommended = engine.service.execute(RecommendQuery(
             "s", candidates, top_k=3))
         assert not is_error(recommended), recommended

@@ -155,13 +155,6 @@ class TestDecodeFailuresAreValues:
 
 
 class TestLocalOnlyFields:
-    def test_computation_never_crosses_the_wire(self):
-        reply = ExplainReply("amy", 3, 1, 0.5, (), computation=object())
-        payload = to_wire(reply)
-        assert "computation" not in payload
-        decoded = reply_from_wire(json.loads(json.dumps(payload)))
-        assert decoded.computation is None
-
     def test_is_error_discriminates(self):
         assert is_error(ERRORS[0]) and not is_error(REPLIES[0])
         assert not ERRORS[0].ok and REPLIES[0].ok

@@ -16,7 +16,8 @@ from repro.serve import (DEFAULT_STREAM_CACHE_BYTES, BatchEnvelope,
                          InternalError, InvalidConcept, InvalidEdit,
                          InvalidQuestion, MalformedQuery, ModelNotLoaded,
                          ModelRegistry, RecommendQuery, RecordEvent,
-                         ScoreQuery, Service, UnknownStudent, WhatIfQuery)
+                         RecourseQuery, ScoreQuery, Service, UnknownStudent,
+                         WhatIfQuery, to_wire)
 from repro.tensor import no_grad
 
 ATOL = 1e-10
@@ -38,6 +39,21 @@ def make_model(encoder="dkt", dim=8, layers=1, seed=3):
     return RCKT(NUM_QUESTIONS, NUM_CONCEPTS,
                 RCKTConfig(encoder=encoder, dim=dim, layers=layers,
                            seed=seed))
+
+
+def wire_close(ours, reference) -> bool:
+    """Structural wire equality, floats compared to ``ATOL``."""
+    if type(ours) is not type(reference):
+        return False
+    if isinstance(ours, dict):
+        return ours.keys() == reference.keys() and all(
+            wire_close(ours[key], reference[key]) for key in ours)
+    if isinstance(ours, list):
+        return len(ours) == len(reference) and all(
+            wire_close(a, b) for a, b in zip(ours, reference))
+    if isinstance(ours, float):
+        return abs(ours - reference) < ATOL
+    return ours == reference
 
 
 def seed_idiom_score(model, interactions, question_id, concept_ids):
@@ -242,22 +258,40 @@ class TestMixedBatchCoalescing:
         assert counts["capture"] == 1
         assert counts["forward"] == 0
 
-    def test_mixed_batch_matches_individual_execution(self, model,
-                                                      dataset):
-        engine_a = InferenceEngine(model)
-        engine_a.load_dataset(dataset)
-        engine_b = InferenceEngine(model)
-        engine_b.load_dataset(dataset)
-        queries = self._mixed_queries(dataset)
-        batched = Service(engine_a).execute_batch(BatchEnvelope(
-            tuple(queries)))
-        single = [Service(engine_b).execute(query) for query in queries]
-        for one, many in zip(single, batched):
-            assert type(one) is type(many)
-            for attribute in ("score", "baseline_score"):
-                if hasattr(one, attribute):
-                    assert abs(getattr(one, attribute)
-                               - getattr(many, attribute)) < ATOL
+    def test_mixed_batch_matches_individual_execution(self, dataset):
+        """Every reply of one envelope mixing every read type — three
+        explains, a score, two what-ifs (one rejected), a recommend, a
+        recourse and an unknown student — equals, field for field on
+        the wire, the reply to its query sent alone."""
+        students = [s.student_id for s in dataset]
+        candidates = (CandidateQuestion(3, (1,)),
+                      CandidateQuestion(9, (2,)))
+        queries = [
+            ExplainQuery(students[0]),
+            ScoreQuery(students[1], 7, (3,)),
+            ExplainQuery(students[1]),
+            WhatIfQuery(students[2], 9, (1,), (HistoryEdit(1, "flip"),)),
+            RecommendQuery(students[0], candidates, horizon=2),
+            WhatIfQuery(students[3], 9, (1,), (HistoryEdit(99, "flip"),)),
+            RecourseQuery(students[2], 5, (2,), threshold=0.99,
+                          max_edits=2, beam_width=2, candidates=candidates),
+            ExplainQuery("ghost"),
+            ExplainQuery(students[3]),
+        ]
+        for encoder in ("dkt", "akt"):
+            model = make_model(encoder)
+            engine_a = InferenceEngine(model)
+            engine_a.load_dataset(dataset)
+            engine_b = InferenceEngine(model)
+            engine_b.load_dataset(dataset)
+            batched = Service(engine_a).execute_batch(BatchEnvelope(
+                tuple(queries)))
+            single = [Service(engine_b).execute(query) for query in queries]
+            assert isinstance(batched[5], InvalidEdit)
+            assert isinstance(batched[7], UnknownStudent)
+            for query, one, many in zip(queries, single, batched):
+                assert wire_close(to_wire(many), to_wire(one)), \
+                    (encoder, query)
 
     def test_cached_and_uncached_service_agree(self, model, dataset):
         """The default budget and a zero budget (every row warm-built
@@ -456,7 +490,7 @@ class TestErrorTaxonomy:
         def boom(*args, **kwargs):
             raise RuntimeError("kaboom")
 
-        monkeypatch.setattr(service.engine(), "_score_context", boom)
+        monkeypatch.setattr(service.engine(), "score_rows", boom)
         reply = service.execute(ScoreQuery(list(dataset)[0].student_id,
                                            3, (1,)))
         assert isinstance(reply, InternalError)

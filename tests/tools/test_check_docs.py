@@ -276,6 +276,27 @@ def test_removed_surface_flags_a_method_defined_again(tmp_path):
     assert "`score_all`" in failures[1]
 
 
+def test_removed_surface_flags_a_class_field_defined_again(tmp_path):
+    write_removed_tree(tmp_path, engine=REMOVED_ENGINE + """
+        reload: object = None
+    """)
+    failures = removed_failures(tmp_path)
+    assert len(failures) == 1
+    assert "`Engine.reload` is listed as removed" in failures[0]
+
+
+def test_real_api_doc_spells_out_every_removed_member():
+    """The real Removed table names each removed member in full: a row
+    abbreviated as ``InferenceEngine.submit / flush`` checks the bare
+    ``flush`` as a module-level name and lets ``InferenceEngine.flush``
+    come back."""
+    names = check_docs.removed_names(
+        (REPO_ROOT / "docs" / "API.md").read_text(encoding="utf-8"))
+    for name in ("InferenceEngine.flush", "InferenceEngine.score",
+                 "Service.flush", "ExplainReply.computation"):
+        assert name in names
+
+
 def test_removed_surface_flags_a_module_symbol_only_in_its_module(
         tmp_path):
     write_removed_tree(tmp_path)

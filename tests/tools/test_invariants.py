@@ -17,7 +17,7 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 sys.path.insert(0, str(REPO_ROOT))
 
 from tools.invariants import (determinism, durability, locks,  # noqa: E402
-                              raises, timeimports)
+                              privacy, raises, timeimports)
 from tools.invariants.common import (Module, apply_suppressions,  # noqa: E402
                                      comment_map, suppression_findings)
 
@@ -387,6 +387,70 @@ def test_timeimport_scope_excludes_obs_but_covers_serving():
 
 
 # ---------------------------------------------------------------------------
+# INV006 — module privacy
+# ---------------------------------------------------------------------------
+def test_privacy_rule_flags_a_reach_in():
+    module = make_module("""
+        from .engine import _ContextRow
+
+        def plan(engine, history):
+            start = engine._window_start(history.length)
+            return _ContextRow(history, start, None), engine._ContextRow
+    """)
+    findings = privacy.check_module(module)
+    # Importing a private name defines nothing: both accesses reach in.
+    assert [(f.code, f.line, f.symbol) for f in findings] \
+        == [("INV006", 5, "plan"), ("INV006", 6, "plan")]
+    assert "'engine._window_start'" in findings[0].message
+
+
+def test_privacy_rule_allows_same_module_access():
+    module = make_module("""
+        import threading
+
+        class Engine:
+            def __init__(self):
+                self._lock = threading.Lock()
+
+            def standby(self):
+                standby = Engine()
+                standby._lock = self._lock
+                return standby
+
+        def close(handle):
+            if handle._log_file is not None:
+                handle._log_file.close()
+                handle._log_file = None
+    """)
+    assert privacy.check_module(module) == []
+
+
+def test_privacy_rule_allows_self_cls_super_and_dunders():
+    module = make_module("""
+        class Child(Base):
+            def run(self):
+                return self._helper() + super()._helper()
+
+            @classmethod
+            def make(cls, error):
+                return cls._registry, type(error).__name__
+    """)
+    assert privacy.check_module(module) == []
+
+
+def test_privacy_rule_suppression():
+    module = make_module("""
+        def peek(engine):
+            return engine._lock  # invariants: disable=INV006 -- test hook
+    """)
+    findings = privacy.check_module(module)
+    findings.extend(suppression_findings(module))
+    kept, suppressed = apply_suppressions(module, findings)
+    assert kept == []
+    assert [f.code for f in suppressed] == ["INV006"]
+
+
+# ---------------------------------------------------------------------------
 # Runner: scoping, baseline round-trip, real repository
 # ---------------------------------------------------------------------------
 def write_tree(root: Path) -> None:
@@ -415,6 +479,9 @@ def write_tree(root: Path) -> None:
 
             def reject(self):
                 raise MalformedQuery("nope")
+
+        def anchor(engine):
+            return engine._window_start(3)
     """))
     (core / "trainer.py").write_text(
         "import time\n\n\ndef stamp():\n    return time.time()\n")
@@ -428,7 +495,8 @@ def write_tree(root: Path) -> None:
 
 def test_runner_exits_nonzero_per_failing_rule(tmp_path):
     write_tree(tmp_path)
-    for rule in ("INV001", "INV002", "INV003", "INV004", "INV005"):
+    for rule in ("INV001", "INV002", "INV003", "INV004", "INV005",
+                 "INV006"):
         result = run_cli("--root", str(tmp_path), "--rules", rule,
                          "--format", "json")
         assert result.returncode == 1, (rule, result.stdout)

@@ -89,25 +89,31 @@ METRIC_ROW = re.compile(r"^\|\s*`([a-z0-9_]+)`\s*\|\s*"
                         r"(counter|gauge|histogram)\s*\|")
 
 
-def module_symbols(path: Path) -> set:
-    """Module-level defs/classes/constants plus ``Class.method`` names."""
-    tree = ast.parse(path.read_text(encoding="utf-8"))
+def _bound_names(body) -> set:
+    """Names a block's defs, classes and plain assignments bind."""
     names = set()
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
             names.add(node.name)
-        elif isinstance(node, ast.ClassDef):
-            names.add(node.name)
-            for sub in node.body:
-                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    names.add(f"{node.name}.{sub.name}")
         elif isinstance(node, ast.Assign):
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    names.add(target.id)
-        elif isinstance(node, ast.AnnAssign):
-            if isinstance(node.target, ast.Name):
-                names.add(node.target.id)
+            names.update(target.id for target in node.targets
+                         if isinstance(target, ast.Name))
+        elif isinstance(node, ast.AnnAssign) \
+                and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return names
+
+
+def module_symbols(path: Path) -> set:
+    """Module-level defs/classes/constants plus ``Class.member`` names
+    (methods, class attributes and dataclass fields)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = _bound_names(tree.body)
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            names.update(f"{node.name}.{member}"
+                         for member in _bound_names(node.body))
     return names
 
 

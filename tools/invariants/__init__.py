@@ -1,6 +1,6 @@
 """Repo-specific invariant lint suite (``python -m tools.invariants``).
 
-Four AST-based rules guard the contracts the serving stack is built
+Six AST-based rules guard the contracts the serving stack is built
 on (see ``docs/ANALYSIS.md``):
 
 * **INV001** (:mod:`.locks`) — lock-guarded attributes are only
@@ -12,6 +12,10 @@ on (see ``docs/ANALYSIS.md``):
   the byte-deterministic training/replay paths.
 * **INV004** (:mod:`.durability`) — WAL/snapshot writes keep the
   fsync-before-rename / write-then-fsync / durable-delete patterns.
+* **INV005** (:mod:`.timeimports`) — serve/cluster modules read the
+  injectable obs clock, never ``time`` or ``datetime`` directly.
+* **INV006** (:mod:`.privacy`) — serve/cluster modules touch another
+  module's ``_``-prefixed names only through its public interface.
 
 INV000 is the meta-rule: a ``# invariants: disable=...`` suppression
 without a reason is itself a finding.

@@ -177,6 +177,22 @@ def dotted_name(node: ast.AST) -> Optional[str]:
     return None
 
 
+def scoped_nodes(tree: ast.AST, types):
+    """Yield ``(node, symbol)`` for every node of ``types``, with its
+    enclosing ``"Class.method"``-style symbol (``""`` at module level)."""
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+                yield from walk(child, inner)
+            else:
+                if isinstance(child, types):
+                    yield child, scope
+                yield from walk(child, scope)
+    yield from walk(tree, "")
+
+
 def self_attribute(node: ast.AST) -> Optional[str]:
     """``X`` when ``node`` is exactly ``self.X``, else None."""
     if isinstance(node, ast.Attribute) \

@@ -20,7 +20,7 @@ import ast
 from pathlib import Path
 from typing import List, Optional, Set
 
-from .common import Finding, Module
+from .common import Finding, Module, scoped_nodes
 
 CODE = "INV002"
 
@@ -62,26 +62,11 @@ def _raised_name(node: ast.Raise) -> Optional[str]:
     return None
 
 
-def _enclosing_symbols(tree: ast.AST):
-    """Yield (raise_node, "Class.method"-style symbol)."""
-    def walk(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.ClassDef)):
-                inner = f"{scope}.{child.name}" if scope else child.name
-                yield from walk(child, inner)
-            else:
-                if isinstance(child, ast.Raise):
-                    yield child, scope
-                yield from walk(child, scope)
-    yield from walk(tree, "")
-
-
 def check_module(module: Module, taxonomy: Set[str]) -> List[Finding]:
     if not taxonomy:
         return []
     findings: List[Finding] = []
-    for node, symbol in _enclosing_symbols(module.tree):
+    for node, symbol in scoped_nodes(module.tree, ast.Raise):
         name = _raised_name(node)
         if name in taxonomy:
             findings.append(Finding(

@@ -21,7 +21,8 @@ import sys
 from pathlib import Path
 from typing import Dict, List, Sequence
 
-from . import determinism, durability, locks, raises, timeimports
+from . import (determinism, durability, locks, privacy, raises,
+               timeimports)
 from .common import (Finding, Module, apply_suppressions, load_module,
                      suppression_findings)
 
@@ -40,6 +41,7 @@ RULE_SCOPES: Dict[str, Sequence[str]] = {
                       "src/repro/cluster/snapshot.py",
                       "src/repro/cluster/journal.py"),
     timeimports.CODE: ("src/repro/serve/*.py", "src/repro/cluster/*.py"),
+    privacy.CODE: ("src/repro/serve/*.py", "src/repro/cluster/*.py"),
 }
 
 ALL_RULES = tuple(sorted(RULE_SCOPES))
@@ -86,6 +88,8 @@ def collect_findings(root: Path,
                 found = determinism.check_module(module)
             elif code == timeimports.CODE:
                 found = timeimports.check_module(module)
+            elif code == privacy.CODE:
+                found = privacy.check_module(module)
             else:
                 found = durability.check_module(module)
             raw.setdefault(path, []).extend(found)
