@@ -33,11 +33,12 @@ from pathlib import Path
 
 from repro.core import RCKT, RCKTConfig, fit_rckt
 from repro.cluster import (RecordJournal, ScatterGatherRouter, Supervisor,
-                           WorkerSpec, free_port, start_router_thread)
+                           WorkerSpec, free_port)
 from repro.data import make_assist09, train_test_split
 from repro.serve import (DEFAULT_MODEL, ExplainQuery, HistoryEdit,
                          InferenceEngine, RecordEvent, ScoreQuery, Service,
-                         ServiceClient, WhatIfQuery, to_wire)
+                         ServiceClient, WhatIfQuery, start_http_thread,
+                         to_wire)
 
 
 def check(label, cluster_replies, local_replies) -> int:
@@ -73,7 +74,7 @@ def main() -> int:
         router = ScatterGatherRouter([spec.base_url for spec in specs],
                                      journal=journal)
         supervisor.attach_router(router)
-        server, _ = start_router_thread(router)
+        server, _ = start_http_thread(router, role="router")
         client = ServiceClient(f"http://127.0.0.1:{server.server_port}")
         local = Service.from_checkpoint(blue)
         print(f"   router on http://127.0.0.1:{server.server_port} -> "

@@ -11,14 +11,16 @@ and warm blue/green rollouts alike.
 
 * :class:`HashRing` (:mod:`repro.cluster.ring`) — deterministic,
   resize-stable student -> shard placement via consistent hashing.
-* :mod:`repro.cluster.worker` — the shard worker entrypoint: the
-  stock ``Service`` + ``ModelRegistry`` + HTTP gateway as one
-  supervised OS process (``python -m repro.cluster.worker``).
+* Shard workers — the stock ``Service`` + ``ModelRegistry`` + HTTP
+  gateway as one supervised OS process each
+  (``python -m repro.serve --shard-id N``).
 * :class:`ScatterGatherRouter` (:mod:`repro.cluster.router`) — the
-  public wire endpoint: validates envelopes, splits mixed-type batches
-  by shard, fans out over persistent keep-alive connections, merges
-  replies in envelope order, and surfaces per-shard failures as
-  :class:`~repro.serve.protocol.ShardUnavailable` *values*.
+  public endpoint's backend: screens envelopes, splits mixed-type
+  batches by shard, fans out over persistent keep-alive connections,
+  merges replies in envelope order, and surfaces per-shard failures as
+  :class:`~repro.serve.protocol.ShardUnavailable` *values*.  Its HTTP
+  face is the gateway's own (``repro.serve.serve_http(router,
+  role="router")``); this package holds no HTTP server code.
 * :class:`RecordJournal` (:mod:`repro.cluster.journal`) — per-shard
   log of acknowledged records, the crash-recovery ground truth.  With
   a directory it is a **durable write-ahead journal**: CRC-framed
@@ -42,8 +44,7 @@ See ``docs/CLUSTER.md`` for semantics and operations.
 
 from .journal import RecordJournal, replay_order
 from .ring import DEFAULT_REPLICAS, HashRing, student_key
-from .router import (RouterHTTPServer, ScatterGatherRouter, serve_router,
-                     start_router_thread)
+from .router import ScatterGatherRouter
 from .supervisor import Supervisor, WorkerHandle, WorkerSpec, free_port
 from .wal import FSYNC_POLICIES, SegmentCorruption
 
@@ -51,7 +52,6 @@ __all__ = [
     "HashRing", "DEFAULT_REPLICAS", "student_key",
     "RecordJournal", "replay_order",
     "FSYNC_POLICIES", "SegmentCorruption",
-    "ScatterGatherRouter", "RouterHTTPServer", "serve_router",
-    "start_router_thread",
+    "ScatterGatherRouter",
     "Supervisor", "WorkerSpec", "WorkerHandle", "free_port",
 ]

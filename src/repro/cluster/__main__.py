@@ -9,11 +9,12 @@ Usage::
         canary=b.npz --shards 2 --port 8080 --window 256
     python -m repro.cluster --selfcheck [--journal-dir DIR]
 
-Boots ``--shards`` worker processes (each the full single-process
-serving gateway on its own ephemeral port), waits until every one is
-healthy, then serves the scatter-gather router on ``--port`` — the
-cluster's single public endpoint, wire-compatible with
-``python -m repro.serve``.
+Boots ``--shards`` worker processes (each ``python -m repro.serve
+--shard-id N``, the full single-process serving gateway, on its own
+ephemeral port), waits until every one is healthy, then serves the
+scatter-gather router on ``--port`` through the same HTTP face
+(``serve_http(router, role="router")``) — the cluster's single public
+endpoint, wire-compatible with ``python -m repro.serve``.
 
 ``--journal-dir`` makes the record journal **durable**: acknowledged
 records append to per-shard CRC-framed segment files (fsync policy via
@@ -43,12 +44,13 @@ import tempfile
 from pathlib import Path
 from typing import List, Optional
 
-from repro.serve.__main__ import _cache_bytes, _parse_checkpoint
+from repro.serve.__main__ import parse_cache_bytes, parse_checkpoint
+from repro.serve.http_gateway import serve_http, start_http_thread
 from repro.serve.protocol import DEFAULT_MODEL, is_error, to_wire
 
 from .journal import DEFAULT_SEGMENT_BYTES, RecordJournal
 from .ring import DEFAULT_REPLICAS
-from .router import ScatterGatherRouter, serve_router
+from .router import ScatterGatherRouter
 from .supervisor import Supervisor, WorkerSpec, free_port
 from .wal import FSYNC_POLICIES
 
@@ -59,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sharded multi-process serving cluster over the "
                     "typed RCKT API")
     parser.add_argument("--checkpoint", action="append",
-                        type=_parse_checkpoint, metavar="[NAME=]PATH",
+                        type=parse_checkpoint, metavar="[NAME=]PATH",
                         help="checkpoint every worker registers "
                              "(repeatable); bare PATH registers as "
                              f"'{DEFAULT_MODEL}'")
@@ -73,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="consistent-hash ring points per shard")
     parser.add_argument("--window", type=int, default=None)
     parser.add_argument("--window-hop", type=int, default=None)
-    parser.add_argument("--stream-cache-bytes", type=_cache_bytes,
+    parser.add_argument("--stream-cache-bytes", type=parse_cache_bytes,
                         default=None)
     parser.add_argument("--poll-interval", type=float, default=0.5,
                         help="watchdog probe cadence in seconds")
@@ -256,8 +258,8 @@ def _selfcheck(args) -> int:
 
             # The same envelope through the router's public HTTP face.
             from repro.serve import ServiceClient
-            from .router import start_router_thread
-            server, _ = start_router_thread(router, host=args.host)
+            server, _ = start_http_thread(router, host=args.host,
+                                          role="router")
             try:
                 client = ServiceClient(
                     f"http://{args.host}:{server.server_port}")
@@ -393,8 +395,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(f"booting {args.shards} shard workers ...")
     _, supervisor, router = build_cluster(args, args.checkpoint)
     supervisor.start_watchdog()
-    server = serve_router(router, host=args.host, port=args.port,
-                          verbose=args.verbose)
+    server = serve_http(router, host=args.host, port=args.port,
+                        verbose=args.verbose, role="router")
     print(f"cluster of {args.shards} shards serving "
           f"{[name for name, _ in args.checkpoint]} on "
           f"http://{args.host}:{server.server_port} "

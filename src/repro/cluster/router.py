@@ -1,13 +1,15 @@
 """Scatter-gather router: one wire endpoint over N shard workers.
 
-The router is the cluster's single public surface.  It speaks exactly
-the protocol the single-process gateway speaks (``POST /v1/query``,
-``POST /v1/batch``, ``GET /v1/health`` / ``/v1/models``, ``POST
-/v1/admin/rollout``) and answers **bit-identically** to one in-process
-:class:`repro.serve.Service` holding all the students — sharding is an
+The router is the cluster's single public surface.  It is a serving
+*backend* like :class:`repro.serve.Service` (``execute``,
+``execute_batch``, ``health``, ``models``, ``rollout``), so its HTTP
+face is the gateway's own handler —
+``serve_http(router, role="router")`` — and it speaks exactly the
+single-process protocol, answering **bit-identically** to one
+in-process ``Service`` holding all the students: sharding is an
 implementation detail the wire cannot observe.  Per query it:
 
-1. validates/decodes the envelope exactly like the gateway
+1. takes the envelope its HTTP face decoded
    (:func:`repro.serve.protocol.query_from_wire` — garbage becomes
    structured ``malformed_query`` values, never stack traces) and
    screens every slot with the facade's own admission check
@@ -39,21 +41,17 @@ There is no fallback shard: every admitted query carries a valid
 
 from __future__ import annotations
 
-import dataclasses
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from http.server import ThreadingHTTPServer
 from typing import Dict, List, Optional
 
 from repro import obs
 from repro.obs import names as metric_names
-from repro.serve.http_gateway import ServiceClient, _GatewayHandler
+from repro.serve.http_gateway import ServiceClient
 from repro.serve.protocol import (PROTOCOL_VERSION, BatchEnvelope,
-                                  BatchReply, InternalError, NotFound,
-                                  RecordEvent, ShardUnavailable,
-                                  admission_error, capabilities, is_error,
-                                  negotiated_version, query_from_wire,
-                                  to_wire)
+                                  BatchReply, InternalError, RecordEvent,
+                                  ShardUnavailable, admission_error,
+                                  capabilities, is_error, to_wire)
 
 from .journal import RecordJournal
 from .ring import DEFAULT_REPLICAS, HashRing
@@ -320,121 +318,3 @@ class ScatterGatherRouter:
                 results.append(self._unavailable(
                     shard, f"{type(error).__name__}: {error}"))
         return results
-
-
-# ---------------------------------------------------------------------------
-# The router's own HTTP face (same plumbing as the worker gateway)
-# ---------------------------------------------------------------------------
-class _RouterHandler(_GatewayHandler):
-    """Gateway handler routing into a ScatterGatherRouter."""
-
-    server_version = "rckt-cluster/1"
-
-    def _route_get(self, path: str, query: str) -> None:
-        router = self.server.router
-        if path == "/v1/health":
-            payload = router.health()
-            payload["uptime_s"] = obs.clock() - self.server.started
-            payload["served_requests"] = \
-                self.server.obs_registry.counter_total(
-                    metric_names.HTTP_REQUESTS_TOTAL)
-            self._send_json(200, payload)
-        elif path == "/v1/models":
-            models = router.models()
-            if is_error(models):
-                self._send_reply(models)
-            else:
-                self._send_json(200, models)
-        elif path == "/v1/metrics":
-            self._serve_metrics(query)
-        else:
-            self._send_reply(NotFound(f"no such route: GET {self.path}"))
-
-    def _route_post(self, path: str) -> None:
-        router = self.server.router
-        payload = self._read_body()
-        if is_error(payload):
-            self._send_reply(payload)
-            return
-        # Same per-request negotiation as the worker gateway, so an
-        # unsupported-version or unknown-type rejection serializes to
-        # byte-identical JSON from either surface.
-        version = negotiated_version(payload)
-        try:
-            if path == "/v1/query":
-                self._send_reply(router.execute(query_from_wire(payload)),
-                                 version=version)
-            elif path == "/v1/batch":
-                envelope = query_from_wire(payload)
-                if is_error(envelope):
-                    self._send_reply(envelope, version=version)
-                    return
-                if not isinstance(envelope, BatchEnvelope):
-                    envelope = BatchEnvelope((envelope,))
-                # Same admission tracing as the worker gateway: mint
-                # when absent, echo on X-Request-Id, and let
-                # execute_batch propagate it on the worker hop.
-                if envelope.request_id is None:
-                    envelope = dataclasses.replace(
-                        envelope, request_id=obs.new_request_id())
-                self._request_id = envelope.request_id
-                with obs.Span("router.batch", envelope.request_id):
-                    replies = router.execute_batch(envelope)
-                self._send_json(200, to_wire(BatchReply(tuple(replies)),
-                                             version=version))
-            elif path == "/v1/admin/rollout":
-                self._admin_rollout(router, payload)
-            else:
-                self._send_reply(NotFound(
-                    f"no such route: POST {self.path}"), version=version)
-        except Exception as error:  # noqa: BLE001 - transport boundary
-            self._send_reply(InternalError(
-                f"router failure: {type(error).__name__}: {error}"),
-                version=version)
-
-    def _admin_rollout(self, router, payload) -> None:
-        error = self._rollout_body_error(payload)
-        if error is not None:
-            self._send_reply(error)
-            return
-        results = router.rollout(payload["checkpoint"],
-                                 model=payload.get("model"),
-                                 warm_top=payload.get("warm_top"))
-        entries = [to_wire(r) if is_error(r) else r for r in results]
-        all_ok = all(not is_error(r) for r in results)
-        self._send_json(200 if all_ok else 502, {
-            "status": "ok" if all_ok else "failed",
-            "shards": entries,
-        })
-
-
-class RouterHTTPServer(ThreadingHTTPServer):
-    """Thread-per-connection HTTP server bound to one router."""
-
-    daemon_threads = True
-
-    def __init__(self, address, router: ScatterGatherRouter,
-                 verbose: bool = False):
-        super().__init__(address, _RouterHandler)
-        self.router = router
-        self.verbose = verbose
-        self.role = "router"
-        self.obs_registry = obs.get_registry()
-        self.started = obs.clock()
-
-
-def serve_router(router: ScatterGatherRouter, host: str = "127.0.0.1",
-                 port: int = 0, verbose: bool = False) -> RouterHTTPServer:
-    """Bind the router's HTTP face (``port=0`` picks an ephemeral port);
-    call ``serve_forever()`` to enter the loop (the CLI does)."""
-    return RouterHTTPServer((host, port), router, verbose=verbose)
-
-
-def start_router_thread(router: ScatterGatherRouter,
-                        host: str = "127.0.0.1", port: int = 0):
-    """Router HTTP server on a daemon thread; ``(server, thread)``."""
-    server = serve_router(router, host=host, port=port)
-    thread = threading.Thread(target=server.serve_forever,
-                              name="rckt-cluster-router", daemon=True)
-    thread.start()
-    return server, thread

@@ -3,9 +3,9 @@
 The supervisor owns the shard workers as OS processes.  Its loop keeps
 the cluster inside the bit-identity contract at all times:
 
-* **Boot** — spawn every worker (``python -m repro.cluster.worker``) on
-  its assigned port and block until its ``/v1/health`` answers; the
-  router only exists once every shard is reachable.
+* **Boot** — spawn every worker (``python -m repro.serve --shard-id
+  N``) on its assigned port and block until its ``/v1/health``
+  answers; the router only exists once every shard is reachable.
 * **Watchdog** — poll process liveness and worker health; a dead or
   persistently unhealthy worker is restarted *on its original port*
   (the ring mapping never moves) behind a router drain, and the
@@ -69,7 +69,7 @@ class WorkerSpec:
         return f"http://{self.host}:{self.port}"
 
     def argv(self) -> List[str]:
-        argv = [sys.executable, "-m", "repro.cluster.worker",
+        argv = [sys.executable, "-m", "repro.serve",
                 "--host", self.host, "--port", str(self.port),
                 "--shard-id", str(self.shard_id)]
         for name, path in self.checkpoints:

@@ -21,8 +21,9 @@ equivalent ways — the typed facade in process, and HTTP:
   by name; :meth:`Service.rollout` swaps in a warm standby engine, the
   only way a served model changes.
 * :mod:`repro.serve.http_gateway` — stdlib HTTP/JSON gateway
-  (``python -m repro.serve``) plus :class:`ServiceClient`; same
-  protocol, same errors, over the wire.
+  (``python -m repro.serve``, ``--shard-id N`` for a cluster worker)
+  plus :class:`ServiceClient`; same protocol, same errors, over the
+  wire.  Its one handler also serves the cluster router.
 * :class:`InferenceEngine` — the per-model state and kernels behind
   the facade: per-student cached interaction arrays
   (:class:`HistoryStore`), incremental forward-stream caches under an

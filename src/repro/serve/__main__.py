@@ -5,13 +5,18 @@ Usage::
     python -m repro.serve --checkpoint rckt.npz
     python -m repro.serve --checkpoint prod=rckt.npz --checkpoint \\
         canary=rckt_new.npz --port 8080 --window 256
+    python -m repro.serve --checkpoint rckt.npz --port 9101 --shard-id 1
     python -m repro.serve --selfcheck
 
 ``--checkpoint`` takes ``PATH`` (registered as the default model) or
 ``NAME=PATH`` and may repeat — every name becomes addressable through
-the queries' ``model`` field.  ``--selfcheck`` boots a tiny synthetic
-model instead, round-trips a score through a real socket, and exits —
-the zero-dependency smoke test CI runs.
+the queries' ``model`` field.  ``--shard-id N`` boots the process as
+shard ``N``'s cluster worker, which is what the cluster supervisor
+spawns: the same gateway in the ``worker`` role, minting ``wN``
+request IDs and prefixing its log lines with ``[workerN]``.
+``--selfcheck`` boots a tiny synthetic model instead, round-trips a
+score through a real socket, and exits — the zero-dependency smoke
+test CI runs.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import argparse
 import sys
 from typing import List, Optional
 
+from .. import obs
 from .http_gateway import ServiceClient, serve_http, start_http_thread
 from .protocol import (DEFAULT_MODEL, CandidateQuestion, RecourseQuery,
                        ScoreQuery, to_wire)
@@ -27,7 +33,9 @@ from .registry import ModelRegistry
 from .service import Service
 
 
-def _parse_checkpoint(spec: str):
+def parse_checkpoint(spec: str):
+    """``--checkpoint`` values: ``PATH`` or ``NAME=PATH`` ->
+    ``(name, path)``."""
     name, sep, path = spec.partition("=")
     if not sep:
         return DEFAULT_MODEL, spec
@@ -37,7 +45,8 @@ def _parse_checkpoint(spec: str):
     return name, path
 
 
-def _cache_bytes(spec: str) -> int:
+def parse_cache_bytes(spec: str) -> int:
+    """``--stream-cache-bytes`` values: a byte count >= 0."""
     if not spec.isdecimal():
         raise argparse.ArgumentTypeError(
             f"expected a byte count >= 0, got '{spec}'")
@@ -49,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.serve",
         description="HTTP/JSON gateway over the typed RCKT serving API")
     parser.add_argument("--checkpoint", action="append",
-                        type=_parse_checkpoint, metavar="[NAME=]PATH",
+                        type=parse_checkpoint, metavar="[NAME=]PATH",
                         help="engine checkpoint to register (repeatable); "
                              "bare PATH registers as "
                              f"'{DEFAULT_MODEL}'")
@@ -59,12 +68,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--window", type=int, default=None,
                         help="sliding-window context size")
     parser.add_argument("--window-hop", type=int, default=None)
-    parser.add_argument("--stream-cache-bytes", type=_cache_bytes,
+    parser.add_argument("--stream-cache-bytes", type=parse_cache_bytes,
                         default=None,
                         help="LRU budget for forward-stream caches; 0 "
                              "keeps nothing (default: engine default)")
     parser.add_argument("--verbose", action="store_true",
                         help="log every request")
+    parser.add_argument("--shard-id", type=int, default=None,
+                        help="serve as this cluster shard's worker "
+                             "(role 'worker'; placement lives in the "
+                             "router's ring, this labels request IDs, "
+                             "spans and logs)")
     parser.add_argument("--selfcheck", action="store_true",
                         help="boot a tiny synthetic model, round-trip a "
                              "score over a real socket, exit 0 on success")
@@ -144,27 +158,40 @@ def _selfcheck(args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.selfcheck:
+        if args.shard_id is not None:
+            parser.error("--selfcheck boots its own gateway; the cluster "
+                         "smoke test is python -m repro.cluster "
+                         "--selfcheck")
         return _selfcheck(args)
     if not args.checkpoint:
-        build_parser().error("--checkpoint is required (or --selfcheck)")
+        parser.error("--checkpoint is required (or --selfcheck)")
+    worker = args.shard_id is not None
+    tag = f"[worker{args.shard_id}] " if worker else ""
     registry = ModelRegistry()
     for name, path in args.checkpoint:
         engine = registry.load(name, path, **_engine_kwargs(args))
-        print(f"loaded model '{name}' from {path} "
+        print(f"{tag}loaded model '{name}' from {path} "
               f"({engine.num_questions} questions, "
-              f"{engine.num_concepts} concepts)")
+              f"{engine.num_concepts} concepts)", flush=True)
+    if worker:
+        # Request IDs this worker mints (direct traffic bypassing the
+        # router) are distinguishable from router/gateway-minted ones.
+        obs.set_id_prefix(f"w{args.shard_id}")
     service = Service(registry=registry)
     server = serve_http(service, host=args.host, port=args.port,
-                        verbose=args.verbose)
-    print(f"serving {registry.names()} on "
+                        verbose=args.verbose,
+                        role="worker" if worker else "gateway")
+    print(f"{tag}serving {registry.names()} on "
           f"http://{args.host}:{server.server_port} "
-          f"(POST /v1/query, /v1/batch; GET /v1/health, /v1/models)")
+          f"(POST /v1/query, /v1/batch; GET /v1/health, /v1/models)",
+          flush=True)
     try:
         server.serve_forever()
     except KeyboardInterrupt:
-        print("shutting down")
+        print(f"{tag}shutting down")
     finally:
         server.server_close()
     return 0

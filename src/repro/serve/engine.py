@@ -630,11 +630,11 @@ class InferenceEngine:
                 context, cols, entries = self._assemble_rows(rows,
                                                              local_entries)
             # The context holds copies: the backward passes need no lock.
+            self._obs_forward_calls.inc()
             scores = np.full(len(rows), np.nan)
             probes = np.flatnonzero([row.probe is not None
                                      for row in rows])
             if len(probes):
-                self._obs_forward_calls.inc()
                 probe_cols = cols[probes]
                 for chunk in column_banded_chunks(probe_cols, TARGET_BATCH):
                     scores[probes[chunk]] = context.scores_for(
@@ -651,21 +651,23 @@ class InferenceEngine:
                         computation.incorrect_deltas.data[position])
         return ScoredRows(scores, deltas, entries)
 
-    def warm_entry(self, student_id, length: int):
-        """A private clone of the student's warm stream-cache entry.
+    def warm_entry(self, entry, length: int):
+        """A private clone of ``entry``, a snapshot's served timeline.
 
-        The root timeline of a snapshot's hypothetical worlds: practice
-        worlds clone-extend it by one encoder step instead of
-        re-encoding the history.  Only an entry that covers exactly the
-        serving window of a ``length``-step history qualifies, so a
-        slid window or a record landed since the snapshot returns
-        ``None`` and the worlds warm-build instead.  The clone is taken
-        under the lock because ``record`` extends the stored entry in
-        place.
+        ``entry`` is the stream-cache entry that served the snapshot's
+        probe row in the flush (``ScoredRows.entries``), so it is at
+        hand even when the store has already evicted it or keeps
+        nothing.  It is the root timeline of the snapshot's
+        hypothetical worlds: practice worlds clone-extend it by one
+        encoder step instead of re-encoding the history.  Only an entry
+        that still covers exactly the serving window of a
+        ``length``-step history qualifies, so a record that extended it
+        in place since the flush returns ``None`` and the worlds
+        warm-build instead.  The clone is taken under the lock because
+        ``record`` extends a stored entry in place.
         """
         start = self.window_start(length)
         with self._lock:
-            entry = self.stream_caches.peek(student_id)
             if entry is None or entry.anchor != start \
                     or entry.length != length - start:
                 return None

@@ -1,12 +1,19 @@
-"""HTTP/JSON gateway: the wire transport over the ``Service`` facade.
+"""HTTP/JSON face: the one wire transport of every serving process.
 
 Pure stdlib (``http.server``) — no framework dependency — with a
 thread-per-connection server whose handlers all call into one shared
-:class:`~repro.serve.Service`; the facade's scheduler and per-engine
-locks provide the concurrency discipline, the gateway only translates.
+*backend*: a :class:`~repro.serve.Service` (the standalone gateway and
+every cluster shard worker) or a
+:class:`~repro.cluster.ScatterGatherRouter` (the cluster's public
+face).  A backend answers ``execute``, ``execute_batch``, ``health``,
+``models`` and ``rollout``; its own locks provide the concurrency
+discipline, the handler only translates.  Because every process speaks
+through this one handler, negotiation, envelope wrapping, request-ID
+minting, spans and error mapping are byte-for-byte the same on every
+face.
 
 Routes (all JSON, protocol v2 with v1 still accepted — see
-``docs/API.md`` for the wire reference).  The gateway negotiates per
+``docs/API.md`` for the wire reference).  The handler negotiates per
 request: replies are stamped with the version the request declared
 (:func:`~repro.serve.protocol.negotiated_version`), so a v1 caller gets
 v1-stamped replies and never sees a v2-only construct it cannot parse.
@@ -17,11 +24,12 @@ v1-stamped replies and never sees a v2-only construct it cannot parse.
 ``POST /v1/batch``          a batch envelope -> ``batch_reply`` with one
                             reply per query, always 200 (per-query errors
                             ride inside)
-``GET  /v1/health``         liveness + protocol ``capabilities`` + model
-                            names
+``GET  /v1/health``         the backend's ``health()`` plus uptime and
+                            served-request count
 ``GET  /v1/models``         per-model metadata (encoder, vocab, window, ...)
+``GET  /v1/metrics``        this process's metrics (JSON or Prometheus)
 ``POST /v1/admin/rollout``  warm blue/green checkpoint rollout
-                            (``Service.rollout``); admin plane, not a
+                            (``backend.rollout``); admin plane, not a
                             protocol query
 ==========================  =================================================
 
@@ -46,10 +54,9 @@ from .. import obs
 from ..obs import names as metric_names
 from .protocol import (DEFAULT_MODEL, PROTOCOL_VERSION, BatchEnvelope,
                        BatchReply, InternalError, MalformedQuery,
-                       ModelNotLoaded, NotFound, capabilities, is_error,
+                       ModelNotLoaded, NotFound, is_error,
                        negotiated_version, query_from_wire,
                        reply_from_wire, to_wire)
-from .service import Service
 
 #: Cap on request bodies: a serving query is bytes, not megabytes; the
 #: bound keeps a confused client from buffering unbounded JSON.
@@ -65,7 +72,7 @@ _KNOWN_ENDPOINTS = frozenset({
 
 
 class _GatewayHandler(BaseHTTPRequestHandler):
-    """One request per call; the service lives on the server object."""
+    """One request per call; the backend lives on the server object."""
 
     server_version = "rckt-serve/1"
     protocol_version = "HTTP/1.1"
@@ -164,26 +171,6 @@ class _GatewayHandler(BaseHTTPRequestHandler):
         snapshot["spans"] = obs.recent_spans()
         self._send_json(200, snapshot)
 
-    def _health_payload(self, service) -> dict:
-        registry = self.server.obs_registry
-        stream_caches = {}
-        for name in service.registry.names():
-            try:
-                stream_caches[name] = service.engine(name) \
-                    .stream_cache_stats()
-            except KeyError:  # pragma: no cover - racing a rollout
-                continue
-        return {
-            "status": "ok",
-            "protocol": PROTOCOL_VERSION,
-            "capabilities": capabilities(),
-            "models": service.registry.names(),
-            "uptime_s": obs.clock() - self.server.started,
-            "served_requests": registry.counter_total(
-                metric_names.HTTP_REQUESTS_TOTAL),
-            "stream_caches": stream_caches,
-        }
-
     # ------------------------------------------------------------------
     # Routes
     # ------------------------------------------------------------------
@@ -195,11 +182,23 @@ class _GatewayHandler(BaseHTTPRequestHandler):
         self._observe_http(path, started)
 
     def _route_get(self, path: str, query: str) -> None:
-        service = self.server.service
+        backend = self.server.backend
         if path == "/v1/health":
-            self._send_json(200, self._health_payload(service))
+            # Uptime and request count are facts about this server, not
+            # about what it serves.
+            payload = backend.health()
+            payload["uptime_s"] = obs.clock() - self.server.started
+            payload["served_requests"] = \
+                self.server.obs_registry.counter_total(
+                    metric_names.HTTP_REQUESTS_TOTAL)
+            self._send_json(200, payload)
         elif path == "/v1/models":
-            self._send_json(200, {"models": service.describe_models()})
+            # A router with no reachable shard answers an error value.
+            models = backend.models()
+            if is_error(models):
+                self._send_reply(models)
+            else:
+                self._send_json(200, models)
         elif path == "/v1/metrics":
             self._serve_metrics(query)
         else:
@@ -213,7 +212,7 @@ class _GatewayHandler(BaseHTTPRequestHandler):
         self._observe_http(path, started)
 
     def _route_post(self, path: str) -> None:
-        service = self.server.service
+        backend = self.server.backend
         payload = self._read_body()
         if is_error(payload):
             self._send_reply(payload)
@@ -225,7 +224,7 @@ class _GatewayHandler(BaseHTTPRequestHandler):
         try:
             if path == "/v1/query":
                 query = query_from_wire(payload)
-                self._send_reply(service.execute(query), version=version)
+                self._send_reply(backend.execute(query), version=version)
             elif path == "/v1/batch":
                 envelope = query_from_wire(payload)
                 if is_error(envelope):
@@ -236,35 +235,36 @@ class _GatewayHandler(BaseHTTPRequestHandler):
                 # Trace admission: honor a caller-supplied request ID
                 # (the router→worker hop), mint one otherwise.  The ID
                 # rides back on ``X-Request-Id`` and shows up in this
-                # process's span log (docs/OBSERVABILITY.md).
+                # process's span log (docs/OBSERVABILITY.md); a router
+                # propagates it on every worker sub-envelope.
                 if envelope.request_id is None:
                     envelope = dataclasses.replace(
                         envelope, request_id=obs.new_request_id())
                 self._request_id = envelope.request_id
                 span_name = f"{self.server.role}.batch"
                 with obs.Span(span_name, envelope.request_id):
-                    replies = service.execute_batch(envelope)
+                    replies = backend.execute_batch(envelope)
                 self._send_json(200, to_wire(BatchReply(tuple(replies)),
                                              version=version))
             elif path == "/v1/admin/rollout":
-                self._admin_rollout(service, payload)
+                self._admin_rollout(backend, payload)
             else:
                 self._send_reply(NotFound(
                     f"no such route: POST {self.path}"), version=version)
         except Exception as error:  # noqa: BLE001 - transport boundary
-            # The facade returns errors as values; anything that still
+            # The backend returns errors as values; anything that still
             # escapes is a server bug, reported in-protocol.
             self._send_reply(InternalError(
-                f"gateway failure: {type(error).__name__}: {error}"),
-                version=version)
+                f"{self.server.role} failure: {type(error).__name__}: "
+                f"{error}"), version=version)
 
     @staticmethod
     def _rollout_body_error(payload):
         """Why a ``/v1/admin/rollout`` body is malformed, or ``None``.
 
         Body: ``{"checkpoint": path, "model": name?, "warm_top": n?}``.
-        Both faces run this before anything else: the gateway rolls its
-        own service out, the router forwards the body to every shard.
+        Checked before the backend sees it, so a router rejects a bad
+        body itself and forwards nothing to its shards.
         """
         if not isinstance(payload, dict) or \
                 not isinstance(payload.get("checkpoint"), str):
@@ -279,22 +279,27 @@ class _GatewayHandler(BaseHTTPRequestHandler):
                 f"warm_top must be an integer, got {warm_top!r}")
         return None
 
-    def _admin_rollout(self, service, payload) -> None:
-        """Warm blue/green rollout (``Service.rollout``) over the wire.
+    def _admin_rollout(self, backend, payload) -> None:
+        """Warm blue/green rollout (``backend.rollout``) over the wire.
 
         The in-process admin errors map onto the taxonomy: an unknown
         model name answers ``model_not_loaded``, a bad checkpoint or
-        id-space mismatch ``malformed_query``.
+        id-space mismatch ``malformed_query``.  A ``Service`` returns a
+        summary (200) or an error value (e.g. ``rollout_refused`` from
+        a gated service, at its own status); a router returns one
+        summary or error value per shard (200 if all succeeded, else
+        502).
         """
         error = self._rollout_body_error(payload)
         if error is not None:
             self._send_reply(error)
             return
         try:
-            summary = service.rollout(
-                payload["checkpoint"],
-                name=payload.get("model", DEFAULT_MODEL),
-                warm_top=payload.get("warm_top", 64))
+            # Positional: a Service calls the model ``name``, a router
+            # ``model``.
+            result = backend.rollout(payload["checkpoint"],
+                                     payload.get("model", DEFAULT_MODEL),
+                                     payload.get("warm_top", 64))
         except KeyError as error:
             self._send_reply(ModelNotLoaded(str(error).strip("'\"")))
             return
@@ -302,63 +307,70 @@ class _GatewayHandler(BaseHTTPRequestHandler):
             self._send_reply(MalformedQuery(
                 f"rollout rejected: {error}"))
             return
-        if is_error(summary):
-            # A gated Service returns the refusal (e.g. rollout_refused
-            # from a drift monitor) as a value; forward it in-protocol.
-            self._send_reply(summary)
-            return
-        self._send_json(200, {"status": "ok", **summary})
+        if isinstance(result, list):
+            ok = not any(is_error(shard) for shard in result)
+            self._send_json(200 if ok else 502, {
+                "status": "ok" if ok else "failed",
+                "shards": [to_wire(shard) if is_error(shard) else shard
+                           for shard in result]})
+        elif is_error(result):
+            self._send_reply(result)
+        else:
+            self._send_json(200, {"status": "ok", **result})
 
 
 class ServiceHTTPServer(ThreadingHTTPServer):
-    """Thread-per-connection HTTP server bound to one Service.
+    """Thread-per-connection HTTP server bound to one backend.
 
-    ``role`` names this process in spans and ``/v1/metrics`` output
-    (``gateway`` for a standalone server, ``worker`` when the cluster
-    boots one behind the router); the obs registry is captured at
-    construction, so a test swapping the process registry gets an
-    isolated server.
+    ``backend`` is a :class:`~repro.serve.Service` or a
+    :class:`~repro.cluster.ScatterGatherRouter`.  ``role`` names this
+    process in spans, transport errors and ``/v1/metrics`` output:
+    ``gateway`` for a standalone server, ``worker`` for a cluster shard,
+    ``router`` for the cluster's public face.  The obs registry is
+    captured at construction, so a test swapping the process registry
+    gets an isolated server.
     """
 
     daemon_threads = True
 
-    def __init__(self, address, service: Service, verbose: bool = False,
+    def __init__(self, address, backend, verbose: bool = False,
                  role: str = "gateway"):
         super().__init__(address, _GatewayHandler)
-        self.service = service
+        self.backend = backend
         self.verbose = verbose
         self.role = role
         self.obs_registry = obs.get_registry()
         self.started = obs.clock()
 
 
-def serve_http(service: Service, host: str = "127.0.0.1", port: int = 0,
+def serve_http(backend, host: str = "127.0.0.1", port: int = 0,
                verbose: bool = False,
                role: str = "gateway") -> ServiceHTTPServer:
-    """Bind a gateway (``port=0`` picks an ephemeral port).
+    """Bind an HTTP face over ``backend`` (``port=0`` picks an
+    ephemeral port).
 
     Returns the server without entering its loop — call
-    ``serve_forever()`` (the CLI does), or drive it from a thread:
+    ``serve_forever()`` (the CLIs do), or drive it from a thread:
 
     >>> server = serve_http(service)                    # doctest: +SKIP
     >>> threading.Thread(target=server.serve_forever,
     ...                  daemon=True).start()           # doctest: +SKIP
     """
-    return ServiceHTTPServer((host, port), service, verbose=verbose,
+    return ServiceHTTPServer((host, port), backend, verbose=verbose,
                              role=role)
 
 
-def start_http_thread(service: Service, host: str = "127.0.0.1",
-                      port: int = 0, role: str = "gateway"):
-    """Gateway on a daemon thread; returns ``(server, thread)``.
+def start_http_thread(backend, host: str = "127.0.0.1", port: int = 0,
+                      role: str = "gateway"):
+    """An HTTP face on a daemon thread; returns ``(server, thread)``.
 
-    The in-process convenience the example and tests use: the server is
-    already accepting connections when this returns (the socket binds in
-    the constructor), and ``server.shutdown()`` stops the loop.
+    The in-process convenience the examples and tests use: the server
+    is already accepting connections when this returns (the socket
+    binds in the constructor), and ``server.shutdown()`` stops the loop.
     """
-    server = serve_http(service, host=host, port=port, role=role)
+    server = serve_http(backend, host=host, port=port, role=role)
     thread = threading.Thread(target=server.serve_forever,
-                              name="rckt-http-gateway", daemon=True)
+                              name=f"rckt-http-{role}", daemon=True)
     thread.start()
     return server, thread
 

@@ -177,18 +177,19 @@ class RecourseSearch:
 
     ``snapshot`` is the *full*-history array copies taken when the
     query's baseline probe was admitted (a concurrent ``record`` must
-    never tear the search across two history states), and ``baseline``
-    the probe's score from the shared mixed-type batch.  The root
-    timeline starts from a clone of the student's warm stream-cache
-    entry (:meth:`InferenceEngine.warm_entry`) — which the baseline
-    probe just built if the student was cold — so first-generation
-    practice worlds cost no forward pass.  A stale entry (window slid,
-    or a record landed since admission) only forfeits that warm start.
+    never tear the search across two history states), ``baseline``
+    the probe's score from the shared mixed-type batch and ``entry``
+    the stream-cache entry that served that probe.  The root timeline
+    starts from a clone of ``entry`` (:meth:`InferenceEngine.warm_entry`)
+    — built by that very batch if the student was cold, and still at
+    hand if the store has evicted it since — so first-generation
+    practice worlds cost no forward pass.  A stale entry (a record
+    extended it since admission) only forfeits that warm start.
     """
 
     def __init__(self, engine: InferenceEngine, model_name: str,
                  query: RecourseQuery, snapshot: Tuple[np.ndarray, ...],
-                 baseline: float):
+                 baseline: float, entry):
         self.engine = engine
         self.model_name = model_name
         self.query = query
@@ -206,7 +207,7 @@ class RecourseSearch:
             if responses[p] == 0) if query.allow_history_edits else ()
         root = _World(None, None, frozenset(), (), self.base_length)
         root.score = self.baseline
-        root.entry = engine.warm_entry(query.student_id, self.base_length)
+        root.entry = engine.warm_entry(entry, self.base_length)
         self.root = root
 
     # ------------------------------------------------------------------
@@ -358,18 +359,19 @@ class RecourseSearch:
 
 
 def recommend_values(engine: InferenceEngine, query: RecommendQuery,
-                     snapshot: Tuple[np.ndarray, ...]) -> np.ndarray:
+                     snapshot: Tuple[np.ndarray, ...],
+                     entry) -> np.ndarray:
     """Counterfactual question values of the candidates (Sec. V-C).
 
     For each candidate and each assumed answer (correct, incorrect),
     re-ask the ``horizon`` most recent questions of the serving window
     and measure how far the two worlds pull those re-asked scores
     apart.  ``snapshot`` is the full-history copy the query's success
-    probes were admitted against.  Every world keeps the recorded
-    history's window start, the context those probes scored, and
-    extends a clone of the student's warm entry by its one practice
-    step, so all ``2 * horizon`` rows per candidate share one batch
-    with no forward pass of their own.
+    probes were admitted against and ``entry`` the stream-cache entry
+    that served them.  Every world keeps the recorded history's window
+    start, the context those probes scored, and extends a clone of
+    ``entry`` by its one practice step, so all ``2 * horizon`` rows per
+    candidate share one batch with no forward pass of their own.
     """
     length = len(snapshot[0])
     start = engine.window_start(length)
@@ -379,7 +381,7 @@ def recommend_values(engine: InferenceEngine, query: RecommendQuery,
               for p in range(max(start, length - query.horizon), length)]
     worlds = PracticeWorlds(engine, query.student_id, snapshot,
                             query.candidates)
-    root = engine.warm_entry(query.student_id, length)
+    root = engine.warm_entry(entry, length)
     rows = []
     local: Dict[int, object] = {}
     for index in range(len(query.candidates)):

@@ -47,14 +47,14 @@ from .. import obs
 from ..obs import names as metric_names
 from .engine import ContextRow, InferenceEngine
 from .history import ArrayHistory, StudentHistory
-from .protocol import (DEFAULT_MODEL, BatchEnvelope, BatchReply,
-                       EmptyHistory, ExplainQuery, ExplainReply,
+from .protocol import (DEFAULT_MODEL, PROTOCOL_VERSION, BatchEnvelope,
+                       BatchReply, EmptyHistory, ExplainQuery, ExplainReply,
                        InfluenceItem, InternalError, InvalidEdit,
                        MalformedQuery, ModelNotLoaded, RecommendQuery,
                        RecommendReply, RecommendationItem, RecordEvent,
                        RecordReply, RecourseQuery, ScoreQuery, ScoreReply,
                        UnknownStudent, WhatIfQuery, WhatIfReply,
-                       admission_error, is_error)
+                       admission_error, capabilities, is_error)
 from .recourse import RecourseSearch, recommend_values
 from .registry import ModelRegistry, registry_for
 
@@ -242,7 +242,8 @@ def _recommend_plan(engine, model, query: RecommendQuery, history):
 
     def finish(scored, first):
         """Blend the shared-batch success probes with the value worlds."""
-        values = recommend_values(engine, query, snapshot)
+        values = recommend_values(engine, query, snapshot,
+                                  scored.entries[first])
         items = []
         for offset, (candidate, value) in enumerate(zip(query.candidates,
                                                         values)):
@@ -283,7 +284,8 @@ def _recourse_plan(engine, model, query: RecourseQuery, history):
 
     def finish(scored, first):
         return RecourseSearch(engine, model, query, snapshot,
-                              scored.scores[first]).run()
+                              scored.scores[first],
+                              scored.entries[first]).run()
     return [_probe_row(engine, history, query, query.student_id)], finish
 
 
@@ -461,8 +463,25 @@ class Service:
                            f"(known: {self.registry.names()})")
         return engine
 
-    def describe_models(self) -> List[dict]:
-        return self.registry.describe()
+    def health(self) -> dict:
+        """The ``/v1/health`` body: liveness, protocol capabilities,
+        model names and each model's stream-cache stats."""
+        stream_caches = {}
+        for name in self.registry.names():
+            engine = self.registry.get(name)
+            if engine is not None:   # None: unregistered meanwhile
+                stream_caches[name] = engine.stream_cache_stats()
+        return {
+            "status": "ok",
+            "protocol": PROTOCOL_VERSION,
+            "capabilities": capabilities(),
+            "models": self.registry.names(),
+            "stream_caches": stream_caches,
+        }
+
+    def models(self) -> dict:
+        """The ``/v1/models`` body: per-model metadata."""
+        return {"models": self.registry.describe()}
 
     def close(self) -> None:
         """Lifecycle hook; a service holds no threads or OS resources."""

@@ -460,11 +460,10 @@ def test_rollout_body_types_are_checked_before_any_shard(cluster, field,
                                                          value):
     """The router answers a mistyped admin rollout body itself, with
     the gateway's ``malformed_query``, and fans nothing out."""
-    from repro.cluster import start_router_thread
     from repro.serve import reply_from_wire
 
     engines = [service.engine() for service in cluster.services]
-    server, _ = start_router_thread(cluster.router)
+    server, _ = start_http_thread(cluster.router, role="router")
     try:
         client = ServiceClient(f"http://127.0.0.1:{server.server_port}",
                                timeout=10.0)
@@ -479,12 +478,61 @@ def test_rollout_body_types_are_checked_before_any_shard(cluster, field,
     assert [service.engine() for service in cluster.services] == engines
 
 
+def test_router_face_rollout_answers_one_result_per_shard(cluster,
+                                                          tmp_path):
+    """``POST /v1/admin/rollout`` on the router face: a rollout answers
+    200 with every shard's summary; a missing checkpoint or an unknown
+    model answers 502 with every shard's taxonomy error."""
+    import urllib.error
+    import urllib.request
+
+    def post(port, body):
+        request = urllib.request.Request(
+            f"http://127.0.0.1:{port}/v1/admin/rollout",
+            data=json.dumps(body).encode(),
+            headers={"Content-Type": "application/json"})
+        try:
+            with urllib.request.urlopen(request, timeout=10.0) as response:
+                return response.status, json.loads(response.read())
+        except urllib.error.HTTPError as error:
+            return error.code, json.loads(error.read())
+
+    cluster.router.execute_batch(make_records(["a", "b", "c", "d"]))
+    green = tmp_path / "green.npz"
+    InferenceEngine(make_model()).save(green)
+    server, _ = start_http_thread(cluster.router, role="router")
+    try:
+        port = server.server_port
+        status, body = post(port, {"checkpoint": str(green),
+                                   "warm_top": 4})
+        assert status == 200, body
+        assert body["status"] == "ok"
+        assert [shard["model"] for shard in body["shards"]] \
+            == ["default", "default"]
+        assert [shard["encoder"] for shard in body["shards"]] \
+            == ["dkt", "dkt"]
+        assert sum(shard["students"] for shard in body["shards"]) == 4
+
+        for request, code in [
+                ({"checkpoint": str(tmp_path / "missing.npz")},
+                 "malformed_query"),
+                ({"checkpoint": str(green), "model": "canary"},
+                 "model_not_loaded")]:
+            status, body = post(port, request)
+            assert status == 502, body
+            assert body["status"] == "failed"
+            assert [shard["code"] for shard in body["shards"]] \
+                == [code, code]
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
 def test_router_http_face_and_health(cluster):
-    from repro.cluster import start_router_thread
     students = ["a", "b", "c", "d"]
     cluster.router.execute_batch(make_records(students, rounds=2))
     cluster.reference.execute_batch(make_records(students, rounds=2))
-    server, _ = start_router_thread(cluster.router)
+    server, _ = start_http_thread(cluster.router, role="router")
     try:
         client = ServiceClient(f"http://127.0.0.1:{server.server_port}",
                                timeout=10.0)
@@ -519,8 +567,6 @@ def test_negotiation_errors_byte_identical_on_gateway_and_router(cluster):
     import urllib.error
     import urllib.request
 
-    from repro.cluster import start_router_thread
-
     def post(port, body):
         request = urllib.request.Request(
             f"http://127.0.0.1:{port}/v1/query", data=body,
@@ -549,7 +595,7 @@ def test_negotiation_errors_byte_identical_on_gateway_and_router(cluster):
         b'{"v": 2, "type": "recommend", "student_id": "amy", '
         b'"candidates": [], "value_weight": Infinity}',
     ]
-    server, _ = start_router_thread(cluster.router)
+    server, _ = start_http_thread(cluster.router, role="router")
     gateway_port = cluster.servers[0].server_port
     try:
         for body in bodies:
@@ -568,8 +614,6 @@ def test_undecodable_bodies_byte_identical_on_gateway_and_router(cluster):
     import urllib.error
     import urllib.request
 
-    from repro.cluster import start_router_thread
-
     def post(port, route, body):
         request = urllib.request.Request(
             f"http://127.0.0.1:{port}{route}", data=body,
@@ -584,7 +628,7 @@ def test_undecodable_bodies_byte_identical_on_gateway_and_router(cluster):
         b'{"v": 2, "type": "score", "student_id": ' + b"7" * 4301 + b"}",
         b'{"v": 2, "type": "score", "student_id": "\xff"}',
     ]
-    server, _ = start_router_thread(cluster.router)
+    server, _ = start_http_thread(cluster.router, role="router")
     gateway_port = cluster.servers[0].server_port
     try:
         for body in bodies:
@@ -610,8 +654,6 @@ def test_echoed_non_finite_values_stay_strict_json(cluster):
     both query routes."""
     import urllib.error
     import urllib.request
-
-    from repro.cluster import start_router_thread
 
     def post(port, route, body):
         request = urllib.request.Request(
@@ -640,7 +682,7 @@ def test_echoed_non_finite_values_stay_strict_json(cluster):
          '[{"question_id": -1e400, "concept_ids": [1]}]}',
          "invalid_question", "-inf"),
     ]
-    server, _ = start_router_thread(cluster.router)
+    server, _ = start_http_thread(cluster.router, role="router")
     gateway_port = cluster.servers[0].server_port
     try:
         for query, code, rendered in queries:

@@ -203,6 +203,30 @@ class TestServiceInstrumentation:
         assert registry.counter_total(
             metric_names.SERVICE_COALESCED_READS_TOTAL) == 7
 
+    def test_every_scoring_call_counts_one_forward_pass(self, isolated):
+        """``engine_forward_calls_total`` counts one pass per scoring
+        call, whatever rows it holds: an explain-only flush counts one,
+        like a score-only or a mixed flush; a batch of records scores
+        nothing and counts none."""
+        registry, service, dataset = isolated
+        first, second, _ = (s.student_id for s in dataset)
+
+        def passes():
+            return registry.counter_total(
+                metric_names.ENGINE_FORWARD_CALLS_TOTAL)
+
+        assert service.execute(ExplainQuery(first)).ok
+        assert passes() == 1
+        assert service.execute(ScoreQuery(first, 1, (1,))).ok
+        assert passes() == 2
+        replies = service.execute_batch([ExplainQuery(first),
+                                         ExplainQuery(second),
+                                         ScoreQuery(second, 2, (1,))])
+        assert all(reply.ok for reply in replies)
+        assert passes() == 3
+        assert service.execute(RecordEvent(first, 3, 1, (1,))).ok
+        assert passes() == 3
+
 
 class TestGatewaySurface:
     @pytest.fixture()

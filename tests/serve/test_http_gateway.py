@@ -428,3 +428,11 @@ def test_cli_rejects_a_bad_cache_budget(budget, capsys):
     assert "byte count >= 0" in capsys.readouterr().err
     assert build_parser().parse_args(
         ["--stream-cache-bytes", "0"]).stream_cache_bytes == 0
+
+
+def test_cli_refuses_a_selfcheck_as_a_shard_worker(capsys):
+    from repro.serve.__main__ import main
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--selfcheck", "--shard-id", "1"])
+    assert exit_info.value.code == 2
+    assert "python -m repro.cluster --selfcheck" in capsys.readouterr().err

@@ -313,8 +313,9 @@ class TestGenerationBatching:
             self, monkeypatch):
         """A zero budget keeps nothing between batches, yet a search
         still extends the entries its own batches built: the baseline
-        flush and the first generation each run one capture pass, and
-        later generations clone-extend those worlds."""
+        flush runs the one capture pass, the first generation extends
+        the entry that served its baseline probe, and later
+        generations clone-extend those worlds."""
         service, engine = make_service(stream_cache_bytes=0)
         try:
             replies = service.execute_batch([
@@ -333,9 +334,59 @@ class TestGenerationBatching:
                 "kai", *TARGET, threshold=0.99, max_edits=3, beam_width=2,
                 candidates=CANDIDATES, allow_history_edits=False))
             assert reply.ok and reply.generations == 3
-            assert counts == {"capture": 2, "forward": 0}
+            assert counts == {"capture": 1, "forward": 0}
         finally:
             service.close()
+
+    def test_value_worlds_extend_the_flush_entry_after_an_eviction(
+            self, monkeypatch):
+        """A budget below the envelope's working set evicts the
+        recommending student's entry within the flush, yet its value
+        worlds still extend the entry that served its probes: no world
+        row warm-builds after the flush, and the reply equals the one a
+        default budget serves."""
+        from repro.serve import engine as engine_module
+        students = [f"s{k}" for k in range(8)]
+        candidates = tuple(CandidateQuestion(q, (1 + q % NUM_CONCEPTS,))
+                           for q in (4, 8, 16, 23))
+        envelope = [RecommendQuery(students[0], candidates, horizon=2)]
+        envelope += [ScoreQuery(student, *TARGET)
+                     for student in students[1:]]
+
+        def serve(budget):
+            rng = np.random.default_rng(23)
+            engine = InferenceEngine(
+                RCKT(NUM_QUESTIONS, NUM_CONCEPTS,
+                     RCKTConfig(encoder="akt", dim=16, layers=1, seed=3)),
+                stream_cache_bytes=budget)
+            for student in students:
+                for _ in range(int(rng.integers(20, 31))):
+                    engine.record(
+                        student, int(rng.integers(1, NUM_QUESTIONS + 1)),
+                        int(rng.integers(0, 2)),
+                        (int(rng.integers(1, NUM_CONCEPTS + 1)),))
+            service = Service(engine)
+            try:
+                return service.execute_batch(envelope), engine
+            finally:
+                service.close()
+
+        built = []
+        real_build = engine_module.build_stream_caches
+
+        def build(model, histories):
+            built.append(len(histories))
+            return real_build(model, histories)
+
+        monkeypatch.setattr(engine_module, "build_stream_caches", build)
+        replies, engine = serve(20 * 1024)
+        assert all(reply.ok for reply in replies), replies
+        assert engine.stream_cache_stats()["evictions"] > 0
+        # One warm-build for the eight cold students, none after it.
+        assert built == [len(students)]
+        reference, _ = serve(DEFAULT_STREAM_CACHE_BYTES)
+        for ours, theirs in zip(replies, reference):
+            assert wire_equal(to_wire(ours), to_wire(theirs), ATOL)
 
     def test_history_edit_search_rebuilds_once_per_generation(self,
                                                               monkeypatch):

@@ -526,7 +526,8 @@ class TestRegistry:
         score_b = service.execute(ScoreQuery(student, 3, (1,), model="b"))
         assert score_a.model == "a" and score_b.model == "b"
         assert score_a.score != score_b.score   # different weights
-        described = {entry["name"] for entry in service.describe_models()}
+        described = {entry["name"]
+                     for entry in service.models()["models"]}
         assert described == {"a", "b"}
 
     def test_alias_echoes_the_addressed_model_name(self, dataset):

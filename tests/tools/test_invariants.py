@@ -398,10 +398,23 @@ def test_privacy_rule_flags_a_reach_in():
             return _ContextRow(history, start, None), engine._ContextRow
     """)
     findings = privacy.check_module(module)
-    # Importing a private name defines nothing: both accesses reach in.
+    # The import reaches in, and it defines nothing: both attribute
+    # accesses reach in too.
     assert [(f.code, f.line, f.symbol) for f in findings] \
-        == [("INV006", 5, "plan"), ("INV006", 6, "plan")]
-    assert "'engine._window_start'" in findings[0].message
+        == [("INV006", 2, ""), ("INV006", 5, "plan"),
+            ("INV006", 6, "plan")]
+    assert "'from .engine import _ContextRow'" in findings[0].message
+    assert "'engine._window_start'" in findings[1].message
+
+
+def test_privacy_rule_allows_public_and_dunder_imports():
+    module = make_module("""
+        from __future__ import annotations
+
+        from repro.serve.__main__ import parse_checkpoint
+        from .engine import ContextRow as Row, InferenceEngine
+    """)
+    assert privacy.check_module(module) == []
 
 
 def test_privacy_rule_allows_same_module_access():
@@ -448,6 +461,20 @@ def test_privacy_rule_suppression():
     kept, suppressed = apply_suppressions(module, findings)
     assert kept == []
     assert [f.code for f in suppressed] == ["INV006"]
+
+
+def test_privacy_rule_suppression_on_an_import_line():
+    module = make_module("""
+        from .engine import (  # invariants: disable=INV006 -- test hook
+            _ContextRow, _window_start)
+        from .history import _Store
+    """)
+    findings = privacy.check_module(module)
+    findings.extend(suppression_findings(module))
+    kept, suppressed = apply_suppressions(module, findings)
+    assert [(f.line, f.message.split("'")[1]) for f in kept] \
+        == [(4, "from .history import _Store")]
+    assert [f.line for f in suppressed] == [2, 2]
 
 
 # ---------------------------------------------------------------------------

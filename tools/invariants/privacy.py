@@ -6,8 +6,10 @@ A leading underscore marks a name as its module's own business.  When
 internals without breaking a caller it cannot see; the engine's public
 interface (``window_start``, ``score_rows``, ...) is the contract.
 
-Inside the serving scope (``serve/``, ``cluster/``) an attribute access
-``x._name`` is a finding when
+Inside the serving scope (``serve/``, ``cluster/``) two things are
+findings.  An import ``from m import _name`` always is: the importer
+now depends on a name ``m`` never promised to keep.  An attribute
+access ``x._name`` is one when
 
 * ``x`` is not ``self``, ``cls`` or ``super()``, and
 * nothing in the same module defines ``_name``: no ``def`` or
@@ -16,10 +18,12 @@ Inside the serving scope (``serve/``, ``cluster/``) an attribute access
 
 Same-module accesses therefore pass (``engine.py``'s
 ``standby._lock = self._lock``, ``supervisor.py``'s
-``handle._log_file``), and so do dunders (``type(e).__name__``).
-Imports define nothing: a module that imports a private name still
-reaches in when it touches the name's attributes.  A deliberate
-exception takes an inline ``# invariants: disable=INV006 -- reason``.
+``handle._log_file``), and so do dunders (``type(e).__name__``,
+``from __future__ import annotations``).  An import binds a name but
+defines nothing: touching an imported private's attributes is a
+reach-in too.  A deliberate exception takes an inline
+``# invariants: disable=INV006 -- reason`` on the flagged line (for a
+multi-line import, the line holding ``from``).
 """
 
 from __future__ import annotations
@@ -67,10 +71,24 @@ def defined_names(tree: ast.AST) -> Set[str]:
     return names
 
 
+def _import_findings(module: Module, node: ast.ImportFrom,
+                     symbol: str) -> List[Finding]:
+    source = "." * node.level + (node.module or "")
+    return [Finding(CODE, module.rel, node.lineno, symbol,
+                    f"'from {source} import {alias.name}' imports a "
+                    f"private name of another module (use the owner's "
+                    f"public interface)")
+            for alias in node.names if _is_private(alias.name)]
+
+
 def check_module(module: Module) -> List[Finding]:
     defined = defined_names(module.tree)
     findings: List[Finding] = []
-    for node, symbol in scoped_nodes(module.tree, ast.Attribute):
+    for node, symbol in scoped_nodes(module.tree,
+                                     (ast.Attribute, ast.ImportFrom)):
+        if isinstance(node, ast.ImportFrom):
+            findings.extend(_import_findings(module, node, symbol))
+            continue
         name = node.attr
         if not _is_private(name) or name in defined \
                 or _is_own(node.value):
