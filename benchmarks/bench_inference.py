@@ -421,7 +421,7 @@ def bench_service_layer(model: RCKT, dataset, rounds: int) -> dict:
     http_queries = probe_queries(sequences[:50], probe_questions[0])
     try:
         with Timer() as timer:
-            wire_scores = np.array([client.query(query).score
+            wire_scores = np.array([client.execute(query).score
                                     for query in http_queries])
         http_seconds = timer.elapsed_s
         local_scores = scores_of(service.execute_batch(http_queries))

@@ -19,8 +19,7 @@ in-process :class:`repro.serve.Service`:
    (blue/green with pre-built stream caches); identity must survive
    the swap, on the new weights.
 
-Exits non-zero on any mismatching reply, which is what the CI
-cluster-smoke lane checks.
+Exits non-zero on any mismatching reply; the CI docs lane runs it.
 
 Usage::
 
@@ -94,16 +93,17 @@ def main() -> int:
                                          (HistoryEdit(0, "flip"),)))
 
             print("3) records + mixed envelope over the wire ...")
-            failures += check("records", client.batch(records),
+            failures += check("records", client.execute_batch(records),
                               local.execute_batch(records))
-            failures += check("mixed envelope", client.batch(mixed),
+            failures += check("mixed envelope", client.execute_batch(mixed),
                               local.execute_batch(mixed))
 
             print("4) hard-killing worker 0 (restart + journal replay)")
             supervisor.workers[0].process.kill()
             supervisor.workers[0].process.wait()
             supervisor.check_once()
-            failures += check("post-crash envelope", client.batch(mixed),
+            failures += check("post-crash envelope",
+                              client.execute_batch(mixed),
                               local.execute_batch(mixed))
 
             print("5) warm blue/green rollout (one more training epoch)")
@@ -117,7 +117,7 @@ def main() -> int:
                 failures += 1
             local.rollout(green, warm_top=16)
             failures += check("post-rollout envelope",
-                              client.batch(mixed),
+                              client.execute_batch(mixed),
                               local.execute_batch(mixed))
         finally:
             client.close()

@@ -11,8 +11,8 @@ caller would:
    a counterfactual what-if (flip an early answer) — then verify every
    wire score against the in-process service.
 
-Exits non-zero if any round-trip fails or drifts, which is exactly what
-the CI gateway-smoke lane checks.
+Exits non-zero if any round-trip fails or drifts; the CI docs lane
+runs it.
 
 Usage::
 
@@ -54,7 +54,7 @@ def main() -> int:
         question, concepts = 17, (3,)
 
         print("3) score + record round-trip ...")
-        replies = client.batch(BatchEnvelope((
+        replies = client.execute_batch(BatchEnvelope((
             RecordEvent(student, question, 1, concepts),
             ScoreQuery(student, question, concepts),
         )))
@@ -67,7 +67,7 @@ def main() -> int:
         failures += drift > PARITY
 
         print("4) explain round-trip (per-response influences) ...")
-        explain = client.query(ExplainQuery(student))
+        explain = client.execute(ExplainQuery(student))
         if explain.ok:
             top = max(explain.influences,
                       key=lambda item: abs(item.influence))
@@ -81,8 +81,8 @@ def main() -> int:
             failures += 1
 
         print("5) what-if round-trip (flip the first response) ...")
-        what_if = client.query(WhatIfQuery(student, question, concepts,
-                                           (HistoryEdit(0, "flip"),)))
+        what_if = client.execute(WhatIfQuery(student, question, concepts,
+                                             (HistoryEdit(0, "flip"),)))
         if what_if.ok:
             print(f"   baseline {what_if.baseline_score:.4f} -> edited "
                   f"{what_if.score:.4f} (Δ {what_if.delta:+.4f})")
@@ -91,7 +91,7 @@ def main() -> int:
             failures += 1
 
         print("6) structured errors are values, with HTTP statuses ...")
-        error = client.query(ScoreQuery(student, 10 ** 6, concepts))
+        error = client.execute(ScoreQuery(student, 10 ** 6, concepts))
         print(f"   {error.code} (HTTP {error.http_status}): "
               f"{error.message}")
         failures += error.code != "invalid_question"

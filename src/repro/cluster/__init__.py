@@ -35,11 +35,11 @@ and warm blue/green rollouts alike.
   students before the atomic swap).
 
 ``python -m repro.cluster`` boots the whole stack from checkpoint
-files (``--journal-dir`` for durability + recovery-on-boot);
-``--selfcheck`` runs the CI smoke: a 2-shard cluster proving
-mixed-envelope bit-identity, kill-one-worker recovery, a rollout, and
-(with ``--journal-dir``) a full cold boot from disk.
-See ``docs/CLUSTER.md`` for semantics and operations.
+files (``--journal-dir`` for durability + recovery-on-boot).  The
+multi-process proofs — crash restart, rollout and a cold boot through
+``build_cluster`` — are ``tests/cluster/test_process.py`` and
+``tests/cluster/test_cold_boot.py``.  See ``docs/CLUSTER.md`` for
+semantics and operations.
 """
 
 from .journal import RecordJournal, replay_order

@@ -48,7 +48,8 @@ from typing import Dict, List, Optional
 from repro import obs
 from repro.obs import names as metric_names
 from repro.serve.http_gateway import ServiceClient
-from repro.serve.protocol import (PROTOCOL_VERSION, BatchEnvelope,
+from repro.serve.protocol import (DEFAULT_MODEL, DEFAULT_WARM_TOP,
+                                  PROTOCOL_VERSION, BatchEnvelope,
                                   BatchReply, InternalError, RecordEvent,
                                   ShardUnavailable, admission_error,
                                   capabilities, is_error, to_wire)
@@ -199,7 +200,7 @@ class ScatterGatherRouter:
         try:
             with obs.Span(f"router.fanout.shard{shard}", request_id,
                           histogram=fanout):
-                shard_replies = self.clients[shard].batch(envelope)
+                shard_replies = self.clients[shard].execute_batch(envelope)
         except Exception as error:  # noqa: BLE001 — fan-out boundary
             failure = self._unavailable(
                 shard, f"{type(error).__name__}: {error}")
@@ -295,8 +296,8 @@ class ScatterGatherRouter:
                     shard, f"{type(error).__name__}: {error}")
         return last_error
 
-    def rollout(self, checkpoint, model: str = None,
-                warm_top: int = None) -> List[object]:
+    def rollout(self, checkpoint, model: str = DEFAULT_MODEL,
+                warm_top: int = DEFAULT_WARM_TOP) -> List[object]:
         """Warm blue/green rollout across every shard, one at a time.
 
         Sequential on purpose: at any instant at most one worker is

@@ -25,6 +25,8 @@ the cluster inside the bit-identity contract at all times:
   post-swap cold-start spike.  On success the supervisor re-points the
   shard's restart checkpoint at the new weights, so a crash *after* a
   rollout restarts onto the rolled-out model, not the boot-time one.
+  The re-pointing lives in this process only: rollouts are not
+  journaled, so a cold boot serves the checkpoints it is given.
 """
 
 from __future__ import annotations
@@ -40,7 +42,9 @@ from typing import List, Optional, Sequence, Tuple
 import repro
 from repro import obs
 from repro.serve.http_gateway import ServiceClient
-from repro.serve.protocol import DEFAULT_MODEL, is_error, query_from_wire
+from repro.serve.protocol import (DEFAULT_MODEL, DEFAULT_WARM_TOP,
+                                  ShardUnavailable, is_error,
+                                  query_from_wire)
 
 from .journal import RecordJournal
 
@@ -135,8 +139,8 @@ class Supervisor:
         self._lock = threading.Lock()   # serializes restart/rollout
 
     def attach_router(self, router) -> None:
-        """Bind a router created after the workers booted (the usual
-        order: supervise -> wait healthy -> route)."""
+        """Bind a router created after this supervisor (the
+        constructor's ``router`` binds one created before it)."""
         with self._lock:
             # restart/rollout read self.router under the lock; binding
             # it unlocked could hand a half-attached router to a
@@ -303,7 +307,7 @@ class Supervisor:
         replayed = 0
         for envelope in self.journal.envelopes(shard):
             queries = [query_from_wire(q) for q in envelope["queries"]]
-            replies = client.batch(queries)
+            replies = client.execute_batch(queries)
             bad = [r for r in replies if is_error(r)]
             if bad:
                 raise RuntimeError(f"journal replay rejected on shard "
@@ -325,8 +329,8 @@ class Supervisor:
     # ------------------------------------------------------------------
     # Warm blue/green rollout
     # ------------------------------------------------------------------
-    def rollout(self, checkpoint, model: str = None,
-                warm_top: int = None) -> List[object]:
+    def rollout(self, checkpoint, model: str = DEFAULT_MODEL,
+                warm_top: int = DEFAULT_WARM_TOP) -> List[object]:
         """Roll a new checkpoint across the shards, one worker at a time.
 
         Stops at the first failing shard (the remaining workers keep
@@ -334,7 +338,6 @@ class Supervisor:
         each success the shard's restart checkpoint is re-pointed, so
         crash recovery restores the *rolled-out* model.
         """
-        name = model if model is not None else DEFAULT_MODEL
         results: List[object] = []
         with self._lock:
             for handle in self.workers:
@@ -343,7 +346,6 @@ class Supervisor:
                     result = self.clients[shard].rollout(
                         checkpoint, model=model, warm_top=warm_top)
                 except Exception as error:  # noqa: BLE001 — fan-out
-                    from repro.serve.protocol import ShardUnavailable
                     result = ShardUnavailable(
                         f"shard {shard} ({handle.spec.base_url}) is "
                         f"unavailable: {type(error).__name__}: {error}",
@@ -353,6 +355,6 @@ class Supervisor:
                 if is_error(result):
                     break
                 handle.spec.checkpoints = [
-                    (n, str(checkpoint) if n == name else p)
+                    (n, str(checkpoint) if n == model else p)
                     for n, p in handle.spec.checkpoints]
         return results

@@ -22,8 +22,10 @@ package consumes that stream to keep the live checkpoint fresh:
   **value** (never an exception) from :func:`auto_rollout` /
   ``Service.rollout(gate=...)``.
 
-``python -m repro.online --selfcheck`` drives the whole loop end to end
-on a synthetic journal; ``docs/ONLINE.md`` documents the contracts.
+``python -m repro.online`` runs one refresh from a journal directory;
+``tests/online/test_end_to_end_continual.py`` drives the whole loop
+through a two-shard cluster.  ``docs/ONLINE.md`` documents the
+contracts.
 """
 
 from .drift import DriftGate, GateDecision, auto_rollout

@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional
 
-from repro.serve import (DEFAULT_MODEL, InferenceEngine, RecordEvent,
-                         RolloutRefused, Service)
+from repro.serve import (DEFAULT_MODEL, DEFAULT_WARM_TOP, InferenceEngine,
+                         RecordEvent, RolloutRefused, Service)
 
 from repro import obs
 from repro.obs import names as metric_names
@@ -148,17 +148,19 @@ class DriftGate:
 
 
 def auto_rollout(target, checkpoint, gate: DriftGate, *,
-                 name: str = DEFAULT_MODEL, warm_top: int = 64,
-                 incumbent_model=None):
-    """Ship ``checkpoint`` to ``target`` iff the drift gate allows it.
+                 model: str = DEFAULT_MODEL,
+                 warm_top: int = DEFAULT_WARM_TOP, incumbent_model=None):
+    """Ship ``checkpoint`` to ``target``'s ``model`` iff the drift gate
+    allows it.
 
     ``target`` is either a :class:`~repro.serve.Service` (the gate runs
     inside :meth:`Service.rollout` — standby built and validated first,
-    warm blue/green semantics preserved) or any object with a
-    ``rollout(checkpoint)`` method, e.g. a
-    :class:`~repro.cluster.ScatterGatherRouter`; router targets cannot
-    expose their remote incumbent weights, so ``incumbent_model`` (the
-    weights currently deployed) must be supplied and the gate runs as a
+    warm blue/green semantics preserved) or any other backend with the
+    same ``rollout(checkpoint, model=, warm_top=)``, e.g. a
+    :class:`~repro.cluster.ScatterGatherRouter` or a
+    :class:`~repro.serve.ServiceClient`; those cannot expose their
+    remote incumbent weights, so ``incumbent_model`` (the weights
+    currently deployed) must be supplied and the gate runs as a
     pre-check before fanning the rollout out.
 
     Returns the target's rollout summary on success, or the
@@ -166,7 +168,7 @@ def auto_rollout(target, checkpoint, gate: DriftGate, *,
     never raises for a refusal.
     """
     if isinstance(target, Service):
-        return target.rollout(checkpoint, name=name, warm_top=warm_top,
+        return target.rollout(checkpoint, model=model, warm_top=warm_top,
                               gate=gate.service_gate())
     if incumbent_model is None:
         raise ValueError("auto_rollout to a non-Service target needs "
@@ -176,4 +178,4 @@ def auto_rollout(target, checkpoint, gate: DriftGate, *,
     if not decision.allowed:
         return RolloutRefused(message=decision.reason,
                               details=decision.to_details())
-    return target.rollout(checkpoint)
+    return target.rollout(checkpoint, model=model, warm_top=warm_top)

@@ -51,7 +51,7 @@ from .history import (ArrayHistory, HistoryStore, HistoryWindow,
                       StudentHistory)
 from .http_gateway import (ServiceClient, ServiceHTTPServer, serve_http,
                            start_http_thread)
-from .protocol import (DEFAULT_MODEL, PROTOCOL_VERSION,
+from .protocol import (DEFAULT_MODEL, DEFAULT_WARM_TOP, PROTOCOL_VERSION,
                        SUPPORTED_PROTOCOL_VERSIONS, BatchEnvelope,
                        BatchReply, CandidateQuestion, EmptyHistory,
                        ExplainQuery, ExplainReply, HistoryEdit,
@@ -81,6 +81,7 @@ __all__ = [
     "Service", "ModelRegistry", "registry_for",
     # protocol
     "PROTOCOL_VERSION", "SUPPORTED_PROTOCOL_VERSIONS", "DEFAULT_MODEL",
+    "DEFAULT_WARM_TOP",
     "ScoreQuery", "ExplainQuery", "WhatIfQuery", "RecommendQuery",
     "RecourseQuery", "RecordEvent", "BatchEnvelope", "HistoryEdit",
     "CandidateQuestion",

@@ -6,7 +6,6 @@ Usage::
     python -m repro.serve --checkpoint prod=rckt.npz --checkpoint \\
         canary=rckt_new.npz --port 8080 --window 256
     python -m repro.serve --checkpoint rckt.npz --port 9101 --shard-id 1
-    python -m repro.serve --selfcheck
 
 ``--checkpoint`` takes ``PATH`` (registered as the default model) or
 ``NAME=PATH`` and may repeat — every name becomes addressable through
@@ -14,9 +13,6 @@ the queries' ``model`` field.  ``--shard-id N`` boots the process as
 shard ``N``'s cluster worker, which is what the cluster supervisor
 spawns: the same gateway in the ``worker`` role, minting ``wN``
 request IDs and prefixing its log lines with ``[workerN]``.
-``--selfcheck`` boots a tiny synthetic model instead, round-trips a
-score through a real socket, and exits — the zero-dependency smoke
-test CI runs.
 """
 
 from __future__ import annotations
@@ -26,9 +22,8 @@ import sys
 from typing import List, Optional
 
 from .. import obs
-from .http_gateway import ServiceClient, serve_http, start_http_thread
-from .protocol import (DEFAULT_MODEL, CandidateQuestion, RecourseQuery,
-                       ScoreQuery, to_wire)
+from .http_gateway import serve_http
+from .protocol import DEFAULT_MODEL
 from .registry import ModelRegistry
 from .service import Service
 
@@ -79,9 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "(role 'worker'; placement lives in the "
                              "router's ring, this labels request IDs, "
                              "spans and logs)")
-    parser.add_argument("--selfcheck", action="store_true",
-                        help="boot a tiny synthetic model, round-trip a "
-                             "score over a real socket, exit 0 on success")
     return parser
 
 
@@ -92,82 +84,11 @@ def _engine_kwargs(args) -> dict:
     return kwargs
 
 
-def _selfcheck(args) -> int:
-    from repro.core import RCKT, RCKTConfig
-    from repro.serve import InferenceEngine
-
-    model = RCKT(20, 5, RCKTConfig(encoder="dkt", dim=8, layers=1, seed=0))
-    engine = InferenceEngine(model, **_engine_kwargs(args))
-    service = Service(engine)
-    engine.record("probe", 3, 1, (2,))
-    server, _ = start_http_thread(service, host=args.host, port=0)
-    try:
-        client = ServiceClient(f"http://{args.host}:{server.server_port}")
-        health = client.health()
-        reply = client.query(ScoreQuery("probe", 5, (1,)))
-        direct = service.execute(ScoreQuery("probe", 5, (1,)))
-        if health.get("status") != "ok":
-            print(f"selfcheck: bad health payload {health}")
-            return 1
-        supported = health.get("capabilities", {}).get("query_types", [])
-        if "recourse" not in supported:
-            print(f"selfcheck: capabilities missing recourse: {health}")
-            return 1
-        if not reply.ok or abs(reply.score - direct.score) > 1e-12:
-            print(f"selfcheck: wire score {reply} != direct {direct}")
-            return 1
-        recourse = RecourseQuery(
-            "probe", 5, (1,), threshold=0.99, max_edits=2,
-            candidates=(CandidateQuestion(7, (2,)),
-                        CandidateQuestion(9, (3,))))
-        wire = client.query(recourse)
-        local = service.execute(recourse)
-        if to_wire(wire) != to_wire(local):
-            print(f"selfcheck: wire recourse {to_wire(wire)} != "
-                  f"direct {to_wire(local)}")
-            return 1
-        # The traffic above must have populated the core metric series
-        # (docs/OBSERVABILITY.md) — the CI smoke lane scrapes the same
-        # endpoint again after this run.
-        snapshot = client.metrics()
-        totals = {}
-        for entry in snapshot["counters"]:
-            totals[entry["name"]] = totals.get(entry["name"], 0) \
-                + entry["value"]
-        for entry in snapshot["histograms"]:
-            totals[entry["name"]] = totals.get(entry["name"], 0) \
-                + entry["data"]["count"]
-        missing = [name for name in ("service_requests_total",
-                                     "http_requests_total",
-                                     "service_batch_seconds",
-                                     "http_request_seconds")
-                   if totals.get(name, 0) <= 0]
-        if missing:
-            print(f"selfcheck: /v1/metrics has no live data for "
-                  f"{missing}")
-            return 1
-        if "# TYPE" not in client.metrics_text():
-            print("selfcheck: prometheus exposition looks empty")
-            return 1
-    finally:
-        server.shutdown()
-    print(f"selfcheck: ok (score {direct.score:.6f} and a recourse "
-          f"search round-tripped over "
-          f"http://{args.host}:{server.server_port})")
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.selfcheck:
-        if args.shard_id is not None:
-            parser.error("--selfcheck boots its own gateway; the cluster "
-                         "smoke test is python -m repro.cluster "
-                         "--selfcheck")
-        return _selfcheck(args)
     if not args.checkpoint:
-        parser.error("--checkpoint is required (or --selfcheck)")
+        parser.error("--checkpoint is required")
     worker = args.shard_id is not None
     tag = f"[worker{args.shard_id}] " if worker else ""
     registry = ModelRegistry()

@@ -36,9 +36,11 @@ v1-stamped replies and never sees a v2-only construct it cannot parse.
 :class:`ServiceClient` is the matching typed client (stdlib
 ``http.client`` over a pool of persistent keep-alive connections), used
 by ``examples/serve_http.py``, the gateway tests, and the cluster
-router's fan-out; it decodes every response back into the same typed
-replies/errors the in-process facade returns, so code written against
-the facade ports to the wire by swapping the object.
+router's fan-out.  It is a backend too — ``execute``,
+``execute_batch``, ``health``, ``models`` and ``rollout`` with the
+facade's signatures — and decodes every response back into the same
+typed replies/errors the in-process facade returns, so code written
+against the facade ports to the wire by swapping the object.
 """
 
 from __future__ import annotations
@@ -52,9 +54,9 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .. import obs
 from ..obs import names as metric_names
-from .protocol import (DEFAULT_MODEL, PROTOCOL_VERSION, BatchEnvelope,
-                       BatchReply, InternalError, MalformedQuery,
-                       ModelNotLoaded, NotFound, is_error,
+from .protocol import (DEFAULT_MODEL, DEFAULT_WARM_TOP, PROTOCOL_VERSION,
+                       BatchEnvelope, BatchReply, InternalError,
+                       MalformedQuery, ModelNotLoaded, NotFound, is_error,
                        negotiated_version, query_from_wire,
                        reply_from_wire, to_wire)
 
@@ -259,8 +261,9 @@ class _GatewayHandler(BaseHTTPRequestHandler):
                 f"{error}"), version=version)
 
     @staticmethod
-    def _rollout_body_error(payload):
-        """Why a ``/v1/admin/rollout`` body is malformed, or ``None``.
+    def _rollout_args(payload):
+        """A ``/v1/admin/rollout`` body's ``backend.rollout`` keywords,
+        or the ``MalformedQuery`` it earns.
 
         Body: ``{"checkpoint": path, "model": name?, "warm_top": n?}``.
         Checked before the backend sees it, so a router rejects a bad
@@ -273,11 +276,12 @@ class _GatewayHandler(BaseHTTPRequestHandler):
         model = payload.get("model", DEFAULT_MODEL)
         if not isinstance(model, str):
             return MalformedQuery(f"model must be a string, got {model!r}")
-        warm_top = payload.get("warm_top", 0)
+        warm_top = payload.get("warm_top", DEFAULT_WARM_TOP)
         if not isinstance(warm_top, int) or isinstance(warm_top, bool):
             return MalformedQuery(
                 f"warm_top must be an integer, got {warm_top!r}")
-        return None
+        return {"checkpoint": payload["checkpoint"], "model": model,
+                "warm_top": warm_top}
 
     def _admin_rollout(self, backend, payload) -> None:
         """Warm blue/green rollout (``backend.rollout``) over the wire.
@@ -290,16 +294,12 @@ class _GatewayHandler(BaseHTTPRequestHandler):
         summary or error value per shard (200 if all succeeded, else
         502).
         """
-        error = self._rollout_body_error(payload)
-        if error is not None:
-            self._send_reply(error)
+        args = self._rollout_args(payload)
+        if is_error(args):
+            self._send_reply(args)
             return
         try:
-            # Positional: a Service calls the model ``name``, a router
-            # ``model``.
-            result = backend.rollout(payload["checkpoint"],
-                                     payload.get("model", DEFAULT_MODEL),
-                                     payload.get("warm_top", 64))
+            result = backend.rollout(**args)
         except KeyError as error:
             self._send_reply(ModelNotLoaded(str(error).strip("'\"")))
             return
@@ -507,12 +507,12 @@ class ServiceClient:
     # ------------------------------------------------------------------
     # Typed surface
     # ------------------------------------------------------------------
-    def query(self, query):
+    def execute(self, query):
         """Execute one typed query object over the wire."""
         payload = to_wire(query, version=self.protocol_version)
         return reply_from_wire(self._post("/v1/query", payload))
 
-    def batch(self, queries):
+    def execute_batch(self, queries):
         """Execute many queries as one envelope; replies in order."""
         envelope = queries if isinstance(queries, BatchEnvelope) \
             else BatchEnvelope(tuple(queries))
@@ -537,18 +537,15 @@ class ServiceClient:
                              decode_json=False)
         return raw.decode("utf-8")
 
-    def rollout(self, checkpoint, model: str = None,
-                warm_top: int = None):
+    def rollout(self, checkpoint, model: str = DEFAULT_MODEL,
+                warm_top: int = DEFAULT_WARM_TOP):
         """Trigger a warm blue/green rollout on the server.
 
         Returns the summary dict on success, or the typed taxonomy
         error value the gateway mapped the failure to.
         """
-        payload = {"checkpoint": str(checkpoint)}
-        if model is not None:
-            payload["model"] = model
-        if warm_top is not None:
-            payload["warm_top"] = warm_top
+        payload = {"checkpoint": str(checkpoint), "model": model,
+                   "warm_top": warm_top}
         reply = self._post("/v1/admin/rollout", payload)
         if isinstance(reply, dict) and reply.get("type") == "error":
             return reply_from_wire(reply)

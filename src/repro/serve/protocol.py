@@ -24,7 +24,7 @@ version knows) decodes to :class:`UnknownQueryType` — both are
 :class:`MalformedQuery` values, never exceptions, with identical bytes
 from the gateway and the cluster router.  :func:`capabilities`
 enumerates the supported versions and per-version query types for the
-health/selfcheck reply.
+health reply.
 
 Field rules
 -----------
@@ -59,6 +59,11 @@ SUPPORTED_PROTOCOL_VERSIONS = (1, 2)
 
 #: Registry name queries address when they don't specify one.
 DEFAULT_MODEL = "default"
+
+#: Hottest students a rollout pre-warms when the caller gives no count
+#: (every backend's ``rollout`` and the admin rollout body's
+#: ``warm_top``).
+DEFAULT_WARM_TOP = 64
 
 EDIT_OPS = ("flip", "set", "remove")
 
@@ -858,7 +863,7 @@ def negotiated_version(payload) -> int:
 
 
 def capabilities() -> dict:
-    """What this build speaks, for the health/selfcheck reply.
+    """What this build speaks, for the health reply.
 
     ``query_types`` is the full (current-version) set; the per-version
     breakdown lets a client pick the newest mutually supported version

@@ -47,8 +47,9 @@ from .. import obs
 from ..obs import names as metric_names
 from .engine import ContextRow, InferenceEngine
 from .history import ArrayHistory, StudentHistory
-from .protocol import (DEFAULT_MODEL, PROTOCOL_VERSION, BatchEnvelope,
-                       BatchReply, EmptyHistory, ExplainQuery, ExplainReply,
+from .protocol import (DEFAULT_MODEL, DEFAULT_WARM_TOP, PROTOCOL_VERSION,
+                       BatchEnvelope, BatchReply, EmptyHistory,
+                       ExplainQuery, ExplainReply,
                        InfluenceItem, InternalError, InvalidEdit,
                        MalformedQuery, ModelNotLoaded, RecommendQuery,
                        RecommendReply, RecommendationItem, RecordEvent,
@@ -489,17 +490,17 @@ class Service:
     # ------------------------------------------------------------------
     # Warm blue/green rollout
     # ------------------------------------------------------------------
-    def rollout(self, path, name: str = DEFAULT_MODEL,
-                warm_top: int = 64, gate=None):
+    def rollout(self, checkpoint, model: str = DEFAULT_MODEL,
+                warm_top: int = DEFAULT_WARM_TOP, gate=None):
         """Blue/green checkpoint rollout with a warm standby.
 
         The one way a served model changes: an engine's model is bound
         at construction.  The live engine derives a *standby* from
-        ``path`` (the green side, :meth:`InferenceEngine.standby`) that
-        shares its history store and lock, pre-builds the standby's
+        ``checkpoint`` (the green side, :meth:`InferenceEngine.standby`)
+        that shares its history store and lock, pre-builds the standby's
         forward-stream caches for the ``warm_top`` hottest students (the
         live stream cache's LRU order *is* the hot set), and only then
-        is ``name`` atomically rebound.  The blue engine keeps serving,
+        is ``model`` atomically rebound.  The blue engine keeps serving,
         records included, until the rebind; in-flight queries that
         already resolved it finish on the old weights.  The hot working
         set scores warm from the first post-swap request.
@@ -522,18 +523,18 @@ class Service:
         space; the HTTP gateway's ``/v1/admin/rollout`` route maps them
         onto the error taxonomy.
         """
-        old = self.registry.get(name)
+        old = self.registry.get(model)
         if old is None:
-            raise KeyError(f"no model named '{name}' is loaded "
+            raise KeyError(f"no model named '{model}' is loaded "
                            f"(known: {self.registry.names()})")
-        standby = old.standby(path)
+        standby = old.standby(checkpoint)
         if gate is not None:
             verdict = gate(old, standby)
             if is_error(verdict):
                 return verdict
         warmed = old.warm_standby(standby, warm_top)
-        self.registry.register(name, standby)
-        return {"model": name, "warmed": warmed,
+        self.registry.register(model, standby)
+        return {"model": model, "warmed": warmed,
                 "encoder": standby.model.config.encoder,
                 "students": len(standby.students)}
 

@@ -1,24 +1,29 @@
 """Cold boot: kill -9 the workers AND the router, recover from disk.
 
-The durable-journal end-to-end: a real multi-process cluster journals
-to ``--journal-dir``-style storage, every process is hard-killed
-mid-stream (no drain, no ``close()`` — the unsealed tail is exactly
-what the crash left), and a **brand-new** journal + supervisor +
-router stack cold-boots from the directory alone.  The recovered
-cluster must answer the next batches bit-identically to an
-uninterrupted single-process ``Service`` — including the per-student
-``history_length`` acks, which prove the replayed histories have
-exactly the right number of records (no drops, no duplicates).
+The durable-journal end-to-end: a real multi-process cluster booted by
+the CLI's ``build_cluster`` journals to ``--journal-dir``, snapshots
+and truncates every shard's log, journals a tail past the snapshot,
+and then every process is hard-killed mid-stream (no drain, no
+``close()`` — the unsealed tail is exactly what the crash left) and a
+torn frame is appended to the last live segment.  A **brand-new**
+cluster booted by ``build_cluster`` from the same parsed
+``--journal-dir`` arguments must answer the next batches
+bit-identically to an uninterrupted single-process ``Service`` —
+including the per-student ``history_length`` acks, which prove the
+replayed histories have exactly the right number of records (no drops,
+no duplicates).
 """
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core import RCKT, RCKTConfig
-from repro.cluster import (RecordJournal, ScatterGatherRouter, Supervisor,
-                           WorkerSpec, free_port)
-from repro.serve import (DEFAULT_MODEL, ExplainQuery, InferenceEngine,
-                         RecordEvent, ScoreQuery, Service, to_wire)
+from repro.cluster.__main__ import build_cluster, build_parser
+from repro.cluster.wal import list_segments
+from repro.serve import (ExplainQuery, InferenceEngine, RecordEvent,
+                         ScoreQuery, Service, to_wire)
 
 NUM_QUESTIONS = 20
 NUM_CONCEPTS = 5
@@ -34,14 +39,6 @@ def checkpoint(tmp_path_factory):
     return path
 
 
-def make_specs(checkpoint, tmp_path, generation):
-    return [WorkerSpec(shard_id=shard, port=free_port(),
-                       checkpoints=[(DEFAULT_MODEL, str(checkpoint))],
-                       log_path=str(tmp_path /
-                                    f"gen{generation}-worker{shard}.log"))
-            for shard in range(2)]
-
-
 def assert_wire_identical(ours, theirs):
     assert [to_wire(a) for a in ours] == [to_wire(b) for b in theirs]
 
@@ -49,6 +46,9 @@ def assert_wire_identical(ours, theirs):
 def test_cold_boot_recovers_replies_and_history_lengths(checkpoint,
                                                         tmp_path):
     journal_dir = tmp_path / "journal"
+    args = build_parser().parse_args([
+        "--checkpoint", str(checkpoint), "--shards", "2",
+        "--journal-dir", str(journal_dir), "--log-dir", str(tmp_path)])
     reference = Service.from_checkpoint(checkpoint)
     rng = np.random.default_rng(11)
     students = [f"boot-{k}" for k in range(6)]
@@ -60,18 +60,13 @@ def test_cold_boot_recovers_replies_and_history_lengths(checkpoint,
                 for s in students]
 
     batch_a = [event for _ in range(3) for event in make_round()]
+    tail = make_round()
     batch_b = [event for _ in range(2) for event in make_round()]
     mixed = [q for s in students
              for q in (ScoreQuery(s, 7, (2,)), ExplainQuery(s))]
 
     # --- generation 1: journal to disk, then die hard mid-stream -----
-    specs = make_specs(checkpoint, tmp_path, 1)
-    journal = RecordJournal(directory=journal_dir, fsync="batch")
-    supervisor = Supervisor(specs, journal=journal, boot_timeout=60.0)
-    supervisor.start()
-    router = ScatterGatherRouter([spec.base_url for spec in specs],
-                                 timeout=10.0, journal=journal)
-    supervisor.attach_router(router)
+    journal, supervisor, router = build_cluster(args, args.checkpoint)
     try:
         half = len(batch_a) // 2
         assert_wire_identical(router.execute_batch(batch_a[:half]),
@@ -86,6 +81,13 @@ def test_cold_boot_recovers_replies_and_history_lengths(checkpoint,
         assert_wire_identical(router.execute_batch(batch_a[half:]),
                               reference.execute_batch(batch_a[half:]))
 
+        # Snapshot + truncate every shard, then journal a tail that
+        # only the live segments hold.
+        assert len(journal.snapshot_all()) == 2
+        assert_wire_identical(router.execute_batch(tail),
+                              reference.execute_batch(tail))
+        expected = journal.total()
+
         # kill -9 every worker; the router/supervisor objects are then
         # simply discarded, journal deliberately NOT close()d — the
         # unsealed tail stays exactly as the "crash" left it.
@@ -97,17 +99,19 @@ def test_cold_boot_recovers_replies_and_history_lengths(checkpoint,
         router.close()
     del journal, supervisor, router   # reference continues uninterrupted
 
+    # A torn frame (length header, short body) at the end of the last
+    # live segment: recovery must truncate it, not refuse to boot.
+    segments = [segment
+                for shard_dir in sorted(Path(journal_dir).glob("shard-*"))
+                for segment in list_segments(shard_dir)]
+    assert segments
+    with open(segments[-1], "ab") as handle:
+        handle.write(b"\x40\x00\x00\x00torn")
+
     # --- generation 2: cold boot from the directory alone -----------
-    journal2 = RecordJournal(directory=journal_dir, fsync="batch")
-    assert journal2.total() == len(batch_a)
-    specs2 = make_specs(checkpoint, tmp_path, 2)
-    supervisor2 = Supervisor(specs2, journal=journal2, boot_timeout=60.0)
-    supervisor2.start()
-    assert supervisor2.replay_all() == len(batch_a)
-    router2 = ScatterGatherRouter([spec.base_url for spec in specs2],
-                                  timeout=10.0, journal=journal2)
-    supervisor2.attach_router(router2)
+    journal2, supervisor2, router2 = build_cluster(args, args.checkpoint)
     try:
+        assert journal2.total() == expected
         ours = router2.execute_batch(batch_b)
         theirs = reference.execute_batch(batch_b)
         assert_wire_identical(ours, theirs)
@@ -116,7 +120,7 @@ def test_cold_boot_recovers_replies_and_history_lengths(checkpoint,
         # histories neither dropped nor duplicated a single record.
         assert [reply.history_length for reply in ours] == \
             [reply.history_length for reply in theirs]
-        final = {s: 5 for s in students}   # 3 + 2 rounds per student
+        final = {s: 6 for s in students}   # 3 + 1 + 2 rounds per student
         assert {e.student_id: r.history_length
                 for e, r in zip(batch_b, ours)} == final
 

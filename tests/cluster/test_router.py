@@ -1,9 +1,10 @@
 """Scatter-gather router: bit-identity with a single Service, failures.
 
-Workers here are thread-backed (each a full ``Service`` + HTTP gateway
-in this process, with its own identically-seeded model object), so the
-routing/merging logic is exercised over real sockets without process
-spawn costs; ``tests/cluster/test_process.py`` and the CI selfcheck
+Workers here are thread-backed (each a full ``Service`` behind the HTTP
+face in the ``worker`` role, in this process, with its own
+identically-seeded model object), so the routing/merging logic is
+exercised over real sockets without process spawn costs;
+``tests/cluster/test_process.py`` and ``tests/cluster/test_cold_boot.py``
 cover the real multi-process stack.
 """
 
@@ -13,8 +14,10 @@ import math
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core import ENCODERS, RCKT, RCKTConfig
 from repro.cluster import RecordJournal, ScatterGatherRouter
+from repro.obs import names as metric_names
 from repro.serve import (PROTOCOL_VERSION, BatchEnvelope,
                          CandidateQuestion, ExplainQuery, HistoryEdit,
                          InferenceEngine, InvalidQuestion, MalformedQuery,
@@ -76,7 +79,7 @@ class ThreadCluster:
         urls = []
         for _ in range(shards):
             service = Service(InferenceEngine(make_model(encoder)))
-            server, _ = start_http_thread(service)
+            server, _ = start_http_thread(service, role="worker")
             self.services.append(service)
             self.servers.append(server)
             urls.append(f"http://127.0.0.1:{server.server_port}")
@@ -413,8 +416,8 @@ def test_journal_replay_restores_bit_identity(cluster):
     # Replay the journal the way the supervisor does.
     client = ServiceClient(f"http://127.0.0.1:{port}", timeout=10.0)
     for envelope in cluster.journal.envelopes(shard, batch_size=3):
-        replies = client.batch([query_from_wire(q)
-                                for q in envelope["queries"]])
+        replies = client.execute_batch([query_from_wire(q)
+                                        for q in envelope["queries"]])
         assert all(r.ok for r in replies)
     client.close()
 
@@ -545,15 +548,61 @@ def test_router_http_face_and_health(cluster):
         models = client.models()
         assert models["models"][0]["num_questions"] == NUM_QUESTIONS
         mixed = mixed_queries(students)
-        assert_wire_identical(client.batch(mixed),
+        assert_wire_identical(client.execute_batch(mixed),
                               cluster.reference.execute_batch(mixed))
-        single = client.query(ScoreQuery("a", 3, (1,)))
+        single = client.execute(ScoreQuery("a", 3, (1,)))
         assert to_wire(single) == to_wire(
             cluster.reference.execute(ScoreQuery("a", 3, (1,))))
         client.close()
     finally:
         server.shutdown()
         server.server_close()
+
+
+def test_router_face_propagates_the_request_id_to_every_hop():
+    """One envelope POSTed to the router face: the ``X-Request-Id`` it
+    answers with names the router's batch span, the fan-out span of
+    each shard it hit and every worker's batch span, and
+    ``router_fanout_seconds`` counts one round-trip per shard."""
+    import urllib.request
+
+    registry = obs.MetricsRegistry()
+    previous = obs.set_registry(registry)
+    built = ThreadCluster(shards=2)
+    server, _ = start_http_thread(built.router, role="router")
+    client = ServiceClient(f"http://127.0.0.1:{server.server_port}",
+                           timeout=10.0)
+    try:
+        queries = tuple(ScoreQuery(f"trace-{k}", 3, (1,))
+                        for k in range(8))
+        assert {built.router.shard_of(query) for query in queries} \
+            == {0, 1}
+        request = urllib.request.Request(
+            f"{client.base_url}/v1/batch",
+            data=json.dumps(to_wire(BatchEnvelope(queries))).encode(),
+            headers={"Content-Type": "application/json"})
+        with urllib.request.urlopen(request, timeout=10.0) as response:
+            request_id = response.headers.get("X-Request-Id")
+            replies = json.loads(response.read())["replies"]
+        assert request_id
+        assert [reply["type"] for reply in replies] == ["score_reply"] * 8
+
+        snapshot = client.metrics()
+        traced = sorted(span["name"] for span in snapshot["spans"]
+                        if span["request_id"] == request_id)
+        assert traced == ["router.batch", "router.fanout.shard0",
+                          "router.fanout.shard1", "worker.batch",
+                          "worker.batch"]
+        fanout = {entry["labels"]["shard"]: entry["data"]["count"]
+                  for entry in snapshot["histograms"]
+                  if entry["name"] == metric_names.ROUTER_FANOUT_SECONDS}
+        assert fanout == {"0": 1, "1": 1}
+    finally:
+        client.close()
+        server.shutdown()
+        server.server_close()
+        built.close()
+        obs.set_registry(previous)
 
 
 # ---------------------------------------------------------------------------

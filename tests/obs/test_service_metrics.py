@@ -238,25 +238,54 @@ class TestGatewaySurface:
         yield registry, server, client, dataset
         server.shutdown()
 
-    def test_metrics_json_and_prometheus(self, stack):
+    def test_metrics_json_and_prometheus(self, stack, capsys):
+        """Three wire scores give every core series live data — in the
+        JSON snapshot, in the Prometheus text and in the tables
+        ``python -m repro.obs`` renders from the same endpoint."""
+        from repro.obs.__main__ import main as obs_main
+
         registry, server, client, dataset = stack
         student = dataset[0].student_id
-        assert client.query(ScoreQuery(student, 1, (1,))).ok
+        for question in (5, 7, 9):
+            assert client.execute(ScoreQuery(student, question, (1,))).ok
 
         snapshot = client.metrics()
         assert snapshot["role"] == "gateway"
-        names = {e["name"] for e in snapshot["counters"]}
-        assert metric_names.SERVICE_REQUESTS_TOTAL in names
-        assert metric_names.HTTP_REQUESTS_TOTAL in names
+        totals = {}
+        for entry in snapshot["counters"]:
+            totals[entry["name"]] = totals.get(entry["name"], 0) \
+                + entry["value"]
+        for entry in snapshot["histograms"]:
+            totals[entry["name"]] = totals.get(entry["name"], 0) \
+                + entry["data"]["count"]
+        for name in (metric_names.SERVICE_REQUESTS_TOTAL,
+                     metric_names.HTTP_REQUESTS_TOTAL,
+                     metric_names.STREAM_CACHE_HITS_TOTAL,
+                     metric_names.SERVICE_BATCH_SECONDS,
+                     metric_names.SERVICE_QUERY_SECONDS,
+                     metric_names.HTTP_REQUEST_SECONDS):
+            assert totals.get(name, 0) > 0, (name, totals)
         endpoint_counts = {
             e["labels"]["endpoint"]: e["value"]
             for e in snapshot["counters"]
             if e["name"] == metric_names.HTTP_REQUESTS_TOTAL}
-        assert endpoint_counts["/v1/query"] == 1
+        assert endpoint_counts["/v1/query"] == 3
 
         text = client.metrics_text()
         assert "# TYPE http_request_seconds histogram" in text
-        assert 'http_requests_total{endpoint="/v1/query"} 1' in text
+        assert "# TYPE service_batch_seconds histogram" in text
+        assert 'http_requests_total{endpoint="/v1/query"} 3' in text
+        assert 'service_requests_total{type="score"} 3' in text
+
+        assert obs_main(
+            ["--url", f"http://127.0.0.1:{server.server_port}"]) == 0
+        rows = [line.split()
+                for line in capsys.readouterr().out.splitlines()]
+        assert ["counter", "labels", "value"] in rows
+        assert ["histogram", "labels", "count", "p50", "p95", "p99",
+                "max"] in rows
+        assert [metric_names.SERVICE_REQUESTS_TOTAL, "type=score",
+                "3"] in rows
 
     def test_batch_mints_and_echoes_a_request_id(self, stack):
         registry, server, client, dataset = stack
@@ -283,7 +312,7 @@ class TestGatewaySurface:
         student = dataset[0].student_id
         envelope = BatchEnvelope((ScoreQuery(student, 1, (1,)),),
                                  request_id="rt-00000077")
-        replies = client.batch(envelope)
+        replies = client.execute_batch(envelope)
         assert replies[0].ok
         spans = client.metrics()["spans"]
         assert any(s["request_id"] == "rt-00000077" for s in spans)
@@ -291,7 +320,7 @@ class TestGatewaySurface:
     def test_health_reports_uptime_and_cache_occupancy(self, stack):
         registry, server, client, dataset = stack
         student = dataset[0].student_id
-        assert client.query(ScoreQuery(student, 1, (1,))).ok
+        assert client.execute(ScoreQuery(student, 1, (1,))).ok
         health = client.health()
         assert health["status"] == "ok"
         assert health["uptime_s"] >= 0.0

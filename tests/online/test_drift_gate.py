@@ -5,8 +5,9 @@ import pytest
 from repro.core import RCKT, RCKTConfig
 from repro.data import SimulationConfig, StudentSimulator, build_dataset
 from repro.online import DriftGate, OnlineTrainer, auto_rollout
-from repro.serve import (InferenceEngine, RecordEvent, RolloutRefused,
-                         ScoreQuery, Service, is_error, to_wire)
+from repro.serve import (DEFAULT_MODEL, DEFAULT_WARM_TOP, InferenceEngine,
+                         RecordEvent, RolloutRefused, ScoreQuery, Service,
+                         is_error, to_wire)
 
 NUM_QUESTIONS = 20
 NUM_CONCEPTS = 5
@@ -173,8 +174,9 @@ class TestAutoRollout:
             def __init__(self):
                 self.shipped = []
 
-            def rollout(self, checkpoint):
-                self.shipped.append(checkpoint)
+            def rollout(self, checkpoint, model=DEFAULT_MODEL,
+                        warm_top=DEFAULT_WARM_TOP):
+                self.shipped.append((checkpoint, model, warm_top))
                 return [{"status": "ok"}]
 
         router = FakeRouter()
@@ -186,8 +188,12 @@ class TestAutoRollout:
                                incumbent_model=tiny_model(0))
         assert summary == [{"status": "ok"}]
         trained_engine = InferenceEngine.from_checkpoint(trained)
-        refused = auto_rollout(router, str(trained), gate,
+        refused = auto_rollout(router, str(trained), gate, model="canary",
+                               warm_top=8,
                                incumbent_model=trained_engine.model)
         # candidate == incumbent: zero drop is within any threshold
         assert not is_error(refused)
-        assert router.shipped == [trained, str(trained)]
+        # The named model and warm count reach the target's rollout.
+        assert router.shipped == [
+            (trained, DEFAULT_MODEL, DEFAULT_WARM_TOP),
+            (str(trained), "canary", 8)]

@@ -1,13 +1,13 @@
 """The closed serve→train loop against a real multi-process cluster.
 
 One compact end-to-end test (the thread-level pieces are covered by the
-rest of ``tests/online``; ``python -m repro.online --selfcheck`` is the
-CI smoke lane): boot a supervisor-spawned two-shard cluster with a
-durable journal, stream synthetic traffic through the router, replay
-the journal into the online trainer, ship the refreshed checkpoint back
-through a drift-gated warm rollout, and prove the post-refresh cluster
-is parity-consistent with an in-process Service on the refreshed
-checkpoint — then prove a degraded checkpoint is refused as a value.
+rest of ``tests/online``): boot a supervisor-spawned two-shard cluster
+with a durable journal, stream synthetic traffic through the router,
+replay the journal into the online trainer, ship the refreshed
+checkpoint back through a drift-gated warm rollout, and prove the
+post-refresh cluster is parity-consistent with an in-process Service
+on the refreshed checkpoint — then prove a degraded checkpoint is
+refused as a value.
 """
 
 from repro.cluster import (RecordJournal, ScatterGatherRouter, Supervisor,

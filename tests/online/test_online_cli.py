@@ -1,4 +1,4 @@
-"""``python -m repro.online`` run mode (the selfcheck is a CI lane)."""
+"""``python -m repro.online``: one journal-driven refresh."""
 
 import json
 

@@ -68,7 +68,7 @@ class TestWireParity:
         for sequence in dataset:
             query = ScoreQuery(sequence.student_id,
                                1 + len(sequence) % NUM_QUESTIONS, (2,))
-            wire = client.query(query)
+            wire = client.execute(query)
             local = service.execute(query)
             assert wire.ok
             assert abs(wire.score - local.score) < ATOL
@@ -77,7 +77,7 @@ class TestWireParity:
     def test_explain_round_trip(self, stack, dataset):
         _, service, _, client = stack
         student = next(s for s in dataset if len(s) >= 6).student_id
-        wire = client.query(ExplainQuery(student))
+        wire = client.execute(ExplainQuery(student))
         local = service.execute(ExplainQuery(student))
         assert abs(wire.score - local.score) < ATOL
         assert len(wire.influences) == len(local.influences)
@@ -91,14 +91,14 @@ class TestWireParity:
         query = WhatIfQuery(student, 9, (1,),
                             (HistoryEdit(0, "flip"),
                              HistoryEdit(2, "remove")))
-        wire = client.query(query)
+        wire = client.execute(query)
         local = service.execute(query)
         assert abs(wire.score - local.score) < ATOL
         assert abs(wire.baseline_score - local.baseline_score) < ATOL
 
     def test_record_and_batch_round_trip(self, stack, dataset):
         engine, _, _, client = stack
-        replies = client.batch(BatchEnvelope((
+        replies = client.execute_batch(BatchEnvelope((
             RecordEvent("wire-student", 3, 1, (2,)),
             RecordEvent("wire-student", 5, 0, (1,)),
             ScoreQuery("wire-student", 7, (3,)),
@@ -281,7 +281,7 @@ class TestGatewayPlumbing:
                    for k in range(12)]
         with ThreadPoolExecutor(max_workers=6) as pool:
             wire_scores = list(pool.map(
-                lambda q: client.query(q).score, queries))
+                lambda q: client.execute(q).score, queries))
         local = [service.execute(q).score for q in queries]
         np.testing.assert_allclose(wire_scores, local, rtol=0, atol=ATOL)
 
@@ -336,7 +336,7 @@ class TestVersionNegotiationOverHTTP:
             student, 9, (2,), threshold=0.95, max_edits=2, beam_width=2,
             candidates=(CandidateQuestion(4, (1,)),
                         CandidateQuestion(11, (2,))))
-        wire = client.query(query)
+        wire = client.execute(query)
         local = service.execute(query)
         assert to_wire(wire) == to_wire(local)
         assert wire.ok and len(wire.trajectory) == len(wire.steps) + 1
@@ -346,10 +346,10 @@ class TestVersionNegotiationOverHTTP:
         client = ServiceClient(f"http://127.0.0.1:{server.server_port}",
                                timeout=10.0, protocol_version=1)
         student = list(dataset)[0].student_id
-        assert client.query(ScoreQuery(student, 3, (1,))).ok
+        assert client.execute(ScoreQuery(student, 3, (1,))).ok
         # A v2-only query through a v1-pinned client gets exactly the
         # rejection a genuine v1-only server would have produced.
-        reply = client.query(RecourseQuery(
+        reply = client.execute(RecourseQuery(
             student, 3, (1,), candidates=(CandidateQuestion(4, (1,)),)))
         assert reply.code == "unknown_query_type"
         client.close()
@@ -365,9 +365,9 @@ class TestKeepAliveClient:
                                timeout=10.0)
         student = list(dataset)[0].student_id
         for k in range(8):
-            assert client.query(ScoreQuery(student,
-                                           1 + k % NUM_QUESTIONS,
-                                           (1,))).ok
+            assert client.execute(ScoreQuery(student,
+                                             1 + k % NUM_QUESTIONS,
+                                             (1,))).ok
         client.health()
         client.models()
         # Sequential traffic reuses the single kept-alive socket.
@@ -383,7 +383,7 @@ class TestKeepAliveClient:
         queries = [ScoreQuery(student, 1 + k % NUM_QUESTIONS, (1,))
                    for k in range(24)]
         with ThreadPoolExecutor(max_workers=4) as pool:
-            replies = list(pool.map(client.query, queries))
+            replies = list(pool.map(client.execute, queries))
         assert all(reply.ok for reply in replies)
         # At most one socket per concurrent worker, not one per request.
         assert client.connections_opened <= 4
@@ -393,7 +393,7 @@ class TestKeepAliveClient:
         _, _, server, _ = stack
         client = ServiceClient(f"http://127.0.0.1:{server.server_port}",
                                timeout=10.0)
-        assert client.query(ScoreQuery("amy", 3, (1,))).ok
+        assert client.execute(ScoreQuery("amy", 3, (1,))).ok
         assert client.connections_opened == 1
         # Kill the pooled socket out from under the client — what a
         # worker restart or server idle-timeout does to a kept-alive
@@ -401,7 +401,7 @@ class TestKeepAliveClient:
         # instead of surfacing the dead one.
         assert len(client._idle) == 1
         client._idle[0].sock.close()
-        assert client.query(ScoreQuery("amy", 3, (1,))).ok
+        assert client.execute(ScoreQuery("amy", 3, (1,))).ok
         assert client.connections_opened == 2   # one fresh retry
         client.close()
 
@@ -410,7 +410,7 @@ class TestKeepAliveClient:
         client = ServiceClient(f"http://127.0.0.1:{free_port()}",
                                timeout=2.0)
         with pytest.raises(OSError):
-            client.query(ScoreQuery("amy", 3, (1,)))
+            client.execute(ScoreQuery("amy", 3, (1,)))
         client.close()
         client.close()
 
@@ -428,11 +428,3 @@ def test_cli_rejects_a_bad_cache_budget(budget, capsys):
     assert "byte count >= 0" in capsys.readouterr().err
     assert build_parser().parse_args(
         ["--stream-cache-bytes", "0"]).stream_cache_bytes == 0
-
-
-def test_cli_refuses_a_selfcheck_as_a_shard_worker(capsys):
-    from repro.serve.__main__ import main
-    with pytest.raises(SystemExit) as exit_info:
-        main(["--selfcheck", "--shard-id", "1"])
-    assert exit_info.value.code == 2
-    assert "python -m repro.cluster --selfcheck" in capsys.readouterr().err

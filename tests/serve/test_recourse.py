@@ -476,7 +476,7 @@ def test_facade_gateway_and_router_agree(encoder):
         records = [RecordEvent(student, question, correct, concepts)
                    for student in students
                    for question, correct, concepts in HISTORY]
-        for surface in (facade.execute_batch, client.batch,
+        for surface in (facade.execute_batch, client.execute_batch,
                         router.execute_batch):
             assert all(reply.ok for reply in surface(records))
         queries = [RecourseQuery(student, *TARGET,
@@ -485,7 +485,7 @@ def test_facade_gateway_and_router_agree(encoder):
                    for k, student in enumerate(students)]
         reference = facade.execute_batch(queries)
         assert all(reply.ok for reply in reference)
-        for surface_replies in (client.batch(queries),
+        for surface_replies in (client.execute_batch(queries),
                                 router.execute_batch(queries)):
             for ours, ref in zip(surface_replies, reference):
                 assert wire_equal(to_wire(ours), to_wire(ref), atol), \

@@ -129,7 +129,7 @@ class TestServiceRollout:
         service = Service(InferenceEngine(make_model()))
         with pytest.raises(KeyError, match="no model named"):
             service.rollout(save_checkpoint(tmp_path, "green"),
-                            name="ghost")
+                            model="ghost")
         mismatched = tmp_path / "mismatched.npz"
         InferenceEngine(RCKT(10, 3, RCKTConfig(encoder="dkt", dim=8,
                                                layers=1,
@@ -154,11 +154,11 @@ class TestRolloutOverHTTP:
 
     def test_round_trip(self, stack, tmp_path):
         service, client = stack
-        before = client.query(ScoreQuery("amy", 3, (1,))).score
+        before = client.execute(ScoreQuery("amy", 3, (1,))).score
         green = save_checkpoint(tmp_path, "green", seed=9)
         summary = client.rollout(green, warm_top=4)
         assert summary["status"] == "ok" and summary["model"] == "default"
-        after = client.query(ScoreQuery("amy", 3, (1,)))
+        after = client.execute(ScoreQuery("amy", 3, (1,)))
         assert after.ok and after.score != before
         assert after.score == service.execute(
             ScoreQuery("amy", 3, (1,))).score
