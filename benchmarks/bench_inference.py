@@ -466,8 +466,7 @@ def bench_cluster(model: RCKT, dataset, rounds: int,
     import tempfile
     from pathlib import Path
 
-    from repro.cluster import RecordJournal, ScatterGatherRouter, \
-        Supervisor, WorkerSpec, free_port
+    from repro.cluster import Supervisor, WorkerSpec, free_port
     from repro.serve import (DEFAULT_MODEL, ExplainQuery, HistoryEdit,
                              RecordEvent, WhatIfQuery)
 
@@ -530,12 +529,9 @@ def bench_cluster(model: RCKT, dataset, rounds: int,
                                 checkpoints=[(DEFAULT_MODEL,
                                               str(checkpoint))])
                      for shard in range(shards)]
-            supervisor = Supervisor(specs, journal=RecordJournal())
+            supervisor = Supervisor(specs)
             supervisor.start()
-            router = ScatterGatherRouter(
-                [spec.base_url for spec in specs],
-                journal=supervisor.journal)
-            supervisor.attach_router(router)
+            router = supervisor.router
             try:
                 router.execute_batch(records)
                 # Warm round (stream-cache build) outside the timer.
@@ -548,7 +544,6 @@ def bench_cluster(model: RCKT, dataset, rounds: int,
                 seconds = timer.elapsed_s
             finally:
                 supervisor.stop()
-                router.close()
             shard_scores = np.concatenate(shard_scores)
             max_diff = max(max_diff, float(np.max(np.abs(
                 shard_scores - local_scores))))
@@ -955,8 +950,7 @@ def bench_journal(num_entries: int) -> dict:
     stream += duplicates
 
     def drain(journal):
-        return [query for envelope in journal.envelopes(0)
-                for query in envelope["queries"]]
+        return journal.replay_records(0)
 
     entry = {"entries": len(stream), "students": len(students),
              "duplicate_appends": len(duplicates)}

@@ -7,9 +7,9 @@ in-process :class:`repro.serve.Service`:
 
 1. Train a small RCKT-DKT and save it as the *blue* checkpoint.
 2. Boot a 2-shard cluster: a :class:`repro.cluster.Supervisor` spawns
-   two worker processes (each the stock HTTP serving gateway), and a
-   :class:`repro.cluster.ScatterGatherRouter` becomes the single
-   public endpoint.
+   two worker processes (each the stock HTTP serving gateway), and its
+   :class:`repro.cluster.ScatterGatherRouter` over one client per
+   worker becomes the single public endpoint.
 3. Stream records and a mixed batch envelope (score + explain +
    what-if) through the router's HTTP face and verify wire replies
    against the in-process reference.
@@ -31,13 +31,12 @@ import tempfile
 from pathlib import Path
 
 from repro.core import RCKT, RCKTConfig, fit_rckt
-from repro.cluster import (RecordJournal, ScatterGatherRouter, Supervisor,
-                           WorkerSpec, free_port)
+from repro.cluster import Supervisor, WorkerSpec, free_port
 from repro.data import make_assist09, train_test_split
 from repro.serve import (DEFAULT_MODEL, ExplainQuery, HistoryEdit,
                          InferenceEngine, RecordEvent, ScoreQuery, Service,
-                         ServiceClient, WhatIfQuery, start_http_thread,
-                         to_wire)
+                         ServiceClient, WhatIfQuery, is_error,
+                         start_http_thread, to_wire)
 
 
 def check(label, cluster_replies, local_replies) -> int:
@@ -67,13 +66,9 @@ def main() -> int:
                             checkpoints=[(DEFAULT_MODEL, str(blue))],
                             log_path=f"{tmp}/worker{shard}.log")
                  for shard in range(2)]
-        journal = RecordJournal()
-        supervisor = Supervisor(specs, journal=journal)
+        supervisor = Supervisor(specs)
         supervisor.start()
-        router = ScatterGatherRouter([spec.base_url for spec in specs],
-                                     journal=journal)
-        supervisor.attach_router(router)
-        server, _ = start_http_thread(router, role="router")
+        server, _ = start_http_thread(supervisor.router, role="router")
         client = ServiceClient(f"http://127.0.0.1:{server.server_port}")
         local = Service.from_checkpoint(blue)
         print(f"   router on http://127.0.0.1:{server.server_port} -> "
@@ -110,9 +105,11 @@ def main() -> int:
             fit_rckt(model, fold.train, fold.validation, eval_stride=4)
             green = Path(tmp) / "green.npz"
             InferenceEngine(model).save(green)
+            # One summary or error value per shard, as the router
+            # itself returns.
             results = client.rollout(green, warm_top=16)
-            if not isinstance(results, dict) \
-                    or results.get("status") != "ok":
+            if not isinstance(results, list) or len(results) != 2 \
+                    or any(is_error(result) for result in results):
                 print(f"   rollout failed: {results}")
                 failures += 1
             local.rollout(green, warm_top=16)
@@ -124,7 +121,6 @@ def main() -> int:
             server.shutdown()
             server.server_close()
             supervisor.stop()
-            router.close()
             local.close()
 
     if failures:

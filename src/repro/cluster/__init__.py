@@ -15,31 +15,29 @@ and warm blue/green rollouts alike.
   gateway as one supervised OS process each
   (``python -m repro.serve --shard-id N``).
 * :class:`ScatterGatherRouter` (:mod:`repro.cluster.router`) — the
-  public endpoint's backend: screens envelopes, splits mixed-type
-  batches by shard, fans out over persistent keep-alive connections,
-  merges replies in envelope order, and surfaces per-shard failures as
-  :class:`~repro.serve.protocol.ShardUnavailable` *values*.  Its HTTP
-  face is the gateway's own (``repro.serve.serve_http(router,
-  role="router")``); this package holds no HTTP server code.
+  public endpoint's backend over one backend per shard: screens
+  envelopes, splits mixed-type batches by shard, fans out, merges
+  replies in envelope order, surfaces per-shard failures as
+  :class:`~repro.serve.protocol.ShardUnavailable` *values*, and runs
+  the one rollout loop.  Its HTTP face is the gateway's own
+  (``repro.serve.serve_http(router, role="router")``).
 * :class:`RecordJournal` (:mod:`repro.cluster.journal`) — per-shard
   log of acknowledged records, the crash-recovery ground truth.  With
   a directory it is a **durable write-ahead journal**: CRC-framed
   segment files (:mod:`repro.cluster.wal`) with configurable fsync,
   compacted by replay-ordered snapshots (:mod:`repro.cluster.snapshot`)
   that truncate covered segments, recovered — torn tails and all — on
-  cold boot.
+  cold boot.  :meth:`RecordJournal.replay_into` is the one replay
+  path, for a restarted worker and a cold boot alike.
 * :class:`Supervisor` (:mod:`repro.cluster.supervisor`) — spawns and
-  babysits workers: health probes, drain + same-port restart + journal
-  replay on crash, and rolling warm blue/green checkpoint rollouts
-  (each worker pre-warms the standby's stream caches for its hottest
-  students before the atomic swap).
+  babysits workers behind ``supervisor.router``: health probes, and
+  drain, same-port restart and journal replay on crash.
 
 ``python -m repro.cluster`` boots the whole stack from checkpoint
 files (``--journal-dir`` for durability + recovery-on-boot).  The
-multi-process proofs — crash restart, rollout and a cold boot through
-``build_cluster`` — are ``tests/cluster/test_process.py`` and
-``tests/cluster/test_cold_boot.py``.  See ``docs/CLUSTER.md`` for
-semantics and operations.
+proofs are ``tests/cluster/test_cluster_oracle.py`` (in-process shards
+through crashes, rollouts and cold boots), ``test_process.py`` and
+``test_cold_boot.py`` (real processes).  See ``docs/CLUSTER.md``.
 """
 
 from .journal import RecordJournal, replay_order

@@ -11,7 +11,7 @@ Usage::
 Boots ``--shards`` worker processes (each ``python -m repro.serve
 --shard-id N``, the full single-process serving gateway, on its own
 ephemeral port), waits until every one is healthy, then serves the
-scatter-gather router on ``--port`` through the same HTTP face
+supervisor's scatter-gather router on ``--port`` through the same HTTP face
 (``serve_http(router, role="router")``) — the cluster's single public
 endpoint, wire-compatible with ``python -m repro.serve``.
 
@@ -44,7 +44,6 @@ from repro.serve.protocol import DEFAULT_MODEL
 
 from .journal import DEFAULT_SEGMENT_BYTES, RecordJournal
 from .ring import DEFAULT_REPLICAS
-from .router import ScatterGatherRouter
 from .supervisor import Supervisor, WorkerSpec, free_port
 from .wal import FSYNC_POLICIES
 
@@ -124,15 +123,15 @@ def build_journal(args) -> RecordJournal:
     return journal
 
 
-def build_cluster(args, checkpoints):
-    """(journal, supervisor, router) for the given parsed args —
-    workers spawned and healthy, any durable journal recovered from
-    ``--journal-dir`` and replayed into them (cold boot), router
-    attached, watchdog not yet started (the caller decides).
+def build_cluster(args, checkpoints) -> Supervisor:
+    """The cluster's :class:`Supervisor` (``supervisor.router`` serves)
+    for the given parsed args — workers spawned and healthy, any
+    durable journal recovered from ``--journal-dir`` and replayed into
+    them (cold boot), watchdog not yet started (the caller decides).
 
-    The router is built first, so a bad ring fails before any worker
-    spawns; if anything fails, every worker is stopped and the journal
-    closed before the error propagates."""
+    A bad ring fails before any worker spawns; if anything fails,
+    every worker is stopped and the journal closed before the error
+    propagates."""
     specs = [
         WorkerSpec(shard_id=shard, port=free_port(args.host),
                    checkpoints=[(name, str(path))
@@ -152,20 +151,19 @@ def build_cluster(args, checkpoints):
                 f"journal directory {journal.directory} holds records "
                 f"for shards {stray} but the cluster boots only "
                 f"{args.shards} shards")
-        router = ScatterGatherRouter([spec.base_url for spec in specs],
-                                     journal=journal,
-                                     replicas=args.replicas)
-        on_failure.callback(router.close)
-        supervisor = Supervisor(specs, journal=journal, router=router,
+        supervisor = Supervisor(specs, journal=journal,
+                                replicas=args.replicas,
                                 poll_interval=args.poll_interval)
         on_failure.callback(supervisor.stop)
         supervisor.start()
         if journal.total():
-            replayed = supervisor.replay_all()
+            replayed = sum(journal.replay_into(shard, client)
+                           for shard, client
+                           in enumerate(supervisor.clients))
             print(f"cold boot: replayed {replayed} journaled records "
                   f"into {args.shards} shards from {journal.directory}")
         on_failure.pop_all()
-    return journal, supervisor, router
+    return supervisor
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -178,12 +176,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.replicas <= 0:
         parser.error("--replicas must be positive")
     print(f"booting {args.shards} shard workers ...")
-    _, supervisor, router = build_cluster(args, args.checkpoint)
+    supervisor = build_cluster(args, args.checkpoint)
     server = None
     try:
         supervisor.start_watchdog()
-        server = serve_http(router, host=args.host, port=args.port,
-                            verbose=args.verbose, role="router")
+        server = serve_http(supervisor.router, host=args.host,
+                            port=args.port, verbose=args.verbose,
+                            role="router")
         print(f"cluster of {args.shards} shards serving "
               f"{[name for name, _ in args.checkpoint]} on "
               f"http://{args.host}:{server.server_port} "
@@ -196,7 +195,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         if server is not None:
             server.server_close()
         supervisor.stop()
-        router.close()
     return 0
 
 

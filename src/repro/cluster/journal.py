@@ -6,8 +6,9 @@ caches), so a worker crash would lose every response recorded since the
 worker booted — and break the cluster's bit-identity contract with a
 single in-process ``Service``.  The router therefore journals the wire
 payload of every **successfully applied** :class:`RecordEvent` under
-the owning shard, and the supervisor replays a shard's journal into a
-freshly restarted worker *before* putting it back in rotation.
+the owning shard, and :meth:`RecordJournal.replay_into` replays a
+shard's journal into a freshly restarted worker *before* the
+supervisor puts it back in rotation.
 Histories are the only durable state that matters: stream caches are
 derived (they rebuild on first score) and model weights come from the
 checkpoint on disk, so replaying records is sufficient for the
@@ -64,13 +65,13 @@ import os
 import re
 import threading
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.obs import names as metric_names
-from repro.serve.protocol import (PROTOCOL_VERSION, MalformedQuery,
-                                  RecordEvent, query_from_wire,
-                                  wire_json_bytes, wire_json_loads)
+from repro.serve.protocol import (MalformedQuery, RecordEvent, is_error,
+                                  query_from_wire, wire_json_bytes,
+                                  wire_json_loads)
 
 from . import snapshot as snapshot_io
 from . import wal
@@ -79,6 +80,9 @@ from .wal import FSYNC_POLICIES, SegmentCorruption
 
 #: Default segment roll size (bytes) for durable journals.
 DEFAULT_SEGMENT_BYTES = 4 * 1024 * 1024
+
+#: Records per :meth:`RecordJournal.replay_into` request.
+REPLAY_BATCH_SIZE = 256
 
 _SHARD_DIR = re.compile(r"^shard-(\d+)$")
 _META_NAME = "journal.json"
@@ -316,12 +320,6 @@ class RecordJournal:
     # ------------------------------------------------------------------
     # Replay path
     # ------------------------------------------------------------------
-    def _replay_payloads(self, shard: int) -> List[dict]:
-        with self._lock:
-            state = self._shards.get(shard)
-            combined = [] if state is None else state.combined()
-        return [payload for _, _, payload in replay_order(combined)]
-
     def replay_records(self, shard: Optional[int] = None
                        ) -> List[RecordEvent]:
         """The journal-consumer API: decoded acknowledged records.
@@ -330,8 +328,8 @@ class RecordJournal:
         every shard in ascending shard order) decoded back into typed
         :class:`~repro.serve.protocol.RecordEvent` values, in replay
         order — per-student worker-acknowledged sequence order with
-        ``(student, sequence)`` duplicates dropped, identical to what
-        :meth:`envelopes` feeds a restarted worker.  Cross-shard
+        ``(student, sequence)`` duplicates dropped, exactly what
+        :meth:`replay_into` feeds a restarted worker.  Cross-shard
         concatenation order is unobservable by construction: the ring
         places each student on exactly one shard, so no student's
         events ever span shards.
@@ -345,7 +343,10 @@ class RecordJournal:
         shards = self.shards() if shard is None else [shard]
         records: List[RecordEvent] = []
         for index in shards:
-            for payload in self._replay_payloads(index):
+            with self._lock:
+                state = self._shards.get(index)
+                combined = [] if state is None else state.combined()
+            for _, _, payload in replay_order(combined):
                 decoded = query_from_wire(payload)
                 if not isinstance(decoded, RecordEvent):
                     raise ValueError(
@@ -354,22 +355,24 @@ class RecordJournal:
                 records.append(decoded)
         return records
 
-    def envelopes(self, shard: int,
-                  batch_size: int = 256) -> Iterator[dict]:
-        """The shard's journal as replayable batch-envelope wire dicts.
+    def replay_into(self, shard: int, backend) -> int:
+        """Re-apply the shard's records, in :meth:`replay_records`
+        order, to a fresh ``backend`` (a worker's client or a
+        ``Service``); the one replay path of restarts and cold boots.
 
-        Chunked so a long log replays as a handful of batched requests
-        instead of one unbounded body; each student's records appear in
-        their acknowledged (worker-side) order regardless of which
-        segment or snapshot they were persisted in.
+        Returns the replayed count; raises ``RuntimeError`` if the
+        backend rejects a record (journal and checkpoint disagree).
         """
-        records = self._replay_payloads(shard)
-        for start in range(0, len(records), batch_size):
-            yield {
-                "v": PROTOCOL_VERSION,
-                "type": "batch",
-                "queries": records[start:start + batch_size],
-            }
+        records = self.replay_records(shard)
+        for start in range(0, len(records), REPLAY_BATCH_SIZE):
+            replies = backend.execute_batch(
+                records[start:start + REPLAY_BATCH_SIZE])
+            rejected = [replies] if is_error(replies) \
+                else [reply for reply in replies if is_error(reply)]
+            if rejected:
+                raise RuntimeError(f"journal replay rejected on shard "
+                                   f"{shard}: {rejected[0]}")
+        return len(records)
 
     # ------------------------------------------------------------------
     # Snapshot + truncation

@@ -1,9 +1,10 @@
-"""Scatter-gather router: one wire endpoint over N shard workers.
+"""Scatter-gather router: one wire endpoint over N shard backends.
 
 The router is the cluster's single public surface.  It is a serving
 *backend* like :class:`repro.serve.Service` (``execute``,
-``execute_batch``, ``health``, ``models``, ``rollout``), so its HTTP
-face is the gateway's own handler —
+``execute_batch``, ``health``, ``models``, ``rollout``), and so is each
+shard: a worker's :class:`~repro.serve.ServiceClient` or an in-process
+``Service``.  Its HTTP face is the gateway's own handler —
 ``serve_http(router, role="router")`` — and it speaks exactly the
 single-process protocol, answering **bit-identically** to one
 in-process ``Service`` holding all the students: sharding is an
@@ -21,14 +22,14 @@ implementation detail the wire cannot observe.  Per query it:
    query's ``student_id``, preserving envelope order within every
    shard — records still apply before reads per student, because a
    student's records and reads always land on the same worker;
-3. fans the per-shard sub-envelopes out concurrently over persistent
-   keep-alive connections (:class:`repro.serve.ServiceClient`);
+3. fans the per-shard sub-envelopes out concurrently to the shard
+   backends (for worker processes, persistent keep-alive connections);
 4. merges the replies back into envelope order, journaling every
    acknowledged record (:mod:`repro.cluster.journal` — disk-backed
    when the cluster runs with ``--journal-dir``, with one fsync per
-   sub-envelope under the default ``batch`` policy) so the supervisor
-   can rebuild a crashed worker, and a future cold boot can rebuild
-   the whole cluster;
+   sub-envelope under the default ``batch`` policy) so
+   :meth:`~repro.cluster.journal.RecordJournal.replay_into` can
+   rebuild a crashed shard, and a cold boot the whole cluster;
 5. surfaces per-shard failures as
    :class:`~repro.serve.protocol.ShardUnavailable` **values** in the
    affected slots — a worker crash mid-fan-out degrades exactly the
@@ -47,7 +48,6 @@ from typing import Dict, List, Optional
 
 from repro import obs
 from repro.obs import names as metric_names
-from repro.serve.http_gateway import ServiceClient
 from repro.serve.protocol import (DEFAULT_MODEL, DEFAULT_WARM_TOP,
                                   PROTOCOL_VERSION, BatchEnvelope,
                                   BatchReply, InternalError, RecordEvent,
@@ -59,52 +59,38 @@ from .ring import DEFAULT_REPLICAS, HashRing
 
 
 class ScatterGatherRouter:
-    """Route typed queries across shard workers, merge typed replies.
+    """Route typed queries across shard backends, merge typed replies.
 
     Parameters
     ----------
-    shard_urls:
-        One worker base URL per shard, index == shard id.  The list is
-        positional and stable across worker restarts (the supervisor
-        respawns a worker on its original port), so the ring never
-        re-maps students when a worker bounces.
-    timeout:
-        Per-request socket timeout of the shard clients.
+    shards:
+        One backend per shard, index == shard id, closed by
+        :meth:`close`.  The list is positional and stable across worker
+        restarts, so the ring never re-maps students.
     journal:
         The :class:`RecordJournal` acknowledged records are logged to
-        (shared with the supervisor's replay); a private one by default.
+        (shared with whoever replays it); a private one by default.
     replicas:
         Ring points per shard (placement smoothing).
     """
 
-    def __init__(self, shard_urls: List[str], timeout: float = 30.0,
-                 journal: Optional[RecordJournal] = None,
+    def __init__(self, shards, journal: Optional[RecordJournal] = None,
                  replicas: int = DEFAULT_REPLICAS):
-        if not shard_urls:
-            raise ValueError("at least one shard url is required")
-        self.shard_urls = list(shard_urls)
-        self.ring = HashRing(len(self.shard_urls), replicas=replicas)
-        self.clients = [ServiceClient(url, timeout=timeout)
-                        for url in self.shard_urls]
-        # Liveness probes get their own short-timeout clients: a hung
-        # worker must cost the aggregate /v1/health a few seconds, not
-        # the full query timeout.
-        self._probe_clients = [
-            ServiceClient(url, timeout=min(timeout, 3.0))
-            for url in self.shard_urls]
+        if not shards:
+            raise ValueError("at least one shard backend is required")
+        self.shards = list(shards)
+        self.ring = HashRing(len(self.shards), replicas=replicas)
         self.journal = journal if journal is not None else RecordJournal()
         self._draining = set()
         self._lock = threading.Lock()
+        # One rollout at a time per router: a second caller waits.
+        self._rollout_lock = threading.Lock()
         self._obs = obs.get_registry()
         # Leaf fan-out tasks only (no nested submits), so a bounded
         # shared pool cannot deadlock — concurrent envelopes just queue.
         self._pool = ThreadPoolExecutor(
-            max_workers=max(4, 2 * len(self.shard_urls)),
+            max_workers=max(4, 2 * len(self.shards)),
             thread_name_prefix="rckt-router")
-        #: Hook for ``/v1/admin/rollout`` — the supervisor installs its
-        #: own (which also updates restart checkpoints); standalone
-        #: routers fan the rollout out directly.
-        self.rollout_hook = None
 
     # ------------------------------------------------------------------
     # Shard state
@@ -129,16 +115,27 @@ class ScatterGatherRouter:
 
     def close(self) -> None:
         self._pool.shutdown(wait=True)
-        for client in self.clients + self._probe_clients:
-            client.close()
+        for backend in self.shards:
+            backend.close()
+
+    def _url(self, shard: int) -> Optional[str]:
+        """A shard's worker URL; ``None`` for an in-process shard."""
+        return getattr(self.shards[shard], "base_url", None)
 
     def _unavailable(self, shard: int, reason: str) -> ShardUnavailable:
+        return ShardUnavailable(
+            f"shard {shard} ({self._url(shard) or 'in-process'}) is "
+            f"unavailable: {reason}",
+            details={"shard": shard, "url": self._url(shard)})
+
+    def _fail_sub_batch(self, shard: int, indices: List[int],
+                        replies: List[object], reason: str) -> None:
+        """The only ``ShardUnavailable`` the metric counts."""
         self._obs.counter(metric_names.ROUTER_SHARD_UNAVAILABLE_TOTAL,
                           shard=str(shard)).inc()
-        return ShardUnavailable(
-            f"shard {shard} ({self.shard_urls[shard]}) is unavailable: "
-            f"{reason}",
-            details={"shard": shard, "url": self.shard_urls[shard]})
+        failure = self._unavailable(shard, reason)
+        for index in indices:
+            replies[index] = failure
 
     # ------------------------------------------------------------------
     # Execution
@@ -175,9 +172,8 @@ class ScatterGatherRouter:
         futures = {}
         for shard, indices in groups.items():
             if shard in draining:
-                error = self._unavailable(shard, "draining for restart")
-                for index in indices:
-                    replies[index] = error
+                self._fail_sub_batch(shard, indices, replies,
+                                     "draining for restart")
                 continue
             sub = [queries[index] for index in indices]
             if len(groups) == 1:
@@ -200,12 +196,10 @@ class ScatterGatherRouter:
         try:
             with obs.Span(f"router.fanout.shard{shard}", request_id,
                           histogram=fanout):
-                shard_replies = self.clients[shard].execute_batch(envelope)
+                shard_replies = self.shards[shard].execute_batch(envelope)
         except Exception as error:  # noqa: BLE001 — fan-out boundary
-            failure = self._unavailable(
-                shard, f"{type(error).__name__}: {error}")
-            for index in indices:
-                replies[index] = failure
+            self._fail_sub_batch(shard, indices, replies,
+                                 f"{type(error).__name__}: {error}")
             return
         if is_error(shard_replies):
             # A request-level error for the whole sub-envelope (e.g. a
@@ -217,7 +211,7 @@ class ScatterGatherRouter:
             failure = InternalError(
                 f"shard {shard} answered {len(shard_replies)} replies "
                 f"for {len(sub)} queries",
-                details={"shard": shard, "url": self.shard_urls[shard]})
+                details={"shard": shard, "url": self._url(shard)})
             for index in indices:
                 replies[index] = failure
             return
@@ -252,28 +246,27 @@ class ScatterGatherRouter:
     # Cluster plane
     # ------------------------------------------------------------------
     def health(self) -> dict:
-        """Aggregate worker healths (the router's ``/v1/health`` body).
+        """Aggregate shard healths (the router's ``/v1/health`` body).
 
-        Probes fan out concurrently on short-timeout clients, so the
-        aggregate answers in one slowest-probe time — a wedged worker
-        cannot stall the endpoint for the full query timeout per shard.
+        Probes fan out concurrently, so the aggregate answers in one
+        slowest-probe time; a worker's client caps its probe at
+        :data:`~repro.serve.http_gateway.HEALTH_TIMEOUT`.
         """
         draining = self.draining()
 
         def probe(shard: int) -> dict:
-            entry = {"shard": shard, "url": self.shard_urls[shard],
+            entry = {"shard": shard, "url": self._url(shard),
                      "draining": shard in draining}
             try:
-                worker = self._probe_clients[shard].health()
-                entry["ok"] = worker.get("status") == "ok"
-                entry["models"] = worker.get("models", [])
+                body = self.shards[shard].health()
+                entry["ok"] = body.get("status") == "ok"
+                entry["models"] = body.get("models", [])
             except Exception as error:  # noqa: BLE001 — probe boundary
                 entry["ok"] = False
                 entry["error"] = f"{type(error).__name__}: {error}"
             return entry
 
-        shards = list(self._pool.map(probe,
-                                     range(len(self.shard_urls))))
+        shards = list(self._pool.map(probe, range(len(self.shards))))
         healthy = all(s["ok"] and not s["draining"] for s in shards)
         return {
             "status": "ok" if healthy else "degraded",
@@ -285,12 +278,12 @@ class ScatterGatherRouter:
         }
 
     def models(self):
-        """Proxy ``/v1/models`` from the first reachable worker (every
-        worker serves the same registry contents by construction)."""
+        """Proxy ``/v1/models`` from the first reachable shard (every
+        shard serves the same registry contents by construction)."""
         last_error = None
-        for shard, client in enumerate(self.clients):
+        for shard, backend in enumerate(self.shards):
             try:
-                return client.models()
+                return backend.models()
             except Exception as error:  # noqa: BLE001 — probe boundary
                 last_error = self._unavailable(
                     shard, f"{type(error).__name__}: {error}")
@@ -298,24 +291,29 @@ class ScatterGatherRouter:
 
     def rollout(self, checkpoint, model: str = DEFAULT_MODEL,
                 warm_top: int = DEFAULT_WARM_TOP) -> List[object]:
-        """Warm blue/green rollout across every shard, one at a time.
+        """Warm blue/green rollout across the shards, one at a time.
 
-        Sequential on purpose: at any instant at most one worker is
-        mid-swap, and each worker's swap is itself atomic with a warm
-        standby — the cluster never has a cold-cache moment.  Returns
-        one summary dict or taxonomy error value per shard.  When a
-        supervisor installed :attr:`rollout_hook`, it runs instead (it
-        additionally re-points restart checkpoints at the new weights).
+        The cluster's one rollout loop.  Sequential on purpose: at any
+        instant at most one shard is mid-swap, and each shard's swap is
+        itself atomic with a warm standby.  A second caller waits.
+        Stops at the first failing shard (a draining one fails without
+        a round-trip); returns one summary or error value per shard
+        tried.
         """
-        if self.rollout_hook is not None:
-            return self.rollout_hook(checkpoint, model=model,
-                                     warm_top=warm_top)
-        results = []
-        for shard, client in enumerate(self.clients):
-            try:
-                results.append(client.rollout(checkpoint, model=model,
-                                              warm_top=warm_top))
-            except Exception as error:  # noqa: BLE001 — fan-out boundary
-                results.append(self._unavailable(
-                    shard, f"{type(error).__name__}: {error}"))
+        results: List[object] = []
+        with self._rollout_lock:
+            for shard, backend in enumerate(self.shards):
+                if shard in self.draining():
+                    result = self._unavailable(shard,
+                                               "draining for restart")
+                else:
+                    try:
+                        result = backend.rollout(
+                            checkpoint, model=model, warm_top=warm_top)
+                    except Exception as error:  # noqa: BLE001 — fan-out
+                        result = self._unavailable(
+                            shard, f"{type(error).__name__}: {error}")
+                results.append(result)
+                if is_error(result):
+                    break
         return results

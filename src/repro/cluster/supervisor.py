@@ -1,32 +1,29 @@
-"""Worker lifecycle: spawn, probe, drain, restart, replay, roll out.
+"""Worker lifecycle: spawn, probe, drain, restart, replay.
 
-The supervisor owns the shard workers as OS processes.  Its loop keeps
-the cluster inside the bit-identity contract at all times:
+The supervisor owns the shard workers as OS processes, one
+:class:`~repro.serve.ServiceClient` per worker (its queries, probes,
+replay and rollout) and :attr:`Supervisor.router` over those clients.
+Its loop keeps the cluster inside the bit-identity contract:
 
-* **Boot** — spawn every worker (``python -m repro.serve --shard-id
-  N``) on its assigned port and block until its ``/v1/health``
-  answers; the router only exists once every shard is reachable.
+* **Boot** — build the clients and the router (a bad ring fails
+  here), then spawn every worker (``python -m repro.serve --shard-id
+  N``) on its assigned port and block until its ``/v1/health`` answers.
 * **Watchdog** — poll process liveness and worker health; a dead or
   persistently unhealthy worker is restarted *on its original port*
   (the ring mapping never moves) behind a router drain, and the
-  shard's :class:`~repro.cluster.journal.RecordJournal` is replayed
-  into the fresh process before traffic resumes — the reborn worker
-  answers exactly like one that never crashed, because acknowledged
-  records are the only serving state that cannot be derived.  With a
-  durable (disk-backed) journal the same replay also powers **cold
-  boot**: :meth:`Supervisor.replay_all` rebuilds every worker of a
-  brand-new cluster process from the journal directory, so recovery
-  no longer depends on any previous router process's lifetime.
-* **Warm blue/green rollout** — forward a new checkpoint to each
-  worker's ``/v1/admin/rollout`` one shard at a time.  Each worker
-  builds the green engine, adopts live histories, pre-warms its
-  forward-stream caches for that shard's hottest students, and swaps
-  atomically (:meth:`repro.serve.Service.rollout`) — no downtime, no
-  post-swap cold-start spike.  On success the supervisor re-points the
-  shard's restart checkpoint at the new weights, so a crash *after* a
-  rollout restarts onto the rolled-out model, not the boot-time one.
-  The re-pointing lives in this process only: rollouts are not
-  journaled, so a cold boot serves the checkpoints it is given.
+  shard's journal is replayed into the fresh process
+  (:meth:`~repro.cluster.journal.RecordJournal.replay_into`) before
+  traffic resumes — the reborn worker answers exactly like one that
+  never crashed, because acknowledged records are the only serving
+  state that cannot be derived.  A cold boot replays a durable journal
+  into every worker through the same call.
+* **Restart checkpoints** — the router's rollout loop
+  (:meth:`~repro.cluster.router.ScatterGatherRouter.rollout`) reaches
+  each worker through its client, which re-points that worker's
+  restart checkpoint once the worker's own rollout succeeded, so a
+  crash *after* a rollout restarts onto the rolled-out model.  The
+  re-pointing lives in this process only: rollouts are not journaled,
+  so a cold boot serves the checkpoints it is given.
 """
 
 from __future__ import annotations
@@ -42,11 +39,17 @@ from typing import List, Optional, Sequence, Tuple
 import repro
 from repro import obs
 from repro.serve.http_gateway import ServiceClient
-from repro.serve.protocol import (DEFAULT_MODEL, DEFAULT_WARM_TOP,
-                                  ShardUnavailable, is_error,
-                                  query_from_wire)
+from repro.serve.protocol import DEFAULT_MODEL, DEFAULT_WARM_TOP, is_error
 
 from .journal import RecordJournal
+from .ring import DEFAULT_REPLICAS
+from .router import ScatterGatherRouter
+
+#: Consecutive failed health probes before a live worker restarts.
+UNHEALTHY_AFTER = 3
+
+#: Seconds a (re)spawned worker has to answer its first healthy probe.
+BOOT_TIMEOUT = 60.0
 
 
 def free_port(host: str = "127.0.0.1") -> int:
@@ -100,6 +103,28 @@ class WorkerHandle:
         return self.process is not None and self.process.poll() is None
 
 
+class _WorkerClient(ServiceClient):
+    """A worker's one client; a successful :meth:`rollout` re-points
+    the worker's restart checkpoint, under the restart lock."""
+
+    def __init__(self, handle: WorkerHandle, restart_lock):
+        super().__init__(handle.spec.base_url)
+        self._handle = handle
+        self._restart_lock = restart_lock
+
+    def rollout(self, checkpoint, model: str = DEFAULT_MODEL,
+                warm_top: int = DEFAULT_WARM_TOP):
+        with self._restart_lock:
+            result = super().rollout(checkpoint, model=model,
+                                     warm_top=warm_top)
+            if not is_error(result):
+                spec = self._handle.spec
+                spec.checkpoints = [
+                    (name, str(checkpoint) if name == model else path)
+                    for name, path in spec.checkpoints]
+        return result
+
+
 class Supervisor:
     """Spawn and babysit the shard workers of one cluster.
 
@@ -108,45 +133,31 @@ class Supervisor:
     specs:
         One :class:`WorkerSpec` per shard, index == shard id.
     journal:
-        The router-shared :class:`RecordJournal` replayed on restart.
-    router:
-        Optional :class:`~repro.cluster.router.ScatterGatherRouter`
-        to drain/resume around restarts; also receives
-        :attr:`~repro.cluster.router.ScatterGatherRouter.rollout_hook`.
-    poll_interval / unhealthy_after:
-        Watchdog cadence; a worker failing ``unhealthy_after``
-        consecutive health probes (or whose process died) restarts.
-    boot_timeout:
-        Seconds to wait for a (re)spawned worker's first healthy probe.
+        The :class:`RecordJournal` the router logs acknowledged records
+        to and a restart replays; a private in-memory one by default.
+    replicas:
+        Ring points per shard of :attr:`router`.
+    poll_interval:
+        Watchdog cadence in seconds; a worker failing
+        :data:`UNHEALTHY_AFTER` consecutive health probes (or whose
+        process died) restarts.
     """
 
     def __init__(self, specs: Sequence[WorkerSpec],
                  journal: Optional[RecordJournal] = None,
-                 router=None, poll_interval: float = 0.5,
-                 unhealthy_after: int = 3, boot_timeout: float = 60.0):
+                 replicas: int = DEFAULT_REPLICAS,
+                 poll_interval: float = 0.5):
         self.workers = [WorkerHandle(spec) for spec in specs]
         self.journal = journal if journal is not None else RecordJournal()
-        self.router = router
-        if router is not None:
-            router.rollout_hook = self.rollout
         self.poll_interval = poll_interval
-        self.unhealthy_after = unhealthy_after
-        self.boot_timeout = boot_timeout
-        self.clients = [ServiceClient(h.spec.base_url, timeout=5.0)
-                        for h in self.workers]
+        self._lock = threading.Lock()   # serializes restart/rollout
+        self.clients = [_WorkerClient(handle, self._lock)
+                        for handle in self.workers]
+        self.router = ScatterGatherRouter(self.clients,
+                                          journal=self.journal,
+                                          replicas=replicas)
         self._stop = threading.Event()
         self._watchdog: Optional[threading.Thread] = None
-        self._lock = threading.Lock()   # serializes restart/rollout
-
-    def attach_router(self, router) -> None:
-        """Bind a router created after this supervisor (the
-        constructor's ``router`` binds one created before it)."""
-        with self._lock:
-            # restart/rollout read self.router under the lock; binding
-            # it unlocked could hand a half-attached router to a
-            # concurrently restarting worker.
-            self.router = router
-        router.rollout_hook = self.rollout
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -167,15 +178,15 @@ class Supervisor:
         self._watchdog.start()
 
     def stop(self) -> None:
-        """Stop the watchdog and terminate every worker."""
+        """Stop the watchdog, terminate every worker and close the
+        router (and with it every worker's client)."""
         self._stop.set()
         if self._watchdog is not None:
             self._watchdog.join(timeout=5.0)
             self._watchdog = None
         for handle in self.workers:
             self._terminate(handle)
-        for client in self.clients:
-            client.close()
+        self.router.close()
 
     def _spawn(self, handle: WorkerHandle) -> None:
         spec = handle.spec
@@ -211,7 +222,7 @@ class Supervisor:
 
     def _wait_healthy(self, handle: WorkerHandle) -> None:
         client = self.clients[handle.spec.shard_id]
-        deadline = obs.clock() + self.boot_timeout
+        deadline = obs.clock() + BOOT_TIMEOUT
         while obs.clock() < deadline:
             if not handle.alive:
                 raise RuntimeError(
@@ -226,7 +237,7 @@ class Supervisor:
                 pass
             obs.sleep(0.05)
         raise RuntimeError(f"worker {handle.spec.shard_id} did not become "
-                           f"healthy within {self.boot_timeout}s")
+                           f"healthy within {BOOT_TIMEOUT}s")
 
     # ------------------------------------------------------------------
     # Watchdog + crash recovery
@@ -248,29 +259,20 @@ class Supervisor:
             if self._stop.is_set():
                 return
             shard = handle.spec.shard_id
-            if not handle.alive or handle.needs_recovery:
-                self._try_restart(shard)
-                continue
+            if handle.alive and not handle.needs_recovery:
+                try:
+                    healthy = self.clients[shard].health() \
+                        .get("status") == "ok"
+                except Exception:  # noqa: BLE001 — probe boundary
+                    healthy = False
+                handle.health_failures = 0 if healthy \
+                    else handle.health_failures + 1
+                if handle.health_failures < UNHEALTHY_AFTER:
+                    continue
             try:
-                healthy = self.clients[shard].health() \
-                    .get("status") == "ok"
-            except Exception:  # noqa: BLE001 — probe boundary
-                healthy = False
-            if healthy:
-                handle.health_failures = 0
-            else:
-                handle.health_failures += 1
-                if handle.health_failures >= self.unhealthy_after:
-                    self._try_restart(shard)
-
-    def _try_restart(self, shard: int) -> None:
-        """Watchdog wrapper: a failed restart must not kill the probe
-        loop for the other shards (the shard stays drained and flagged
-        for another attempt)."""
-        try:
-            self.restart(shard)
-        except Exception:  # noqa: BLE001 — retried next round
-            pass
+                self.restart(shard)
+            except Exception:  # noqa: BLE001 — retried next round
+                pass   # the shard stays drained and flagged
 
     def restart(self, shard: int) -> None:
         """Drain, respawn on the same port, replay the journal, resume.
@@ -283,78 +285,15 @@ class Supervisor:
         """
         with self._lock:
             handle = self.workers[shard]
-            if self.router is not None:
-                self.router.drain(shard)
+            self.router.drain(shard)
             handle.needs_recovery = True
             self._terminate(handle)
+            # The dead worker's pooled sockets are stale.
+            self.clients[shard].close()
             self._spawn(handle)
             handle.restarts += 1
             self._wait_healthy(handle)
-            self.replay(shard)
+            self.journal.replay_into(shard, self.clients[shard])
             handle.needs_recovery = False
             handle.health_failures = 0
-            if self.router is not None:
-                self.router.resume(shard)
-
-    def replay(self, shard: int) -> int:
-        """Re-apply the shard's acknowledged records, in journal order.
-
-        Returns the number of replayed records; raises ``RuntimeError``
-        if any replayed record is rejected (that would mean the journal
-        and the checkpoint disagree — a bug worth failing loudly on).
-        """
-        client = self.clients[shard]
-        replayed = 0
-        for envelope in self.journal.envelopes(shard):
-            queries = [query_from_wire(q) for q in envelope["queries"]]
-            replies = client.execute_batch(queries)
-            bad = [r for r in replies if is_error(r)]
-            if bad:
-                raise RuntimeError(f"journal replay rejected on shard "
-                                   f"{shard}: {bad[0]}")
-            replayed += len(queries)
-        return replayed
-
-    def replay_all(self) -> int:
-        """Replay every shard's journal into its (fresh) worker.
-
-        The cold-boot path: after :meth:`start` brings up empty workers
-        from checkpoints, this rebuilds their histories from a durable
-        journal recovered off disk.  Returns the total replayed record
-        count.  Raises like :meth:`replay` on any rejected record.
-        """
-        return sum(self.replay(handle.spec.shard_id)
-                   for handle in self.workers)
-
-    # ------------------------------------------------------------------
-    # Warm blue/green rollout
-    # ------------------------------------------------------------------
-    def rollout(self, checkpoint, model: str = DEFAULT_MODEL,
-                warm_top: int = DEFAULT_WARM_TOP) -> List[object]:
-        """Roll a new checkpoint across the shards, one worker at a time.
-
-        Stops at the first failing shard (the remaining workers keep
-        the old weights — inspect the returned list and retry).  On
-        each success the shard's restart checkpoint is re-pointed, so
-        crash recovery restores the *rolled-out* model.
-        """
-        results: List[object] = []
-        with self._lock:
-            for handle in self.workers:
-                shard = handle.spec.shard_id
-                try:
-                    result = self.clients[shard].rollout(
-                        checkpoint, model=model, warm_top=warm_top)
-                except Exception as error:  # noqa: BLE001 — fan-out
-                    result = ShardUnavailable(
-                        f"shard {shard} ({handle.spec.base_url}) is "
-                        f"unavailable: {type(error).__name__}: {error}",
-                        details={"shard": shard,
-                                 "url": handle.spec.base_url})
-                results.append(result)
-                if is_error(result):
-                    break
-                handle.spec.checkpoints = [
-                    (n, str(checkpoint) if n == model else p)
-                    for n, p in handle.spec.checkpoints]
-        return results
+            self.router.resume(shard)

@@ -56,13 +56,20 @@ from .. import obs
 from ..obs import names as metric_names
 from .protocol import (DEFAULT_MODEL, DEFAULT_WARM_TOP, PROTOCOL_VERSION,
                        BatchEnvelope, BatchReply, InternalError,
-                       MalformedQuery, ModelNotLoaded, NotFound, is_error,
+                       MalformedQuery, NotFound, is_error,
                        negotiated_version, query_from_wire,
                        reply_from_wire, to_wire)
 
 #: Cap on request bodies: a serving query is bytes, not megabytes; the
 #: bound keeps a confused client from buffering unbounded JSON.
 MAX_BODY_BYTES = 8 * 1024 * 1024
+
+#: Longest wait of :meth:`ServiceClient.health` (a busy worker's
+#: health waits for its engine lock, so shorter would flag busy workers).
+HEALTH_TIMEOUT = 5.0
+
+#: Idle kept-alive sockets a :class:`ServiceClient` pools.
+MAX_IDLE_CONNECTIONS = 4
 
 #: Routes that may appear as the ``endpoint`` label on HTTP metrics;
 #: anything else is folded into ``other`` so scans cannot explode the
@@ -286,27 +293,17 @@ class _GatewayHandler(BaseHTTPRequestHandler):
     def _admin_rollout(self, backend, payload) -> None:
         """Warm blue/green rollout (``backend.rollout``) over the wire.
 
-        The in-process admin errors map onto the taxonomy: an unknown
-        model name answers ``model_not_loaded``, a bad checkpoint or
-        id-space mismatch ``malformed_query``.  A ``Service`` returns a
-        summary (200) or an error value (e.g. ``rollout_refused`` from
-        a gated service, at its own status); a router returns one
-        summary or error value per shard (200 if all succeeded, else
-        502).
+        A ``Service`` returns a summary (200) or an error value at its
+        own status (``model_not_loaded``, ``malformed_query`` for a bad
+        checkpoint, ``rollout_refused`` from a gated service); a router
+        returns one summary or error value per shard it tried (200 if
+        all succeeded, else 502).
         """
         args = self._rollout_args(payload)
         if is_error(args):
             self._send_reply(args)
             return
-        try:
-            result = backend.rollout(**args)
-        except KeyError as error:
-            self._send_reply(ModelNotLoaded(str(error).strip("'\"")))
-            return
-        except (ValueError, OSError) as error:
-            self._send_reply(MalformedQuery(
-                f"rollout rejected: {error}"))
-            return
+        result = backend.rollout(**args)
         if isinstance(result, list):
             ok = not any(is_error(shard) for shard in result)
             self._send_json(200 if ok else 502, {
@@ -393,15 +390,16 @@ class ServiceClient:
     *reused* socket — the server may close an idle connection at any
     time — is retried once on a fresh one, while a failure on a fresh
     socket propagates (the server is actually unreachable).
+
+    ``timeout`` bounds every exchange but :meth:`health`'s
+    (:data:`HEALTH_TIMEOUT`).
     """
 
     def __init__(self, base_url: str, timeout: float = 30.0,
-                 max_idle: int = 4,
                  protocol_version: int = PROTOCOL_VERSION):
         import urllib.parse
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
-        self.max_idle = max_idle
         # Stamped on every outgoing envelope; the server echoes it on
         # replies (version negotiation).  Pinning 1 makes the client
         # speak to pre-recourse servers — and makes this client reject
@@ -423,7 +421,7 @@ class ServiceClient:
     # ------------------------------------------------------------------
     # Connection pool
     # ------------------------------------------------------------------
-    def _checkout(self):
+    def _checkout(self, timeout: float):
         """An idle kept-alive connection, or a fresh one.
 
         Returns ``(connection, reused)`` — ``reused`` drives the
@@ -433,7 +431,7 @@ class ServiceClient:
             if self._idle:
                 return self._idle.pop(), True
         connection = http.client.HTTPConnection(
-            self._host, self._port, timeout=self.timeout)
+            self._host, self._port, timeout=timeout)
         connection.connect()
         # Without TCP_NODELAY, Nagle + delayed ACKs stall every
         # request-after-response on a reused socket by ~40ms — the
@@ -445,7 +443,7 @@ class ServiceClient:
 
     def _checkin(self, connection) -> None:
         with self._lock:
-            if len(self._idle) < self.max_idle:
+            if len(self._idle) < MAX_IDLE_CONNECTIONS:
                 self._idle.append(connection)
                 return
         connection.close()
@@ -458,11 +456,15 @@ class ServiceClient:
             connection.close()
 
     def _exchange(self, method: str, route: str, body: bytes = None,
-                  decode_json: bool = True):
+                  decode_json: bool = True, timeout: float = None):
         headers = {"Content-Type": "application/json"} if body else {}
+        timeout = self.timeout if timeout is None else timeout
         for attempt in (0, 1):
-            connection, reused = self._checkout()
+            connection, reused = self._checkout(timeout)
             try:
+                # Per exchange: a pooled socket must not carry a
+                # probe's short timeout into the next query.
+                connection.sock.settimeout(timeout)
                 connection.request(method, f"{self._prefix}{route}",
                                    body=body, headers=headers)
                 response = connection.getresponse()
@@ -501,8 +503,8 @@ class ServiceClient:
         return self._exchange("POST", route,
                               json.dumps(payload).encode("utf-8"))
 
-    def _get(self, route: str) -> dict:
-        return self._exchange("GET", route)
+    def _get(self, route: str, timeout: float = None) -> dict:
+        return self._exchange("GET", route, timeout=timeout)
 
     # ------------------------------------------------------------------
     # Typed surface
@@ -522,10 +524,11 @@ class ServiceClient:
             else reply
 
     def health(self) -> dict:
-        return self._get("/v1/health")
+        return self._get("/v1/health",
+                         timeout=min(self.timeout, HEALTH_TIMEOUT))
 
-    def models(self) -> dict:
-        return self._get("/v1/models")
+    def models(self):
+        return _error_or_body(self._get("/v1/models"))
 
     def metrics(self) -> dict:
         """The server's JSON metrics snapshot (``GET /v1/metrics``)."""
@@ -541,12 +544,24 @@ class ServiceClient:
                 warm_top: int = DEFAULT_WARM_TOP):
         """Trigger a warm blue/green rollout on the server.
 
-        Returns the summary dict on success, or the typed taxonomy
-        error value the gateway mapped the failure to.
+        Returns what the backend behind the face returns: a
+        ``Service``'s summary dict or error value, or a router's list
+        of one summary or error value per shard it tried.
         """
         payload = {"checkpoint": str(checkpoint), "model": model,
                    "warm_top": warm_top}
-        reply = self._post("/v1/admin/rollout", payload)
-        if isinstance(reply, dict) and reply.get("type") == "error":
-            return reply_from_wire(reply)
-        return reply
+        reply = _error_or_body(self._post("/v1/admin/rollout", payload))
+        if is_error(reply):
+            return reply
+        if "shards" in reply:
+            return [_error_or_body(shard) for shard in reply["shards"]]
+        # The transport's status is not part of the backend's summary.
+        return {key: value for key, value in reply.items()
+                if key != "status"}
+
+
+def _error_or_body(body):
+    """A wire error body as its typed value; any other body as is."""
+    if isinstance(body, dict) and body.get("type") == "error":
+        return reply_from_wire(body)
+    return body

@@ -517,17 +517,20 @@ class Service:
         (``docs/ONLINE.md``).
 
         Returns a summary dict (model, warmed count, encoder, students)
-        on success.  In-process administration errors raise —
-        ``KeyError`` for an unknown name, ``ValueError`` for a
-        checkpoint without engine metadata or with a different id
-        space; the HTTP gateway's ``/v1/admin/rollout`` route maps them
-        onto the error taxonomy.
+        on success.  Administration errors are values too:
+        :class:`~repro.serve.protocol.ModelNotLoaded` for an unknown
+        name, and ``MalformedQuery("rollout rejected: ...")`` for a
+        checkpoint that cannot be read, lacks engine metadata or serves
+        a different id space.
         """
         old = self.registry.get(model)
         if old is None:
-            raise KeyError(f"no model named '{model}' is loaded "
-                           f"(known: {self.registry.names()})")
-        standby = old.standby(checkpoint)
+            return ModelNotLoaded(f"no model named '{model}' is loaded "
+                                  f"(known: {self.registry.names()})")
+        try:
+            standby = old.standby(checkpoint)
+        except (ValueError, OSError) as error:
+            return MalformedQuery(f"rollout rejected: {error}")
         if gate is not None:
             verdict = gate(old, standby)
             if is_error(verdict):

@@ -66,7 +66,8 @@ def test_cold_boot_recovers_replies_and_history_lengths(checkpoint,
              for q in (ScoreQuery(s, 7, (2,)), ExplainQuery(s))]
 
     # --- generation 1: journal to disk, then die hard mid-stream -----
-    journal, supervisor, router = build_cluster(args, args.checkpoint)
+    supervisor = build_cluster(args, args.checkpoint)
+    journal, router = supervisor.journal, supervisor.router
     try:
         half = len(batch_a) // 2
         assert_wire_identical(router.execute_batch(batch_a[:half]),
@@ -96,7 +97,6 @@ def test_cold_boot_recovers_replies_and_history_lengths(checkpoint,
             handle.process.wait()
     finally:
         supervisor.stop()
-        router.close()
     del journal, supervisor, router   # reference continues uninterrupted
 
     # A torn frame (length header, short body) at the end of the last
@@ -109,7 +109,8 @@ def test_cold_boot_recovers_replies_and_history_lengths(checkpoint,
         handle.write(b"\x40\x00\x00\x00torn")
 
     # --- generation 2: cold boot from the directory alone -----------
-    journal2, supervisor2, router2 = build_cluster(args, args.checkpoint)
+    supervisor2 = build_cluster(args, args.checkpoint)
+    journal2, router2 = supervisor2.journal, supervisor2.router
     try:
         assert journal2.total() == expected
         ours = router2.execute_batch(batch_b)
@@ -130,6 +131,5 @@ def test_cold_boot_recovers_replies_and_history_lengths(checkpoint,
         assert router2.health()["journal"]["durable"] is True
     finally:
         supervisor2.stop()
-        router2.close()
         journal2.close()
         reference.close()

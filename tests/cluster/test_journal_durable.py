@@ -33,8 +33,7 @@ def payload(student, question=1, correct=1):
 
 
 def replayed(journal, shard=0):
-    return [query for envelope in journal.envelopes(shard)
-            for query in envelope["queries"]]
+    return [to_wire(record) for record in journal.replay_records(shard)]
 
 
 def shard_dir(tmp_path, shard=0):

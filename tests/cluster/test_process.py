@@ -1,9 +1,11 @@
 """Real multi-process cluster: supervisor-spawned workers end to end.
 
 One deliberately compact test drives the whole OS-process stack through
-a worker crash, a warm rollout and a crash after the rollout (the
-thread-backed suite in ``test_router.py`` covers the routing logic
-breadth; ``test_cold_boot.py`` covers recovery from disk).  The CLI's
+a worker crash, a failed rollout and a crash after it, a warm rollout
+and a crash after that (the thread-backed suite in ``test_router.py``
+covers the routing logic breadth, ``test_cluster_oracle.py`` the
+crash/rollout/journal interleavings over in-process shards;
+``test_cold_boot.py`` covers recovery from disk).  The CLI's
 argument screen and its cleanup after a failed boot are checked here
 too.
 """
@@ -14,12 +16,12 @@ import numpy as np
 import pytest
 
 from repro.core import RCKT, RCKTConfig
-from repro.cluster import (RecordJournal, ScatterGatherRouter, Supervisor,
-                           WorkerSpec, free_port)
+from repro.cluster import RecordJournal, Supervisor, WorkerSpec, free_port
 from repro.serve import (DEFAULT_MODEL, CandidateQuestion, ExplainQuery,
                          HistoryEdit, InferenceEngine, RecommendQuery,
-                         RecordEvent, RecourseQuery, ScoreQuery, Service,
-                         WhatIfQuery, is_error, to_wire)
+                         MalformedQuery, RecordEvent, RecourseQuery,
+                         ScoreQuery, Service, WhatIfQuery, is_error,
+                         to_wire)
 
 NUM_QUESTIONS = 20
 NUM_CONCEPTS = 5
@@ -65,12 +67,9 @@ def test_two_process_cluster_round_trip_and_crash_recovery(checkpoint,
                         checkpoints=[(DEFAULT_MODEL, str(checkpoint))],
                         log_path=str(tmp_path / f"worker{shard}.log"))
              for shard in range(2)]
-    journal = RecordJournal()
-    supervisor = Supervisor(specs, journal=journal, boot_timeout=60.0)
+    supervisor = Supervisor(specs, journal=RecordJournal())
     supervisor.start()
-    router = ScatterGatherRouter([spec.base_url for spec in specs],
-                                 timeout=10.0, journal=journal)
-    supervisor.attach_router(router)
+    router = supervisor.router
     reference = Service.from_checkpoint(checkpoint)
 
     def assert_same(batch):
@@ -98,8 +97,21 @@ def test_two_process_cluster_round_trip_and_crash_recovery(checkpoint,
         assert_same(mixed)
         assert router.health()["status"] == "ok"
 
-        # A warm rollout through the supervisor's hook, then a crash:
-        # the restarted worker must come back on the rolled-out weights.
+        # A rollout of a missing checkpoint fails at shard 0 and stops
+        # there; a crash after it restarts worker 0 on the weights it
+        # served, not on the checkpoint that does not exist.
+        missing = tmp_path / "missing.npz"
+        [failed] = router.rollout(str(missing))
+        assert isinstance(failed, MalformedQuery), failed
+        assert reference.rollout(missing).message == failed.message
+        supervisor.workers[0].process.kill()
+        supervisor.workers[0].process.wait()
+        supervisor.check_once()
+        assert supervisor.workers[0].restarts == 2
+        assert_same(mixed)
+
+        # A warm rollout through the router's loop, then a crash: the
+        # restarted worker must come back on the rolled-out weights.
         green = save_model(tmp_path / "green.npz", 9)
         results = router.rollout(str(green))
         assert len(results) == 2
@@ -113,7 +125,6 @@ def test_two_process_cluster_round_trip_and_crash_recovery(checkpoint,
         assert_same(mixed)
     finally:
         supervisor.stop()
-        router.close()
         reference.close()
 
 

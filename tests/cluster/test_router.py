@@ -2,8 +2,10 @@
 
 Workers here are thread-backed (each a full ``Service`` behind the HTTP
 face in the ``worker`` role, in this process, with its own
-identically-seeded model object), so the routing/merging logic is
-exercised over real sockets without process spawn costs;
+identically-seeded model object, reached through one ``ServiceClient``
+per shard), so the routing/merging logic is exercised over real sockets
+without process spawn costs; ``tests/cluster/test_cluster_oracle.py``
+drives in-process shards through crashes and rollouts, and
 ``tests/cluster/test_process.py`` and ``tests/cluster/test_cold_boot.py``
 cover the real multi-process stack.
 """
@@ -21,8 +23,8 @@ from repro.obs import names as metric_names
 from repro.serve import (PROTOCOL_VERSION, BatchEnvelope,
                          CandidateQuestion, ExplainQuery, HistoryEdit,
                          InferenceEngine, InvalidQuestion, MalformedQuery,
-                         RecommendQuery, RecordEvent, RecourseQuery,
-                         ScoreQuery, Service, ServiceClient,
+                         ModelNotLoaded, RecommendQuery, RecordEvent,
+                         RecourseQuery, ScoreQuery, Service, ServiceClient,
                          ShardUnavailable, UnknownQueryType, WhatIfQuery,
                          is_error, query_from_wire, start_http_thread,
                          to_wire)
@@ -84,8 +86,9 @@ class ThreadCluster:
             self.servers.append(server)
             urls.append(f"http://127.0.0.1:{server.server_port}")
         self.journal = RecordJournal()
-        self.router = ScatterGatherRouter(urls, timeout=10.0,
-                                          journal=self.journal)
+        self.router = ScatterGatherRouter(
+            [ServiceClient(url, timeout=10.0) for url in urls],
+            journal=self.journal)
         self.reference = Service(InferenceEngine(make_model(encoder)))
 
     def close(self):
@@ -309,9 +312,13 @@ def test_field_rule_fuzz_table_matches_the_facade_on_the_wire(cluster):
     assert ours[-1].ok
 
 
+def dead_client():
+    """A client whose server is not there."""
+    return ServiceClient(f"http://127.0.0.1:{free_port()}", timeout=2.0)
+
+
 def test_rule_violations_never_reach_a_shard():
-    router = ScatterGatherRouter([f"http://127.0.0.1:{free_port()}"],
-                                 timeout=2.0)
+    router = ScatterGatherRouter([dead_client()])
     try:
         replies = router.execute_batch([
             ScoreQuery("amy", 3, (1,), model={}),
@@ -328,9 +335,9 @@ def test_rule_violations_never_reach_a_shard():
 # Failure containment
 # ---------------------------------------------------------------------------
 def test_dead_shard_degrades_only_its_slots(cluster):
-    dead_url = f"http://127.0.0.1:{free_port()}"
     router = ScatterGatherRouter(
-        [cluster.router.shard_urls[0], dead_url], timeout=2.0)
+        [ServiceClient(cluster.router.shards[0].base_url, timeout=2.0),
+         dead_client()])
     try:
         students = [f"s{k}" for k in range(10)]
         queries = [ScoreQuery(student, 3, (1,)) for student in students]
@@ -382,11 +389,9 @@ def test_journal_replays_in_worker_ack_order_not_arrival_order():
     journal.append(0, first, sequence=1)      # a retried ack, twice
     journal.append(0, to_wire(RecordEvent("bob", 9, 1, (3,))),
                    sequence=1)
-    envelopes = list(journal.envelopes(0))
-    assert len(envelopes) == 1
-    replayed = envelopes[0]["queries"]
-    amy = [q for q in replayed if q["student_id"] == "amy"]
-    assert [q["question_id"] for q in amy] == [3, 5]   # worker order
+    replayed = journal.replay_records(0)
+    amy = [r for r in replayed if r.student_id == "amy"]
+    assert [r.question_id for r in amy] == [3, 5]      # worker order
     assert len(replayed) == 3                          # dupe dropped
     assert journal.count(0) == 4                       # log untouched
 
@@ -413,13 +418,11 @@ def test_journal_replay_restores_bit_identity(cluster):
     cluster.services[shard] = fresh
     cluster.servers[shard] = server
 
-    # Replay the journal the way the supervisor does.
-    client = ServiceClient(f"http://127.0.0.1:{port}", timeout=10.0)
-    for envelope in cluster.journal.envelopes(shard, batch_size=3):
-        replies = client.execute_batch([query_from_wire(q)
-                                        for q in envelope["queries"]])
-        assert all(r.ok for r in replies)
+    # Replay the journal through the shard's own client, the way the
+    # supervisor does (after dropping its sockets to the dead server).
+    client = cluster.router.shards[shard]
     client.close()
+    assert cluster.journal.replay_into(shard, client) == sizes[shard]
 
     after = cluster.router.execute_batch(mixed)
     assert_wire_identical(after, before)
@@ -485,7 +488,8 @@ def test_router_face_rollout_answers_one_result_per_shard(cluster,
                                                           tmp_path):
     """``POST /v1/admin/rollout`` on the router face: a rollout answers
     200 with every shard's summary; a missing checkpoint or an unknown
-    model answers 502 with every shard's taxonomy error."""
+    model answers 502 with the first shard's taxonomy error, where the
+    loop stopped."""
     import urllib.error
     import urllib.request
 
@@ -524,11 +528,134 @@ def test_router_face_rollout_answers_one_result_per_shard(cluster,
             status, body = post(port, request)
             assert status == 502, body
             assert body["status"] == "failed"
-            assert [shard["code"] for shard in body["shards"]] \
-                == [code, code]
+            assert [shard["code"] for shard in body["shards"]] == [code]
     finally:
         server.shutdown()
         server.server_close()
+
+
+def test_client_returns_what_the_router_behind_the_face_returns(
+        cluster, tmp_path):
+    """A ``ServiceClient`` on a router face answers like the router: a
+    list of one summary or typed error per shard tried, and a typed
+    error from ``models()`` when no shard is reachable."""
+    cluster.router.execute_batch(make_records(["a", "b", "c", "d"]))
+    green = tmp_path / "green.npz"
+    InferenceEngine(make_model()).save(green)
+    server, _ = start_http_thread(cluster.router, role="router")
+    client = ServiceClient(f"http://127.0.0.1:{server.server_port}",
+                           timeout=10.0)
+    try:
+        missing = client.rollout(tmp_path / "missing.npz")
+        assert [type(result) for result in missing] == [MalformedQuery]
+        assert missing[0].message.startswith("rollout rejected")
+        assert [r.message for r in missing] == [
+            r.message for r in cluster.router.rollout(
+                tmp_path / "missing.npz")]
+        summaries = client.rollout(green, warm_top=4)
+        assert [sorted(summary) for summary in summaries] \
+            == [["encoder", "model", "students", "warmed"]] * 2
+    finally:
+        client.close()
+        server.shutdown()
+        server.server_close()
+
+    lonely = ScatterGatherRouter([dead_client()])
+    server, _ = start_http_thread(lonely, role="router")
+    client = ServiceClient(f"http://127.0.0.1:{server.server_port}",
+                           timeout=10.0)
+    try:
+        assert isinstance(lonely.models(), ShardUnavailable)
+        assert isinstance(client.models(), ShardUnavailable)
+    finally:
+        client.close()
+        server.shutdown()
+        server.server_close()
+        lonely.close()
+
+
+def test_auto_rollout_through_a_client_reports_a_failed_cluster_rollout(
+        cluster, tmp_path):
+    from repro.online import DriftGate, auto_rollout
+
+    green = tmp_path / "green.npz"
+    InferenceEngine(make_model()).save(green)
+    server, _ = start_http_thread(cluster.router, role="router")
+    client = ServiceClient(f"http://127.0.0.1:{server.server_port}",
+                           timeout=10.0)
+    try:
+        # An empty stream waives the gate, so the rollout is attempted.
+        result = auto_rollout(client, green, DriftGate([]),
+                              model="canary",
+                              incumbent_model=make_model())
+        assert [type(shard) for shard in result] == [ModelNotLoaded]
+    finally:
+        client.close()
+        server.shutdown()
+        server.server_close()
+
+
+def test_concurrent_rollouts_run_one_shard_at_a_time():
+    """Rollouts from many threads: at any instant at most one shard is
+    mid-swap, and every rollout visits every shard."""
+    import sys
+    import threading
+    import time
+
+    state = {"active": 0, "peak": 0, "calls": 0}
+    guard = threading.Lock()
+
+    class SlowShard:
+        def rollout(self, checkpoint, model="default", warm_top=64):
+            with guard:
+                state["active"] += 1
+                state["calls"] += 1
+                state["peak"] = max(state["peak"], state["active"])
+            time.sleep(0.002)
+            with guard:
+                state["active"] -= 1
+            return {"model": model}
+
+        def close(self):
+            pass
+
+    router = ScatterGatherRouter([SlowShard() for _ in range(3)])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=router.rollout, args=("x",))
+                   for _ in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30.0)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+        router.close()
+    assert state["calls"] == 6 * 3
+    assert state["peak"] == 1
+
+
+def test_shard_unavailable_counts_only_query_sub_batches(tmp_path):
+    registry = obs.MetricsRegistry()
+    previous = obs.set_registry(registry)
+    try:
+        router = ScatterGatherRouter([dead_client()])
+    finally:
+        obs.set_registry(previous)
+    try:
+        for _ in range(3):
+            assert isinstance(router.models(), ShardUnavailable)
+        [failed] = router.rollout(tmp_path / "green.npz")
+        assert isinstance(failed, ShardUnavailable)
+        total = metric_names.ROUTER_SHARD_UNAVAILABLE_TOTAL
+        assert registry.counter_total(total) == 0
+        [reply] = router.execute_batch([ScoreQuery("amy", 3, (1,))])
+        assert isinstance(reply, ShardUnavailable)
+        assert registry.counter_total(total) == 1
+    finally:
+        router.close()
 
 
 def test_router_http_face_and_health(cluster):

@@ -10,8 +10,7 @@ on the refreshed checkpoint — then prove a degraded checkpoint is
 refused as a value.
 """
 
-from repro.cluster import (RecordJournal, ScatterGatherRouter, Supervisor,
-                           WorkerSpec, free_port)
+from repro.cluster import RecordJournal, Supervisor, WorkerSpec, free_port
 from repro.core import RCKT, RCKTConfig
 from repro.data import SimulationConfig, StudentSimulator, \
     dataset_from_records
@@ -54,11 +53,9 @@ def test_continual_loop_from_journal_to_gated_rollout(tmp_path):
                         checkpoints=[(DEFAULT_MODEL, str(incumbent_path))],
                         log_path=str(tmp_path / f"worker{shard}.log"))
              for shard in range(2)]
-    supervisor = Supervisor(specs, journal=journal, boot_timeout=60.0)
+    supervisor = Supervisor(specs, journal=journal)
     supervisor.start()
-    router = ScatterGatherRouter([spec.base_url for spec in specs],
-                                 timeout=10.0, journal=journal)
-    supervisor.attach_router(router)
+    router = supervisor.router
     try:
         # Live traffic: every acknowledged record lands in the journal.
         for reply in router.execute_batch(events):
@@ -121,5 +118,4 @@ def test_continual_loop_from_journal_to_gated_rollout(tmp_path):
             reference.close()
     finally:
         supervisor.stop()
-        router.close()
         journal.close()

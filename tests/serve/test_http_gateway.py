@@ -18,7 +18,7 @@ from repro.serve import (PROTOCOL_VERSION, BatchEnvelope,
                          RecourseQuery, ScoreQuery, Service, ServiceClient,
                          UnknownStudent, WhatIfQuery, start_http_thread,
                          to_wire)
-from repro.serve.http_gateway import MAX_BODY_BYTES
+from repro.serve.http_gateway import HEALTH_TIMEOUT, MAX_BODY_BYTES
 
 NUM_QUESTIONS = 30
 NUM_CONCEPTS = 5
@@ -374,11 +374,25 @@ class TestKeepAliveClient:
         assert client.connections_opened == 1
         client.close()
 
+    def test_probe_timeout_stays_with_the_probe(self, stack):
+        _, _, server, _ = stack
+        client = ServiceClient(f"http://127.0.0.1:{server.server_port}",
+                               timeout=30.0)
+        client.health()
+        [sock] = [connection.sock for connection in client._idle]
+        assert sock.gettimeout() == HEALTH_TIMEOUT
+        # The probe's socket goes back to the pool; the next query
+        # reuses it at the client's own timeout.
+        assert client.execute(ScoreQuery("amy", 3, (1,))).ok
+        assert [connection.sock for connection in client._idle] == [sock]
+        assert sock.gettimeout() == 30.0
+        client.close()
+
     def test_concurrent_requests_pool_connections(self, stack, dataset):
         from concurrent.futures import ThreadPoolExecutor
         _, _, server, _ = stack
         client = ServiceClient(f"http://127.0.0.1:{server.server_port}",
-                               timeout=10.0, max_idle=4)
+                               timeout=10.0)
         student = list(dataset)[0].student_id
         queries = [ScoreQuery(student, 1 + k % NUM_QUESTIONS, (1,))
                    for k in range(24)]

@@ -260,7 +260,7 @@ class TestFieldRules:
             assert ("rule" in spec.metadata) is not exempt, spec.name
 
     def test_every_record_an_earlier_build_acknowledged_is_admitted(self):
-        # Supervisor.replay raises on any rejected journal record.
+        # RecordJournal.replay_into raises on any rejected journal record.
         for student, correct in itertools.product(
                 ("amy", 7, 7.5, True, None, (1, "a")),
                 (0, 1, True, False, 0.0, 1.0)):

@@ -467,8 +467,8 @@ def test_facade_gateway_and_router_agree(encoder):
     shard_servers = [start_http_thread(service)[0]
                      for service in shard_services]
     router = ScatterGatherRouter(
-        [f"http://127.0.0.1:{server.server_port}"
-         for server in shard_servers], timeout=10.0)
+        [ServiceClient(f"http://127.0.0.1:{server.server_port}",
+                       timeout=10.0) for server in shard_servers])
     client = ServiceClient(f"http://127.0.0.1:{gateway.server_port}",
                            timeout=10.0)
     try:

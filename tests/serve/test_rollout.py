@@ -125,17 +125,24 @@ class TestServiceRollout:
         service.close()
         reference.close()
 
-    def test_admin_errors_raise_in_process(self, tmp_path):
+    def test_admin_errors_are_values_in_process(self, tmp_path):
         service = Service(InferenceEngine(make_model()))
-        with pytest.raises(KeyError, match="no model named"):
-            service.rollout(save_checkpoint(tmp_path, "green"),
-                            model="ghost")
+        engine = service.engine()
+        unknown = service.rollout(save_checkpoint(tmp_path, "green"),
+                                  model="ghost")
+        assert isinstance(unknown, ModelNotLoaded), unknown
+        assert unknown.message.startswith("no model named 'ghost'")
         mismatched = tmp_path / "mismatched.npz"
         InferenceEngine(RCKT(10, 3, RCKTConfig(encoder="dkt", dim=8,
                                                layers=1,
                                                seed=1))).save(mismatched)
-        with pytest.raises(ValueError, match="different id space"):
-            service.rollout(mismatched)
+        refused = service.rollout(mismatched)
+        assert isinstance(refused, MalformedQuery), refused
+        assert refused.message.startswith("rollout rejected")
+        assert "different id space" in refused.message
+        missing = service.rollout(tmp_path / "missing.npz")
+        assert isinstance(missing, MalformedQuery), missing
+        assert service.engine() is engine
         service.close()
 
 
@@ -157,7 +164,10 @@ class TestRolloutOverHTTP:
         before = client.execute(ScoreQuery("amy", 3, (1,))).score
         green = save_checkpoint(tmp_path, "green", seed=9)
         summary = client.rollout(green, warm_top=4)
-        assert summary["status"] == "ok" and summary["model"] == "default"
+        # The backend's own summary, without the transport's status.
+        assert sorted(summary) == ["encoder", "model", "students",
+                                   "warmed"]
+        assert summary["model"] == "default"
         after = client.execute(ScoreQuery("amy", 3, (1,)))
         assert after.ok and after.score != before
         assert after.score == service.execute(
