@@ -236,10 +236,6 @@ class RecordJournal:
     def durable(self) -> bool:
         return self._directory is not None
 
-    @property
-    def fsync_policy(self) -> str:
-        return self._fsync
-
     def shards(self) -> List[int]:
         with self._lock:
             return sorted(self._shards)
@@ -502,10 +498,12 @@ class RecordJournal:
         order.  A non-verifying frame in the *final* segment is a torn
         tail — truncated in place, counted in ``truncated_bytes``.  The
         same damage in a sealed (non-final) segment raises
-        :class:`~repro.cluster.wal.SegmentCorruption`: sealed segments
-        were fsynced whole, so a bad frame there is disk corruption
-        that silently dropping acknowledged records must not paper
-        over.  Entries a lingering pre-snapshot segment duplicates are
+        :class:`~repro.cluster.wal.SegmentCorruption`, and snapshot
+        files none of which verifies raise ``ValueError``
+        (:func:`~repro.cluster.snapshot.load_latest`): both were
+        fsynced whole, so a bad byte there is disk corruption that
+        silently dropping acknowledged records must not paper over.
+        Entries a lingering pre-snapshot segment duplicates are
         dropped by the shared replay dedup, not here.
         """
         for child in sorted(self._directory.iterdir()):
@@ -514,7 +512,7 @@ class RecordJournal:
                 continue
             shard = int(match.group(1))
             state = _ShardLog(shard, child)
-            index, snap_entries, _ = snapshot_io.load_latest(child)
+            index, snap_entries = snapshot_io.load_latest(child)
             state.snapshot_index = index
             state.snapshot_entries = [
                 (student_key(payload.get("student_id")), sequence,

@@ -2,9 +2,9 @@
 
 A snapshot is one JSON file (``snapshot-<index>.json``) holding a
 shard's **replay-ordered, deduplicated** journal state at the moment it
-was taken: the exact ``(sequence, payload)`` list that
-:meth:`repro.cluster.journal.RecordJournal.envelopes` would have
-replayed.  Once it is durably on disk, every segment file it covers is
+was taken: the ``(sequence, payload)`` list behind what
+:meth:`repro.cluster.journal.RecordJournal.replay_records` returns.
+Once it is durably on disk, every segment file it covers is
 redundant and gets deleted — which is what bounds the journal's disk
 usage (snapshot + unsealed tail) and makes cold boot O(snapshot + tail)
 instead of O(every segment ever written).
@@ -21,7 +21,8 @@ with: an orphaned ``.tmp`` is ignored, two snapshots resolve to the
 highest-index one that verifies (the body carries a CRC32 over its
 canonical entry bytes), and stale not-yet-deleted segments merely
 re-feed entries whose ``(student, sequence)`` pairs the replay dedup
-already drops.
+already drops.  A lone snapshot that fails to verify is corruption,
+not a crash window, and :func:`load_latest` refuses it.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import os
 import re
 import zlib
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.serve.protocol import wire_json_bytes, wire_json_loads
 
@@ -123,21 +124,27 @@ def read_snapshot(path) -> List[Entry]:
     return entries
 
 
-def load_latest(directory) -> Tuple[int, List[Entry],
-                                    Optional[str]]:
-    """The newest snapshot that verifies: ``(index, entries, skipped)``.
+def load_latest(directory) -> Tuple[int, List[Entry]]:
+    """The newest snapshot that verifies: ``(index, entries)``.
 
-    Snapshots are tried newest-first; a file that fails to verify is
-    skipped (its name is reported in ``skipped``) because an older
-    intact snapshot plus the still-present segments it covered is a
-    complete journal, whereas refusing to boot would not be.  With no
-    loadable snapshot the result is ``(0, [], ...)`` — replay falls
-    back to the segments alone.
+    With no snapshot file the result is ``(0, [])``: replay is the
+    segments alone.  Snapshots are tried newest-first, and an older
+    one that verifies stands in for a newer one that does not: two
+    snapshots exist only between step 2 and step 3 of the write
+    protocol, when the segments the older one lacks are still on disk.
+    When snapshot files exist and none verifies, this raises
+    ``ValueError`` naming the newest: the segments they covered are
+    gone, and booting without them would silently drop acknowledged
+    records — the rule sealed segments follow.
     """
-    skipped = None
+    newest_error = None
     for path in reversed(list_snapshots(directory)):
         try:
-            return snapshot_index(path), read_snapshot(path), skipped
-        except (ValueError, OSError):
-            skipped = path.name
-    return 0, [], skipped
+            return snapshot_index(path), read_snapshot(path)
+        except (ValueError, OSError) as error:
+            newest_error = newest_error or error
+    if newest_error is not None:
+        raise ValueError(f"{newest_error}; no older snapshot verifies, "
+                         f"and the segments it covered are gone: "
+                         f"refusing to boot") from newest_error
+    return 0, []

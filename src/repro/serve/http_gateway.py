@@ -325,19 +325,47 @@ class ServiceHTTPServer(ThreadingHTTPServer):
     ``gateway`` for a standalone server, ``worker`` for a cluster shard,
     ``router`` for the cluster's public face.  The obs registry is
     captured at construction, so a test swapping the process registry
-    gets an isolated server.
+    gets an isolated server.  :meth:`server_close` also ends every
+    accepted connection, so a stopped face answers no kept-alive
+    client either.
     """
 
     daemon_threads = True
 
     def __init__(self, address, backend, verbose: bool = False,
                  role: str = "gateway"):
+        self._lock = threading.Lock()
+        self._connections = set()
         super().__init__(address, _GatewayHandler)
         self.backend = backend
         self.verbose = verbose
         self.role = role
         self.obs_registry = obs.get_registry()
         self.started = obs.clock()
+
+    def process_request(self, request, client_address) -> None:
+        with self._lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        """Close the listener, then shut down every open connection:
+        each handler thread's next read ends, and it exits."""
+        super().server_close()
+        with self._lock:
+            # Under the lock: a handler leaves the set before it closes
+            # its socket, so no descriptor here is closed (and reused
+            # by the OS) before its shutdown.
+            for connection in self._connections:
+                try:
+                    connection.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass   # the peer already closed it
 
 
 def serve_http(backend, host: str = "127.0.0.1", port: int = 0,

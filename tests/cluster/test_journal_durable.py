@@ -15,7 +15,8 @@ The regression sweep for the journal-correctness bugfixes:
   worker-acknowledged per-student order either way.
 * **Torn tails** — byte-level damage to the final segment truncates to
   the last good frame on cold boot; the same damage in a sealed
-  segment refuses to boot (``SegmentCorruption``).
+  segment refuses to boot (``SegmentCorruption``), and so does a lone
+  snapshot that fails its CRC.
 """
 
 import pytest
@@ -281,16 +282,55 @@ def test_crash_between_snapshot_and_truncation_dedups(tmp_path):
     assert [q["question_id"] for q in replayed(reopened)] == [1, 2, 3]
 
 
-def test_corrupt_snapshot_falls_back_to_segments(tmp_path):
+def change_one_digit(path):
+    """Rewrite the first ``question_id`` digit: still valid JSON, but
+    the entry CRC no longer matches."""
+    text = path.read_text()
+    at = text.index('"question_id":') + len('"question_id":')
+    digit = str((int(text[at]) + 1) % 10)
+    path.write_text(text[:at] + digit + text[at + 1:])
+
+
+def test_corrupt_only_snapshot_refuses_to_boot(tmp_path):
+    # The segments the snapshot covered are gone, so booting without it
+    # would serve an empty journal and the next snapshot would reuse
+    # (and overwrite) the corrupt file's index.
     journal = RecordJournal(directory=tmp_path)
-    journal.append(0, payload("s0", question=7), sequence=1)
-    journal.sync(0)
+    for k in range(5):
+        journal.append(0, payload(f"s{k}", question=1 + k), sequence=1)
+    journal.snapshot(0)
     journal.close()
-    snapshot_io.write_snapshot(shard_dir(tmp_path), 1, [])
     path = snapshot_io.snapshot_path(shard_dir(tmp_path), 1)
-    path.write_bytes(path.read_bytes()[:-5])   # truncate: CRC fails
+    assert wal.list_segments(shard_dir(tmp_path)) == []
+    change_one_digit(path)
+    with pytest.raises(ValueError, match=path.name):
+        RecordJournal(directory=tmp_path)
+    assert path.exists()
+
+
+def test_corrupt_newer_snapshot_falls_back_to_older(tmp_path):
+    # The crash window between writing snapshot 2 and unlinking
+    # snapshot 1: both are on disk, and so are the segments written
+    # since snapshot 1.  Snapshot 1 plus those segments is the whole
+    # journal, so a snapshot 2 that fails to verify costs nothing.
+    journal = RecordJournal(directory=tmp_path)
+    journal.append(0, payload("s0", question=1), sequence=1)
+    journal.snapshot(0)
+    for k in range(2):
+        journal.append(0, payload("s0", question=2 + k), sequence=2 + k)
+    journal.sync(0)
+    expected = replayed(journal)
+    journal.close()
+    directory = shard_dir(tmp_path)
+    older = snapshot_io.snapshot_path(directory, 1)
+    kept = older.read_bytes()
+    snapshot_io.write_snapshot(directory, 2, [
+        (1 + k, payload("s0", question=1 + k)) for k in range(3)])
+    older.write_bytes(kept)
+    change_one_digit(snapshot_io.snapshot_path(directory, 2))
     reopened = RecordJournal(directory=tmp_path)
-    assert [q["question_id"] for q in replayed(reopened)] == [7]
+    assert replayed(reopened) == expected
+    assert reopened.describe()["shards"]["0"]["snapshot_index"] == 1
 
 
 # ---------------------------------------------------------------------------

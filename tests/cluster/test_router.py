@@ -143,14 +143,20 @@ def assert_wire_identical(cluster_replies, reference_replies,
 # ---------------------------------------------------------------------------
 # The parity contract
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("encoder", ENCODERS)
-def test_mixed_envelope_bit_identical_to_single_service(encoder):
+@pytest.mark.parametrize("encoder, shards", [
+    *(pytest.param(encoder, 2, id=encoder) for encoder in ENCODERS),
+    *(pytest.param(encoder, shards, id=f"{encoder}-shards{shards}")
+      for shards in (1, 4) for encoder in ENCODERS),
+])
+def test_mixed_envelope_bit_identical_to_single_service(encoder, shards):
     # dkt: strict bitwise identity.  sakt/akt: identical up to a few
     # ulp of BLAS reduction order on differing padded widths (see
     # wire_equal) — kept tolerant so the assertion is portable across
-    # BLAS builds rather than pinned to this machine's blocking.
+    # BLAS builds rather than pinned to this machine's blocking.  One
+    # shard routes everything to one worker; four leave some shard
+    # with one student or none.
     atol = 0.0 if encoder == "dkt" else 1e-12
-    built = ThreadCluster(shards=2, encoder=encoder)
+    built = ThreadCluster(shards=shards, encoder=encoder)
     try:
         students = [f"{encoder}-student-{k}" for k in range(6)]
         records = make_records(students)

@@ -18,7 +18,7 @@ from repro.serve import (BatchEnvelope, CandidateQuestion, ExplainQuery,
                          HistoryEdit, InferenceEngine, InvalidQuestion,
                          RecommendQuery, RecordEvent, RecourseQuery,
                          RecourseSearch, ScoreQuery, Service, ServiceClient,
-                         WhatIfQuery, start_http_thread)
+                         WhatIfQuery, start_http_thread, to_wire)
 from repro.serve import service as service_module
 
 NUM_QUESTIONS = 25
@@ -226,6 +226,38 @@ class TestServiceInstrumentation:
         assert passes() == 3
         assert service.execute(RecordEvent(first, 3, 1, (1,))).ok
         assert passes() == 3
+
+    def test_disabled_registry_answers_bit_identically(self):
+        """Telemetry never touches a reply: a ``Service`` built and run
+        under a disabled registry (every instrument the shared no-op)
+        answers a mixed envelope exactly as one under an enabled
+        registry, records and every read type included."""
+        answers = {}
+        for enabled in (True, False):
+            previous = obs.set_registry(obs.MetricsRegistry(enabled=enabled))
+            try:
+                service, dataset = build_service()
+                first, second, third = (s.student_id for s in dataset)
+                candidates = (CandidateQuestion(3, (1,)),
+                              CandidateQuestion(5, (2,)))
+                replies = service.execute_batch([
+                    RecordEvent(second, 2, 1, (1,)),
+                    ScoreQuery(first, 1, (1,)),
+                    ExplainQuery(second),
+                    WhatIfQuery(third, 2, (1,), (HistoryEdit(0, "flip"),)),
+                    RecommendQuery(first, candidates, horizon=2),
+                    RecourseQuery(third, 4, (2,), threshold=0.99,
+                                  max_edits=2, beam_width=2,
+                                  candidates=candidates),
+                    ScoreQuery(second, 6, (3,)),
+                ])
+                answers[enabled] = [to_wire(reply) for reply in replies]
+                service.close()
+            finally:
+                obs.set_registry(previous)
+        assert all(answer.get("type") != "error"
+                   for answer in answers[True]), answers[True]
+        assert answers[False] == answers[True]
 
 
 class TestGatewaySurface:

@@ -1,6 +1,7 @@
 """The HTTP/JSON gateway: wire parity, taxonomy statuses, plumbing."""
 
 import json
+import sys
 import time
 import urllib.error
 import urllib.request
@@ -418,6 +419,52 @@ class TestKeepAliveClient:
         assert client.execute(ScoreQuery("amy", 3, (1,))).ok
         assert client.connections_opened == 2   # one fresh retry
         client.close()
+
+    def test_stopped_server_answers_no_pooled_socket(self, dataset):
+        """A stopped face serves no kept-alive socket: after
+        ``shutdown()`` and ``server_close()`` every client that pooled
+        one gets a transport error, like a fresh client, and each
+        connection's handler exits.  The sockets open from eight
+        threads at once under a short switch interval, so a lost update
+        to the server's connection set would leave one serving."""
+        from concurrent.futures import ThreadPoolExecutor
+        engine = InferenceEngine(RCKT(NUM_QUESTIONS, NUM_CONCEPTS,
+                                      RCKTConfig(encoder="dkt", dim=8,
+                                                 layers=1, seed=5)))
+        engine.load_dataset(dataset)
+        service = Service(engine)
+        server, thread = start_http_thread(service)
+        url = f"http://127.0.0.1:{server.server_port}"
+        pooled = [ServiceClient(url, timeout=10.0) for _ in range(8)]
+        query = ScoreQuery(list(dataset)[0].student_id, 3, (1,))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=len(pooled)) as pool:
+                replies = list(pool.map(lambda client: client.execute(query),
+                                        pooled))
+            assert all(reply.ok for reply in replies)
+            assert all(len(client._idle) == 1 for client in pooled)
+        finally:
+            sys.setswitchinterval(interval)
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10.0)
+        try:
+            assert not thread.is_alive()
+            with pytest.raises(OSError):
+                ServiceClient(url, timeout=10.0).execute(query)
+            for client in pooled:
+                with pytest.raises(OSError):
+                    client.execute(query)
+            deadline = time.monotonic() + 10.0
+            while server._connections and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not server._connections
+        finally:
+            for client in pooled:
+                client.close()
+            service.close()
 
     def test_transport_failure_raises_close_idempotent(self):
         from repro.cluster.supervisor import free_port

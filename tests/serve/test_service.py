@@ -296,7 +296,10 @@ class TestMixedBatchCoalescing:
     def test_cached_and_uncached_service_agree(self, model, dataset):
         """The default budget and a zero budget (every row warm-built
         per batch, nothing kept) both answer the mixed batch with what
-        the offline scorer computes on each student's history."""
+        the offline scorer computes on each student's history, and keep
+        doing so through rounds of records, which extend warm entries
+        in place."""
+        students = [sequence.student_id for sequence in list(dataset)[:3]]
         first, second, third = (list(sequence.interactions)
                                 for sequence in list(dataset)[:3])
         edited = list(second)
@@ -313,11 +316,27 @@ class TestMixedBatchCoalescing:
         for budget in (DEFAULT_STREAM_CACHE_BYTES, 0):
             engine = InferenceEngine(model, stream_cache_bytes=budget)
             engine.load_dataset(dataset)
-            replies = Service(engine).execute_batch(
-                self._mixed_queries(dataset))
+            service = Service(engine)
+            replies = service.execute_batch(self._mixed_queries(dataset))
             for reply, want in zip(replies, expected):
                 assert abs(reply.score - want) < ATOL, (budget, reply)
             assert abs(replies[2].baseline_score - baseline) < ATOL
+            histories = [list(first), list(second), list(third)]
+            for round_index in range(3):
+                for k, (student, history) in enumerate(zip(students,
+                                                           histories)):
+                    event = Interaction(2 + 3 * k + round_index,
+                                        (k + round_index) % 2, (1 + k,))
+                    assert service.execute(RecordEvent(
+                        student, event.question_id, event.correct,
+                        event.concept_ids)).ok
+                    history.append(event)
+                replies = service.execute_batch(
+                    [ScoreQuery(student, 7, (3,)) for student in students])
+                for reply, history in zip(replies, histories):
+                    want = seed_idiom_score(model, history, 7, (3,))
+                    assert abs(reply.score - want) < ATOL, \
+                        (budget, round_index, reply)
 
     def test_records_apply_before_reads(self, model, dataset):
         engine = InferenceEngine(model)
