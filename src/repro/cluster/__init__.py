@@ -23,11 +23,11 @@ and warm blue/green rollouts alike.
   (``repro.serve.serve_http(router, role="router")``).
 * :class:`RecordJournal` (:mod:`repro.cluster.journal`) — per-shard
   log of acknowledged records, the crash-recovery ground truth.  With
-  a directory it is a **durable write-ahead journal**: CRC-framed
-  segment files (:mod:`repro.cluster.wal`) with configurable fsync,
-  compacted by replay-ordered snapshots (:mod:`repro.cluster.snapshot`)
-  that truncate covered segments, recovered — torn tails and all — on
-  cold boot.  :meth:`RecordJournal.replay_into` is the one replay
+  a directory it is a **durable write-ahead journal**:
+  :mod:`repro.cluster.wal` owns every file — CRC-framed segments with
+  configurable fsync, compacted by snapshots of the same frames that
+  truncate covered segments, recovered (torn tails and all) on cold
+  boot.  :meth:`RecordJournal.replay_into` is the one replay
   path, for a restarted worker and a cold boot alike.
 * :class:`Supervisor` (:mod:`repro.cluster.supervisor`) — spawns and
   babysits workers behind ``supervisor.router``: health probes, and

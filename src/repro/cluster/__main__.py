@@ -80,10 +80,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "in-memory journal (no durability)")
     parser.add_argument("--fsync", choices=FSYNC_POLICIES,
                         default="batch",
-                        help="journal fsync policy: 'record' = fsync "
-                             "per acknowledged record, 'batch' = fsync "
-                             "once per routed sub-envelope (default), "
-                             "'off' = let the OS decide")
+                        help="journal fsync policy: 'batch' = fsync "
+                             "once per routed sub-envelope, before its "
+                             "replies return (default), 'off' = let "
+                             "the OS decide")
     parser.add_argument("--snapshot-every", type=int, default=4096,
                         help="auto-snapshot + truncate a shard's journal "
                              "every N tail records (0 disables; default "

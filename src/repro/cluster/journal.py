@@ -36,44 +36,33 @@ entries scattered over multiple segment files, and entries split
 between a snapshot and the live tail, feed one shared
 :func:`replay_order` pass.
 
-Storage tiers (all optional — ``RecordJournal()`` with no directory is
-the original purely in-memory journal, which tests and throwaway
-clusters still use):
-
-* **Segments** (:mod:`repro.cluster.wal`) — each shard appends framed,
-  CRC-checksummed entries to ``<dir>/shard-<n>/segment-*.wal`` under a
-  configurable fsync policy (``record`` / ``batch`` / ``off``); files
-  roll at ``segment_max_bytes``.  A crash mid-append leaves a torn
-  tail that recovery detects via the frame CRC/length and truncates —
-  on the final segment only; a non-verifying *sealed* segment is real
-  corruption and fails loudly.
-* **Snapshots** (:mod:`repro.cluster.snapshot`) — :meth:`snapshot`
-  durably writes the shard's replay-ordered deduplicated state and
-  deletes every covered segment, bounding disk usage by snapshot +
-  unsealed tail; ``snapshot_every`` automates it per N tail entries.
-* **Cold boot** — constructing a ``RecordJournal`` over an existing
-  directory reloads latest-snapshot + tail segments per shard, so a
-  brand-new router/supervisor process can rebuild every worker from
-  disk: recovery no longer depends on any previous process's lifetime.
+Storage is optional — ``RecordJournal()`` with no directory is the
+purely in-memory journal, which tests and throwaway clusters still use.
+With a directory, each shard's entries also live in ``shard-<n>/``,
+and :mod:`repro.cluster.wal` owns every byte there: CRC-framed segment
+files under a ``batch`` or ``off`` fsync policy, the snapshots
+:meth:`snapshot` writes (``snapshot_every`` automates it per N tail
+entries) before unlinking the segments they cover, ``journal.json``,
+and every rule for a damaged file.  This module lists and creates the
+directories, decodes what :meth:`repro.cluster.wal.ShardFiles.recover`
+reads through one function, and keeps the entries: constructing a
+``RecordJournal`` over an existing directory reloads every shard, so a
+brand-new router/supervisor process can rebuild every worker from
+disk.
 
 The full on-disk lifecycle is documented in ``docs/CLUSTER.md``.
 """
 
 from __future__ import annotations
 
-import os
 import re
 import threading
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from repro import obs
-from repro.obs import names as metric_names
 from repro.serve.protocol import (MalformedQuery, RecordEvent, is_error,
-                                  query_from_wire, wire_json_bytes,
-                                  wire_json_loads)
+                                  query_from_wire)
 
-from . import snapshot as snapshot_io
 from . import wal
 from .ring import student_key
 from .wal import FSYNC_POLICIES, SegmentCorruption
@@ -85,7 +74,6 @@ DEFAULT_SEGMENT_BYTES = 4 * 1024 * 1024
 REPLAY_BATCH_SIZE = 256
 
 _SHARD_DIR = re.compile(r"^shard-(\d+)$")
-_META_NAME = "journal.json"
 
 #: One journal entry: (canonical student key, worker sequence, payload).
 Entry = Tuple[bytes, int, dict]
@@ -119,6 +107,24 @@ def replay_order(entries: List[Entry]) -> List[Entry]:
         seen.add((student, sequence))
         deduped.append((student, sequence, payload))
     return deduped
+
+
+def decode_entry(path, entry) -> Entry:
+    """One entry of a journal file, snapshot and segment alike.
+
+    A frame that verified but whose entry is not ``{"sequence": <int>,
+    "payload": <object>}`` is not a torn append: it raises
+    :class:`~repro.cluster.wal.SegmentCorruption` naming ``path``.
+    """
+    if not (isinstance(entry, dict)
+            and set(entry) == {"sequence", "payload"}
+            and type(entry["sequence"]) is int
+            and isinstance(entry["payload"], dict)):
+        raise SegmentCorruption(path, f"entry is not {{'sequence': int, "
+                                      f"'payload': object}}: {entry!r:.80}")
+    payload = entry["payload"]
+    return student_key(payload.get("student_id")), entry["sequence"], \
+        payload
 
 
 def validate_entry(payload, sequence) -> Optional[MalformedQuery]:
@@ -159,21 +165,16 @@ def validate_entry(payload, sequence) -> Optional[MalformedQuery]:
 
 
 class _ShardLog:
-    """One shard's journal state (and, when durable, its directory)."""
+    """One shard's journal state (and, when durable, its files)."""
 
-    __slots__ = ("shard", "directory", "snapshot_entries",
-                 "snapshot_index", "tail", "writer", "segment_index",
-                 "truncated_bytes", "snapshots_taken")
+    __slots__ = ("shard", "files", "snapshot_entries", "tail",
+                 "snapshots_taken")
 
-    def __init__(self, shard: int, directory: Optional[Path]):
+    def __init__(self, shard: int, files: Optional[wal.ShardFiles]):
         self.shard = shard
-        self.directory = directory
+        self.files = files
         self.snapshot_entries: List[Entry] = []
-        self.snapshot_index = 0
         self.tail: List[Entry] = []
-        self.writer: Optional[wal.SegmentWriter] = None
-        self.segment_index = 0
-        self.truncated_bytes = 0
         self.snapshots_taken = 0
 
     def combined(self) -> List[Entry]:
@@ -193,10 +194,9 @@ class RecordJournal:
         **recovered on construction**: latest snapshot + tail segments
         per shard, torn final-segment tails truncated.
     fsync:
-        One of :data:`~repro.cluster.wal.FSYNC_POLICIES`:
-        ``"record"`` (fsync per append), ``"batch"`` (fsync per
-        :meth:`sync` call — the router calls it once per sub-envelope),
-        or ``"off"`` (flush only; the OS decides).
+        One of :data:`~repro.cluster.wal.FSYNC_POLICIES`: ``"batch"``
+        (fsync per :meth:`sync` call — the router calls it once per
+        sub-envelope) or ``"off"`` (flush only; the OS decides).
     segment_max_bytes:
         Roll the active segment once it reaches this size.
     snapshot_every:
@@ -263,12 +263,12 @@ class RecordJournal:
                 entry = {"entries": len(state.combined()),
                          "snapshot": len(state.snapshot_entries),
                          "tail": len(state.tail)}
-                if state.directory is not None:
+                if state.files is not None:
                     entry.update(
-                        segments=len(wal.list_segments(state.directory)),
-                        snapshot_index=state.snapshot_index,
+                        segments=state.files.segments(),
+                        snapshot_index=state.files.snapshot_index,
                         snapshots_taken=state.snapshots_taken,
-                        truncated_bytes=state.truncated_bytes)
+                        truncated_bytes=state.files.truncated_bytes)
                 shards[str(shard)] = entry
             return {"durable": self.durable, "directory": self.directory,
                     "fsync": self._fsync, "shards": shards}
@@ -293,9 +293,8 @@ class RecordJournal:
                  payload)
         with self._lock:
             state = self._shard(shard)
-            if state.directory is not None:
-                writer = self._writer(state)
-                writer.append({"sequence": entry[1], "payload": payload})
+            if state.files is not None:
+                state.files.append(entry[1], payload)
             state.tail.append(entry)
             wants_snapshot = (self._snapshot_every is not None
                               and len(state.tail) >= self._snapshot_every)
@@ -310,8 +309,8 @@ class RecordJournal:
         anything; no-op for in-memory journals and other policies."""
         with self._lock:
             state = self._shards.get(shard)
-            if state is not None and state.writer is not None:
-                state.writer.sync()
+            if state is not None and state.files is not None:
+                state.files.sync()
 
     # ------------------------------------------------------------------
     # Replay path
@@ -386,26 +385,17 @@ class RecordJournal:
         with self._lock:
             state = self._shard(shard)
             ordered = replay_order(state.combined())
-            removed = 0
-            if state.directory is not None:
-                if state.writer is not None:
-                    state.writer.close()
-                    state.writer = None
-                state.snapshot_index += 1
-                snapshot_io.write_snapshot(
-                    state.directory, state.snapshot_index,
+            removed = index = 0
+            if state.files is not None:
+                removed = state.files.compact(
                     [(sequence, payload)
                      for _, sequence, payload in ordered])
-                for path in wal.list_segments(state.directory):
-                    path.unlink()
-                    removed += 1
-                wal.fsync_directory(state.directory)
+                index = state.files.snapshot_index
             state.snapshot_entries = ordered
             state.tail = []
             state.snapshots_taken += 1
             return {"shard": shard, "entries": len(ordered),
-                    "segments_removed": removed,
-                    "snapshot_index": state.snapshot_index}
+                    "segments_removed": removed, "snapshot_index": index}
 
     def snapshot_all(self) -> List[dict]:
         return [self.snapshot(shard) for shard in self.shards()]
@@ -427,66 +417,37 @@ class RecordJournal:
         """
         if self._directory is None:
             return dict(meta)
-        path = self._directory / _META_NAME
         with self._lock:
-            if path.exists():
-                existing = wire_json_loads(path.read_bytes())
-                conflicts = {key: (existing.get(key), value)
-                             for key, value in meta.items()
-                             if existing.get(key) != value}
-                if conflicts:
-                    raise ValueError(
-                        f"journal directory {self._directory} was "
-                        f"written with different cluster parameters: "
-                        f"{conflicts} (journal vs requested)")
-                return existing
-            with open(path, "wb") as handle:
-                # fsync the bytes themselves: a dir-entry fsync alone
-                # does not make the file *contents* durable, and a
-                # half-written meta file would wedge every cold boot.
-                handle.write(wire_json_bytes(dict(meta)))
-                handle.flush()
-                os.fsync(handle.fileno())
-            wal.fsync_directory(self._directory)
-            return dict(meta)
+            existing = wal.read_meta(self._directory)
+            if existing is None:
+                wal.write_meta(self._directory, dict(meta))
+                return dict(meta)
+            conflicts = {key: (existing.get(key), value)
+                         for key, value in meta.items()
+                         if existing.get(key) != value}
+            if conflicts:
+                raise ValueError(
+                    f"journal directory {self._directory} was "
+                    f"written with different cluster parameters: "
+                    f"{conflicts} (journal vs requested)")
+            return existing
 
-    def _shard_directory(self, shard: int) -> Optional[Path]:
-        if self._directory is None:
-            return None
-        directory = self._directory / f"shard-{shard:04d}"
-        directory.mkdir(parents=True, exist_ok=True)
-        return directory
+    def _files(self, directory: Path) -> wal.ShardFiles:
+        return wal.ShardFiles(directory, fsync=self._fsync,
+                              segment_max_bytes=self._segment_max_bytes)
 
     # invariant: holds-lock
     def _shard(self, shard: int) -> _ShardLog:
         state = self._shards.get(shard)
         if state is None:
-            state = _ShardLog(shard, self._shard_directory(shard))
+            files = None
+            if self._directory is not None:
+                directory = self._directory / f"shard-{shard:04d}"
+                directory.mkdir(parents=True, exist_ok=True)
+                files = self._files(directory)
+            state = _ShardLog(shard, files)
             self._shards[shard] = state
         return state
-
-    def _writer(self, state: _ShardLog) -> wal.SegmentWriter:
-        writer = state.writer
-        if writer is not None and writer.size >= self._segment_max_bytes:
-            writer.close()   # seal: flush + fsync (policy permitting)
-            obs.get_registry().counter(
-                metric_names.WAL_SEGMENT_ROLLS_TOTAL).inc()
-            writer = None
-            state.writer = None
-        if writer is None:
-            # Reuse the current (recovered or just-sealed) segment file
-            # only while it is under the roll size; otherwise advance.
-            current = wal.segment_path(state.directory,
-                                       state.segment_index)
-            if state.segment_index == 0 or (
-                    current.exists() and current.stat().st_size
-                    >= self._segment_max_bytes):
-                state.segment_index += 1
-            writer = wal.SegmentWriter(
-                wal.segment_path(state.directory, state.segment_index),
-                fsync=self._fsync)
-            state.writer = writer
-        return writer
 
     # Called from __init__ only, before any other thread can hold a
     # reference to this journal — construction-time exclusivity.
@@ -494,58 +455,29 @@ class RecordJournal:
     def _recover(self) -> None:
         """Cold boot: rebuild every shard's state from its directory.
 
-        Latest verifying snapshot first, then every segment in index
-        order.  A non-verifying frame in the *final* segment is a torn
-        tail — truncated in place, counted in ``truncated_bytes``.  The
-        same damage in a sealed (non-final) segment raises
-        :class:`~repro.cluster.wal.SegmentCorruption`, and snapshot
-        files none of which verifies raise ``ValueError``
-        (:func:`~repro.cluster.snapshot.load_latest`): both were
-        fsynced whole, so a bad byte there is disk corruption that
-        silently dropping acknowledged records must not paper over.
-        Entries a lingering pre-snapshot segment duplicates are
-        dropped by the shared replay dedup, not here.
+        :meth:`repro.cluster.wal.ShardFiles.recover` reads the newest
+        verifying snapshot and every segment after it, truncating a torn
+        final tail and raising
+        :class:`~repro.cluster.wal.SegmentCorruption` for any other
+        damage; :func:`decode_entry` decodes both.  Entries a lingering
+        pre-snapshot segment duplicates are dropped by the shared
+        replay dedup, not here.
         """
         for child in sorted(self._directory.iterdir()):
             match = _SHARD_DIR.match(child.name)
             if match is None or not child.is_dir():
                 continue
-            shard = int(match.group(1))
-            state = _ShardLog(shard, child)
-            index, snap_entries = snapshot_io.load_latest(child)
-            state.snapshot_index = index
-            state.snapshot_entries = [
-                (student_key(payload.get("student_id")), sequence,
-                 payload)
-                for sequence, payload in snap_entries]
-            segments = wal.list_segments(child)
-            for position, path in enumerate(segments):
-                final = position == len(segments) - 1
-                if final:
-                    entries, dropped = wal.recover_segment(path)
-                    state.truncated_bytes += dropped
-                else:
-                    entries, offset, damage = wal.read_segment(path)
-                    if damage is not None:
-                        raise SegmentCorruption(path, offset, damage)
-                for record in entries:
-                    if not isinstance(record, dict):
-                        raise SegmentCorruption(
-                            path, 0, f"entry is not an object: "
-                                     f"{type(record).__name__}")
-                    payload = record.get("payload")
-                    state.tail.append(
-                        (student_key(payload.get("student_id"))
-                         if isinstance(payload, dict)
-                         else student_key(None),
-                         int(record.get("sequence", 0)), payload))
-                state.segment_index = wal.segment_index(path)
-            self._shards[shard] = state
+            state = _ShardLog(int(match.group(1)), self._files(child))
+            snapshot, tail = state.files.recover()
+            state.snapshot_entries = [decode_entry(path, entry)
+                                      for path, entry in snapshot]
+            state.tail = [decode_entry(path, entry)
+                          for path, entry in tail]
+            self._shards[state.shard] = state
 
     def close(self) -> None:
-        """Seal every open segment writer (safe to call repeatedly)."""
+        """Seal every open segment (safe to call repeatedly)."""
         with self._lock:
             for state in self._shards.values():
-                if state.writer is not None:
-                    state.writer.close()
-                    state.writer = None
+                if state.files is not None:
+                    state.files.close()

@@ -288,8 +288,6 @@ class Supervisor:
             self.router.drain(shard)
             handle.needs_recovery = True
             self._terminate(handle)
-            # The dead worker's pooled sockets are stale.
-            self.clients[shard].close()
             self._spawn(handle)
             handle.restarts += 1
             self._wait_healthy(handle)

@@ -1,45 +1,48 @@
-"""Write-ahead segment files: the journal's on-disk byte layer.
+"""Journal files on disk: the one module that reads and writes them.
 
-A shard's journal lives in one directory as a sequence of append-only
-**segment files** (``segment-<index>.wal``, monotonically numbered)
-plus at most one snapshot (:mod:`repro.cluster.snapshot`).  A segment
-is a flat concatenation of framed entries::
+Each shard of a durable journal owns a directory (``shard-<n>/`` next
+to the root's ``journal.json``) of **segments** (``segment-<index>.wal``,
+append-only, rolled at a size threshold) and at most one settled
+**snapshot** (``snapshot-<index>.wal``, the shard's replay-ordered,
+deduplicated entries at compaction time).  Both are a flat
+concatenation of the same frames::
 
     +----------------+----------------+------------------------+
     | length  (u32le)| crc32   (u32le)| payload (length bytes) |
     +----------------+----------------+------------------------+
 
-where ``payload`` is the canonical compact JSON of one journal entry
-(:func:`repro.serve.protocol.wire_json_bytes`) and ``crc32`` is
-``zlib.crc32`` over exactly those payload bytes.  The frame makes two
-failure modes detectable at read time:
+where ``payload`` is the canonical compact JSON
+(:func:`repro.serve.protocol.wire_json_bytes`) of one entry,
+``{"sequence": <int>, "payload": <record wire object>}``, and ``crc32``
+is ``zlib.crc32`` over exactly those bytes.  A snapshot and
+``journal.json`` are written tmp file -> fsync -> rename -> directory
+fsync, and covered segments are unlinked only after the snapshot is
+durable.
+
+Every damaged-file rule lives here too (:meth:`ShardFiles.recover`):
 
 * **Torn tail** — a crash mid-append leaves a *prefix* of the last
-  frame on disk (appends are sequential writes, so a partial write is
-  always a prefix).  :func:`scan_entries` stops at the first frame that
-  does not verify and reports the byte offset of the last good frame
-  boundary; :func:`recover_segment` truncates the file there, which is
-  the documented recovery action for the *final* segment of a shard.
-* **Sealed-segment corruption** — the same non-verifying frame in a
-  non-final segment cannot be a torn append (later segments only exist
-  because the earlier one was sealed with a final flush), so the
-  journal layer treats it as real corruption and fails loudly instead
-  of silently dropping acknowledged records.
+  frame.  :func:`scan_entries` stops at the first frame that does not
+  verify, and :func:`recover_segment` truncates the *final* segment
+  there.
+* **Damaged sealed segment** — a later segment exists only because
+  this one was sealed with a final flush, so the damage is not a torn
+  append: refuse to boot rather than drop acknowledged records.
+* **Damaged snapshot** — two snapshots exist only between writing the
+  newer and unlinking the older, while the segments the older one lacks
+  are still on disk, so an older snapshot that verifies stands in for a
+  newer one that does not.  When none verifies, the segments they
+  covered are gone: refuse to boot.
+
+Every refusal raises :class:`SegmentCorruption` naming the file.
 
 Durability is a per-writer **fsync policy** (:data:`FSYNC_POLICIES`):
-
-* ``"record"`` — ``fsync`` after every appended frame: an acknowledged
-  record survives power loss, at one disk flush per record.
-* ``"batch"`` — frames are flushed to the OS per append and ``fsync``
-  runs once per :meth:`SegmentWriter.sync` call (the router calls it
-  once per scatter-gather sub-envelope): a power loss can cost at most
-  the current batch, a process crash costs nothing.
-* ``"off"`` — never ``fsync`` (the OS decides when bytes hit the
-  platter): process crashes are still fully covered, power loss is not.
-
-Sealing a segment (roll-over, snapshot, close) always flushes and —
-unless the policy is ``"off"`` — fsyncs, so sealed segments are
-complete by construction.
+``"batch"`` flushes frames to the OS per append and fsyncs once per
+:meth:`SegmentWriter.sync` call, which the router makes per
+sub-envelope before it returns any reply, so every acknowledged record
+is on disk; ``"off"`` never fsyncs, which still covers process crashes
+but not power loss.  Sealing a segment (roll-over, snapshot, close)
+always flushes and, unless the policy is ``"off"``, fsyncs.
 """
 
 from __future__ import annotations
@@ -56,25 +59,38 @@ from repro.obs import names as metric_names
 from repro.serve.protocol import wire_json_bytes, wire_json_loads
 
 #: Supported fsync policies, strongest first (see module docstring).
-FSYNC_POLICIES = ("record", "batch", "off")
+FSYNC_POLICIES = ("batch", "off")
 
 SEGMENT_SUFFIX = ".wal"
 _SEGMENT_NAME = re.compile(r"^segment-(\d{8})\.wal$")
+# ``snapshot-<index>.json`` is the one-JSON-body snapshot of older
+# journals.  It is listed so that it fails to verify and refuses to
+# boot like any damaged snapshot, instead of being skipped with the
+# records it covers.
+_SNAPSHOT_NAME = re.compile(r"^snapshot-(\d{8})\.(?:wal|json)$")
+META_NAME = "journal.json"
 
 #: Frame header: payload byte length + CRC32 of the payload bytes.
 _HEADER = struct.Struct("<II")
 HEADER_BYTES = _HEADER.size
 
+#: One journal file entry with the file it was read from.
+FileEntry = Tuple[Path, dict]
+
 
 class SegmentCorruption(RuntimeError):
-    """A sealed segment failed to verify (not a recoverable torn tail)."""
+    """A journal file failed to verify where no crash could have
+    damaged it: the one error every refusal to boot raises."""
 
-    def __init__(self, path, offset: int, reason: str):
-        super().__init__(f"{path}: corrupt frame at byte {offset}: "
-                         f"{reason}")
+    def __init__(self, path, reason: str):
+        super().__init__(f"{path}: {reason}")
         self.path = str(path)
-        self.offset = offset
         self.reason = reason
+
+
+def _damaged(path, offset: int, damage: str) -> SegmentCorruption:
+    return SegmentCorruption(path, f"corrupt frame at byte {offset}: "
+                                   f"{damage}")
 
 
 def segment_path(directory, index: int) -> Path:
@@ -88,14 +104,29 @@ def segment_index(path) -> int:
     return int(match.group(1))
 
 
-def list_segments(directory) -> List[Path]:
-    """The directory's segment files in index (== append) order."""
+def snapshot_path(directory, index: int) -> Path:
+    return Path(directory) / f"snapshot-{index:08d}{SEGMENT_SUFFIX}"
+
+
+def _indexed(directory, pattern) -> List[Tuple[int, Path]]:
+    """``(index, path)`` of the files in ``directory`` that ``pattern``
+    names, in index order."""
     directory = Path(directory)
     if not directory.is_dir():
         return []
-    found = [p for p in directory.iterdir()
-             if _SEGMENT_NAME.match(p.name)]
-    return sorted(found, key=segment_index)
+    return sorted((int(match.group(1)), path)
+                  for path in directory.iterdir()
+                  for match in [pattern.match(path.name)] if match)
+
+
+def list_segments(directory) -> List[Path]:
+    """The directory's segment files in index (== append) order."""
+    return [path for _, path in _indexed(directory, _SEGMENT_NAME)]
+
+
+def list_snapshots(directory) -> List[Path]:
+    """The directory's snapshot files in ascending index order."""
+    return [path for _, path in _indexed(directory, _SNAPSHOT_NAME)]
 
 
 def encode_entry(entry: dict) -> bytes:
@@ -105,16 +136,14 @@ def encode_entry(entry: dict) -> bytes:
 
 
 def scan_entries(data: bytes) -> Tuple[List[dict], int, Optional[str]]:
-    """Decode framed entries from raw segment bytes.
+    """Decode framed entries from raw segment or snapshot bytes.
 
     Returns ``(entries, valid_bytes, damage)``: every entry that
     verified, the offset of the first byte past the last good frame,
     and ``None`` when the whole buffer verified — otherwise a short
     reason (``"torn header"`` / ``"torn payload"`` / ``"crc mismatch"``
     / ``"undecodable payload"``) describing why scanning stopped.
-    Everything at or after ``valid_bytes`` is unverified and must be
-    either truncated (final segment: torn tail) or treated as
-    corruption (sealed segment) by the caller.
+    Everything at or after ``valid_bytes`` is unverified.
     """
     entries: List[dict] = []
     offset = 0
@@ -139,7 +168,7 @@ def scan_entries(data: bytes) -> Tuple[List[dict], int, Optional[str]]:
 
 
 def read_segment(path) -> Tuple[List[dict], int, Optional[str]]:
-    """:func:`scan_entries` over a segment file's bytes."""
+    """:func:`scan_entries` over a segment or snapshot file's bytes."""
     return scan_entries(Path(path).read_bytes())
 
 
@@ -147,9 +176,9 @@ def recover_segment(path) -> Tuple[List[dict], int]:
     """Read a segment, truncating any torn tail in place.
 
     Returns ``(entries, dropped_bytes)``.  Only correct for the shard's
-    *final* segment — on sealed segments the journal layer raises
-    :class:`SegmentCorruption` instead of calling this (see module
-    docstring for why the distinction is safe).
+    *final* segment: :meth:`ShardFiles.recover` refuses a damaged
+    sealed one instead (see module docstring for why the distinction is
+    safe).
     """
     path = Path(path)
     entries, valid_bytes, damage = read_segment(path)
@@ -176,6 +205,89 @@ def fsync_directory(directory) -> None:
         pass
     finally:
         os.close(fd)
+
+
+def _write_durably(path: Path, data: bytes) -> None:
+    """Replace ``path`` with ``data``: tmp file, fsync, rename,
+    directory fsync.  A failure leaves ``path`` as it was and no tmp
+    file behind."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as handle:
+            handle.write(data)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    fsync_directory(path.parent)
+
+
+def _entry(sequence: int, payload: dict) -> dict:
+    return {"sequence": int(sequence), "payload": payload}
+
+
+def write_snapshot(directory, index: int, entries) -> Path:
+    """Durably write ``entries`` as snapshot ``index``; prune older ones.
+
+    ``entries`` is an iterable of ``(sequence, payload)`` in replay
+    order, one frame each.  Returns the final path.  Older snapshot
+    files are unlinked only after the new one is durable, so there is
+    always at least one loadable snapshot on disk.
+    """
+    final = snapshot_path(directory, index)
+    _write_durably(final, b"".join(
+        encode_entry(_entry(sequence, payload))
+        for sequence, payload in entries))
+    for old in list_snapshots(directory):
+        if old != final:
+            old.unlink()
+    fsync_directory(directory)
+    return final
+
+
+def load_latest(directory) -> Tuple[int, Optional[Path], List[dict]]:
+    """The newest snapshot that verifies: ``(index, path, entries)``.
+
+    With no snapshot file the result is ``(0, None, [])``: replay is
+    the segments alone.  Snapshots are tried newest-first, and an older
+    one that verifies stands in for a newer one that does not.  When
+    snapshot files exist and none verifies, this raises
+    :class:`SegmentCorruption` naming the newest.
+    """
+    newest = None
+    for index, path in reversed(_indexed(directory, _SNAPSHOT_NAME)):
+        entries, offset, damage = read_segment(path)
+        if damage is None:
+            return index, path, entries
+        newest = newest or _damaged(path, offset, damage)
+    if newest is not None:
+        raise SegmentCorruption(
+            newest.path, f"{newest.reason}; no older snapshot verifies, "
+                         f"and the segments it covered are gone: "
+                         f"refusing to boot")
+    return 0, None, []
+
+
+def read_meta(directory) -> Optional[dict]:
+    """The journal root's ``journal.json`` object, or ``None`` before
+    the first :func:`write_meta`."""
+    path = Path(directory) / META_NAME
+    if not path.exists():
+        return None
+    try:
+        meta = wire_json_loads(path.read_bytes())
+    except ValueError:
+        meta = None
+    if not isinstance(meta, dict):
+        raise SegmentCorruption(path, "not a JSON object")
+    return meta
+
+
+def write_meta(directory, meta: dict) -> None:
+    """Durably write ``journal.json`` (tmp file, fsync, rename)."""
+    _write_durably(Path(directory) / META_NAME, wire_json_bytes(meta))
 
 
 class SegmentWriter:
@@ -208,20 +320,15 @@ class SegmentWriter:
         """Frame + write one entry; returns the frame's byte length."""
         started = obs.clock()
         frame = encode_entry(entry)
-        self._file.write(frame)
+        self._file.write(frame)  # invariants: disable=INV004 -- fsync is sync()
         self._file.flush()   # visible to readers/crash-of-this-process
         self._size += len(frame)
-        if self.fsync == "record":
-            fsync_started = obs.clock()
-            os.fsync(self._file.fileno())
-            self._obs_fsync.observe(obs.clock() - fsync_started)
-        else:
-            self._dirty = True
+        self._dirty = True
         self._obs_append.observe(obs.clock() - started)
         return len(frame)
 
     def sync(self) -> None:
-        """Batch-policy durability point (no-op for record/off)."""
+        """The batch policy's durability point (no-op under ``off``)."""
         if self.fsync == "batch" and self._dirty:
             started = obs.clock()
             os.fsync(self._file.fileno())
@@ -236,3 +343,96 @@ class SegmentWriter:
         if self.fsync != "off":
             os.fsync(self._file.fileno())
         self._file.close()
+
+
+class ShardFiles:
+    """One shard directory's journal files: the active segment, the
+    snapshot, and the rules that read them back on cold boot.
+
+    Not thread-safe: :class:`~repro.cluster.journal.RecordJournal`
+    calls it under its lock.
+    """
+
+    def __init__(self, directory, fsync: str, segment_max_bytes: int):
+        self.directory = Path(directory)
+        self.fsync = fsync
+        self.segment_max_bytes = segment_max_bytes
+        self.segment_index = 0
+        self.snapshot_index = 0
+        self.truncated_bytes = 0
+        self._writer: Optional[SegmentWriter] = None
+
+    def recover(self) -> Tuple[List[FileEntry], List[FileEntry]]:
+        """Read the directory back: ``(snapshot, tail)``.
+
+        ``snapshot`` holds the entries of the newest snapshot that
+        verifies and ``tail`` those of every segment in index order,
+        each with the file it came from.  A torn final segment is
+        truncated in place (counted in ``truncated_bytes``); a damaged
+        sealed segment, or snapshots none of which verifies, raise
+        :class:`SegmentCorruption`.  Entries a lingering pre-snapshot
+        segment duplicates are left to the journal's replay dedup.
+        """
+        self.snapshot_index, path, entries = load_latest(self.directory)
+        snapshot = [(path, entry) for entry in entries]
+        tail: List[FileEntry] = []
+        segments = list_segments(self.directory)
+        for position, path in enumerate(segments):
+            if position == len(segments) - 1:
+                entries, dropped = recover_segment(path)
+                self.truncated_bytes += dropped
+            else:
+                entries, offset, damage = read_segment(path)
+                if damage is not None:
+                    raise _damaged(path, offset, damage)
+            tail.extend((path, entry) for entry in entries)
+            self.segment_index = segment_index(path)
+        return snapshot, tail
+
+    def segments(self) -> int:
+        return len(list_segments(self.directory))
+
+    def append(self, sequence: int, payload: dict) -> None:
+        self._active().append(_entry(sequence, payload))
+
+    def sync(self) -> None:
+        if self._writer is not None:
+            self._writer.sync()
+
+    def compact(self, entries) -> int:
+        """Seal the active segment, durably write ``entries``
+        (``(sequence, payload)`` in replay order) as the next snapshot,
+        then unlink every segment it covers.  Returns how many went."""
+        self.close()
+        self.snapshot_index += 1
+        write_snapshot(self.directory, self.snapshot_index, entries)
+        covered = list_segments(self.directory)
+        for path in covered:
+            path.unlink()
+        fsync_directory(self.directory)
+        return len(covered)
+
+    def close(self) -> None:
+        """Seal the active segment (safe to call repeatedly)."""
+        if self._writer is not None:
+            self._writer.close()
+            self._writer = None
+
+    def _active(self) -> SegmentWriter:
+        if self._writer is not None \
+                and self._writer.size >= self.segment_max_bytes:
+            self.close()   # seal: flush + fsync (policy permitting)
+            obs.get_registry().counter(
+                metric_names.WAL_SEGMENT_ROLLS_TOTAL).inc()
+        if self._writer is None:
+            # Reuse the current (recovered or just-sealed) segment file
+            # only while it is under the roll size; otherwise advance.
+            current = segment_path(self.directory, self.segment_index)
+            if self.segment_index == 0 or (
+                    current.exists() and current.stat().st_size
+                    >= self.segment_max_bytes):
+                self.segment_index += 1
+            self._writer = SegmentWriter(
+                segment_path(self.directory, self.segment_index),
+                fsync=self.fsync)
+        return self._writer

@@ -416,8 +416,9 @@ class ServiceClient:
     fans out over.  The pool is thread-safe (each in-flight request
     owns one checked-out connection); a request that fails on a
     *reused* socket — the server may close an idle connection at any
-    time — is retried once on a fresh one, while a failure on a fresh
-    socket propagates (the server is actually unreachable).
+    time, or restart — drops every idle socket and is retried once on a
+    fresh one, while a failure on a fresh socket propagates (the server
+    is actually unreachable).
 
     ``timeout`` bounds every exchange but :meth:`health`'s
     (:data:`HEALTH_TIMEOUT`).
@@ -458,6 +459,9 @@ class ServiceClient:
         with self._lock:
             if self._idle:
                 return self._idle.pop(), True
+        return self._connect(timeout), False
+
+    def _connect(self, timeout: float):
         connection = http.client.HTTPConnection(
             self._host, self._port, timeout=timeout)
         connection.connect()
@@ -467,7 +471,7 @@ class ServiceClient:
         connection.sock.setsockopt(socket.IPPROTO_TCP,
                                    socket.TCP_NODELAY, 1)
         self.connections_opened += 1
-        return connection, False
+        return connection
 
     def _checkin(self, connection) -> None:
         with self._lock:
@@ -487,8 +491,8 @@ class ServiceClient:
                   decode_json: bool = True, timeout: float = None):
         headers = {"Content-Type": "application/json"} if body else {}
         timeout = self.timeout if timeout is None else timeout
-        for attempt in (0, 1):
-            connection, reused = self._checkout(timeout)
+        connection, reused = self._checkout(timeout)
+        while True:
             try:
                 # Per exchange: a pooled socket must not carry a
                 # probe's short timeout into the next query.
@@ -505,21 +509,24 @@ class ServiceClient:
                 raise
             except (http.client.HTTPException, OSError):
                 connection.close()
-                if reused and attempt == 0:
-                    # Stale keep-alive: the server closed the idle
-                    # socket between requests (the reset/EPIPE arrives
-                    # on our send or on the first response byte), so
-                    # the request was never processed.  One fresh
-                    # retry.  Fresh-socket failures propagate — the
-                    # server is actually unreachable.
-                    continue
-                raise
+                if not reused:
+                    # Fresh-socket failures propagate: the server is
+                    # actually unreachable.
+                    raise
+                # Stale keep-alive: the server closed the idle socket
+                # between requests (the reset/EPIPE arrives on our send
+                # or on the first response byte), so the request was
+                # never processed.  A server that restarted closed
+                # every other idle socket too, so drop them and retry
+                # once on a fresh socket.
+                self.close()
+                connection, reused = self._connect(timeout), False
+                continue
             if response.will_close:
                 connection.close()
             else:
                 self._checkin(connection)
             return json.loads(raw) if decode_json else raw
-        raise ConnectionError(f"unreachable: {self.base_url}{route}")
 
     # ------------------------------------------------------------------
     # Raw wire

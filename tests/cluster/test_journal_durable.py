@@ -16,17 +16,20 @@ The regression sweep for the journal-correctness bugfixes:
 * **Torn tails** — byte-level damage to the final segment truncates to
   the last good frame on cold boot; the same damage in a sealed
   segment refuses to boot (``SegmentCorruption``), and so does a lone
-  snapshot that fails its CRC.
+  snapshot that fails its CRC, a verified frame whose entry has the
+  wrong shape, and a damaged ``journal.json``.
 """
+
+import zlib
 
 import pytest
 
-from repro.cluster import snapshot as snapshot_io
 from repro.cluster import wal
 from repro.cluster.journal import (RecordJournal, replay_order,
                                    validate_entry)
 from repro.cluster.wal import SegmentCorruption
 from repro.serve import MalformedQuery, RecordEvent, to_wire
+from repro.serve.protocol import wire_json_bytes
 
 
 def payload(student, question=1, correct=1):
@@ -239,7 +242,7 @@ def test_auto_snapshot_bounds_segment_files(tmp_path):
     # 10 appends at one segment per append would be 10 files; the two
     # auto-snapshots (at 4 and 8) truncated all but the unsealed tail.
     assert len(wal.list_segments(directory)) == 10 - 8
-    assert len(snapshot_io.list_snapshots(directory)) == 1
+    assert len(wal.list_snapshots(directory)) == 1
     stats = journal.describe()["shards"]["0"]
     assert stats["snapshots_taken"] == 2
     assert stats["snapshot"] == 8 and stats["tail"] == 2
@@ -276,19 +279,18 @@ def test_crash_between_snapshot_and_truncation_dedups(tmp_path):
                in replay_order(
                    [(b"s0", 1 + k, payload("s0", question=1 + k))
                     for k in range(3)])]
-    snapshot_io.write_snapshot(shard_dir(tmp_path), 1, ordered)
+    wal.write_snapshot(shard_dir(tmp_path), 1, ordered)
     reopened = RecordJournal(directory=tmp_path)
     assert reopened.count(0) == 6   # raw: snapshot + stale segment
     assert [q["question_id"] for q in replayed(reopened)] == [1, 2, 3]
 
 
-def change_one_digit(path):
-    """Rewrite the first ``question_id`` digit: still valid JSON, but
-    the entry CRC no longer matches."""
-    text = path.read_text()
-    at = text.index('"question_id":') + len('"question_id":')
-    digit = str((int(text[at]) + 1) % 10)
-    path.write_text(text[:at] + digit + text[at + 1:])
+def flip_one_byte(path):
+    """Flip a payload byte of the first frame: its CRC no longer
+    matches."""
+    data = bytearray(path.read_bytes())
+    data[wal.HEADER_BYTES] ^= 0x01
+    path.write_bytes(bytes(data))
 
 
 def test_corrupt_only_snapshot_refuses_to_boot(tmp_path):
@@ -300,10 +302,10 @@ def test_corrupt_only_snapshot_refuses_to_boot(tmp_path):
         journal.append(0, payload(f"s{k}", question=1 + k), sequence=1)
     journal.snapshot(0)
     journal.close()
-    path = snapshot_io.snapshot_path(shard_dir(tmp_path), 1)
+    path = wal.snapshot_path(shard_dir(tmp_path), 1)
     assert wal.list_segments(shard_dir(tmp_path)) == []
-    change_one_digit(path)
-    with pytest.raises(ValueError, match=path.name):
+    flip_one_byte(path)
+    with pytest.raises(SegmentCorruption, match=path.name):
         RecordJournal(directory=tmp_path)
     assert path.exists()
 
@@ -322,15 +324,60 @@ def test_corrupt_newer_snapshot_falls_back_to_older(tmp_path):
     expected = replayed(journal)
     journal.close()
     directory = shard_dir(tmp_path)
-    older = snapshot_io.snapshot_path(directory, 1)
+    older = wal.snapshot_path(directory, 1)
     kept = older.read_bytes()
-    snapshot_io.write_snapshot(directory, 2, [
+    wal.write_snapshot(directory, 2, [
         (1 + k, payload("s0", question=1 + k)) for k in range(3)])
     older.write_bytes(kept)
-    change_one_digit(snapshot_io.snapshot_path(directory, 2))
+    flip_one_byte(wal.snapshot_path(directory, 2))
     reopened = RecordJournal(directory=tmp_path)
     assert replayed(reopened) == expected
     assert reopened.describe()["shards"]["0"]["snapshot_index"] == 1
+
+
+def test_json_body_snapshot_refuses_to_boot(tmp_path):
+    # The one-JSON-body snapshot older journals wrote has no reader
+    # left.  The segments it covered are gone, so skipping it would
+    # boot without the records it holds.
+    directory = shard_dir(tmp_path)
+    directory.mkdir()
+    entries = [{"sequence": 1, "payload": payload("s0")}]
+    path = directory / "snapshot-00000001.json"
+    path.write_bytes(wire_json_bytes({
+        "version": 1, "index": 1, "entries": entries,
+        "crc32": zlib.crc32(wire_json_bytes(entries))}))
+    with pytest.raises(SegmentCorruption, match=path.name):
+        RecordJournal(directory=tmp_path)
+
+
+def write_frames(path, entries):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(b"".join(wal.encode_entry(entry)
+                              for entry in entries))
+
+
+@pytest.mark.parametrize("where", ["snapshot", "sealed", "final"])
+@pytest.mark.parametrize("bad", [
+    [1, payload("s0")],
+    {"sequence": "1", "payload": payload("s0")},
+    {"sequence": True, "payload": payload("s0")},
+    {"sequence": 1, "payload": "s0"},
+    {"sequence": 1},
+    {"sequence": 1, "payload": payload("s0"), "student": "s0"},
+], ids=["list", "text-sequence", "bool-sequence", "text-payload",
+        "no-payload", "extra-key"])
+def test_malformed_entry_refuses_to_boot(tmp_path, where, bad):
+    # A frame that verifies cannot be a torn append, so an entry of the
+    # wrong shape refuses to boot wherever it sits, naming its file.
+    directory = shard_dir(tmp_path)
+    good = {"sequence": 1, "payload": payload("s1")}
+    path = (wal.snapshot_path if where == "snapshot"
+            else wal.segment_path)(directory, 1)
+    write_frames(path, [good, bad])
+    if where == "sealed":
+        write_frames(wal.segment_path(directory, 2), [good])
+    with pytest.raises(SegmentCorruption, match=path.name):
+        RecordJournal(directory=tmp_path)
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +392,30 @@ def test_bind_meta_pins_cluster_parameters(tmp_path):
         {"shards": 2, "replicas": 64}
     with pytest.raises(ValueError, match="different cluster parameters"):
         reopened.bind_meta({"shards": 4, "replicas": 64})
+
+
+def test_failed_meta_fsync_leaves_no_meta_file(tmp_path, monkeypatch):
+    # A journal.json created before its bytes are durable can survive a
+    # power loss empty, and an empty one wedges every later boot.
+    meta = {"shards": 2, "replicas": 64}
+    journal = RecordJournal(directory=tmp_path)
+
+    def failing_fsync(fd):
+        raise OSError("injected fsync failure")
+
+    monkeypatch.setattr(wal.os, "fsync", failing_fsync)
+    with pytest.raises(OSError, match="injected"):
+        journal.bind_meta(meta)
+    monkeypatch.undo()
+    assert list(tmp_path.iterdir()) == []
+    assert journal.bind_meta(meta) == meta
+    assert RecordJournal(directory=tmp_path).bind_meta(meta) == meta
+
+
+def test_damaged_meta_file_refuses_by_name(tmp_path):
+    (tmp_path / "journal.json").write_bytes(b"")
+    with pytest.raises(SegmentCorruption, match="journal.json"):
+        RecordJournal(directory=tmp_path).bind_meta({"shards": 2})
 
 
 def test_constructor_validates_parameters(tmp_path):

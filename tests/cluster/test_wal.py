@@ -141,7 +141,7 @@ def test_writer_tracks_size_and_reopens(tmp_path):
 
 def test_writer_rejects_unknown_fsync_policy(tmp_path):
     with pytest.raises(ValueError, match="fsync policy"):
-        SegmentWriter(tmp_path / "segment-00000001.wal", fsync="always")
+        SegmentWriter(tmp_path / "segment-00000001.wal", fsync="record")
 
 
 @pytest.mark.parametrize("fsync", wal.FSYNC_POLICIES)

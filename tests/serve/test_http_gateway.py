@@ -420,6 +420,41 @@ class TestKeepAliveClient:
         assert client.connections_opened == 2   # one fresh retry
         client.close()
 
+    def test_restarted_server_is_reached_on_the_first_call(self,
+                                                          dataset):
+        """Every pooled socket dies with a server that restarts on the
+        same port, so the one retry must open a fresh socket rather
+        than pop the next dead one."""
+        engine = InferenceEngine(RCKT(NUM_QUESTIONS, NUM_CONCEPTS,
+                                      RCKTConfig(encoder="dkt", dim=8,
+                                                 layers=1, seed=5)))
+        engine.load_dataset(dataset)
+        service = Service(engine)
+        server, thread = start_http_thread(service)
+        port = server.server_port
+        client = ServiceClient(f"http://127.0.0.1:{port}", timeout=10.0)
+        query = ScoreQuery(list(dataset)[0].student_id, 3, (1,))
+        try:
+            pooled = [client._checkout(10.0)[0] for _ in range(3)]
+            for connection in pooled:
+                client._checkin(connection)
+            assert client.execute(query).ok
+            assert len(client._idle) == 3
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10.0)
+            server, thread = start_http_thread(service, port=port)
+            assert client.execute(query).ok
+            # The dead sockets are gone; only the fresh one is pooled.
+            assert len(client._idle) == 1
+            assert client.connections_opened == 4
+        finally:
+            client.close()
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10.0)
+            service.close()
+
     def test_stopped_server_answers_no_pooled_socket(self, dataset):
         """A stopped face serves no kept-alive socket: after
         ``shutdown()`` and ``server_close()`` every client that pooled

@@ -74,22 +74,26 @@ EVENT = st.tuples(st.integers(0, 3), st.integers(1, NUM_QUESTIONS),
 
 
 class TestInterleavedParityProperty:
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20, deadline=None, derandomize=True,
+              database=None)
     @given(events=st.lists(EVENT, min_size=1, max_size=25))
     def test_dkt_interleavings_match_cold_engine(self, events):
         self.run_interleaving(make_model("dkt"), events)
 
-    @settings(max_examples=6, deadline=None)
+    @settings(max_examples=6, deadline=None, derandomize=True,
+              database=None)
     @given(events=st.lists(EVENT, min_size=1, max_size=18))
     def test_sakt_interleavings_match_cold_engine(self, events):
         self.run_interleaving(make_model("sakt"), events)
 
-    @settings(max_examples=6, deadline=None)
+    @settings(max_examples=6, deadline=None, derandomize=True,
+              database=None)
     @given(events=st.lists(EVENT, min_size=1, max_size=18))
     def test_akt_interleavings_match_cold_engine(self, events):
         self.run_interleaving(make_model("akt"), events)
 
-    @settings(max_examples=8, deadline=None)
+    @settings(max_examples=8, deadline=None, derandomize=True,
+              database=None)
     @given(events=st.lists(EVENT, min_size=1, max_size=20))
     def test_tiny_lru_budget_never_changes_scores(self, events):
         # A budget this small evicts constantly; only throughput may
@@ -97,7 +101,8 @@ class TestInterleavedParityProperty:
         self.run_interleaving(make_model("dkt"), events,
                               stream_cache_bytes=4096)
 
-    @settings(max_examples=8, deadline=None)
+    @settings(max_examples=8, deadline=None, derandomize=True,
+              database=None)
     @given(events=st.lists(EVENT, min_size=1, max_size=20))
     def test_mono_ablation_single_base_cache(self, events):
         self.run_interleaving(make_model("dkt", use_monotonicity=False),

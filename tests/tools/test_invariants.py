@@ -249,7 +249,7 @@ def test_durability_rule_accepts_the_snapshot_write_protocol():
             for old in stale(directory):
                 old.unlink()
             fsync_directory(directory)
-    """, rel="src/repro/cluster/snapshot.py")
+    """, rel="src/repro/cluster/wal.py")
     assert durability.check_module(module) == []
 
 

@@ -5,7 +5,7 @@ training round over the same journal produces byte-identical weights,
 which only holds while every random stream derives from
 ``repro.utils.seeding.derive_rng`` and nothing reads wall-clock state.
 This rule bans, inside the deterministic scope (``core/``, ``online/``,
-``cluster/wal.py``, ``cluster/snapshot.py``):
+``cluster/wal.py``):
 
 * the stdlib ``random`` module (import or use) — process-global,
   seed-order-dependent state;

@@ -1,4 +1,4 @@
-"""INV004 — WAL/snapshot writes follow the durability protocol.
+"""INV004 — journal file writes follow the durability protocol.
 
 The journal's crash-safety story (PR 6, ``docs/CLUSTER.md``) rests on
 three file-system patterns that are easy to break in a refactor and
@@ -17,8 +17,9 @@ invisible to tests that never lose power:
   directory entry, or the delete can un-happen across power loss.
 
 Flush-without-fsync is flagged too (seal paths: ``flush`` alone only
-reaches the OS page cache).  Scope: ``cluster/wal.py``,
-``cluster/snapshot.py``, ``cluster/journal.py``.
+reaches the OS page cache).  Scope: ``cluster/wal.py``, which makes
+every journal file write, and ``cluster/journal.py``, which must make
+none.
 """
 
 from __future__ import annotations

@@ -35,10 +35,8 @@ RULE_SCOPES: Dict[str, Sequence[str]] = {
                  "src/repro/obs/*.py"),
     raises.CODE: ("src/repro/serve/*.py", "src/repro/cluster/*.py"),
     determinism.CODE: ("src/repro/core/*.py", "src/repro/online/*.py",
-                       "src/repro/cluster/wal.py",
-                       "src/repro/cluster/snapshot.py"),
+                       "src/repro/cluster/wal.py"),
     durability.CODE: ("src/repro/cluster/wal.py",
-                      "src/repro/cluster/snapshot.py",
                       "src/repro/cluster/journal.py"),
     timeimports.CODE: ("src/repro/serve/*.py", "src/repro/cluster/*.py"),
     privacy.CODE: ("src/repro/serve/*.py", "src/repro/cluster/*.py"),
