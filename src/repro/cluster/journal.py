@@ -165,10 +165,16 @@ def validate_entry(payload, sequence) -> Optional[MalformedQuery]:
 
 
 class _ShardLog:
-    """One shard's journal state (and, when durable, its files)."""
+    """One shard's journal state (and, when durable, its files).
+
+    Its own lock covers every read and write of the shard — appends,
+    syncs, compactions, replay reads, cold-boot recovery and its
+    ``describe`` entry — so one shard's fsync or snapshot never holds up
+    another shard's appends.
+    """
 
     __slots__ = ("shard", "files", "snapshot_entries", "tail",
-                 "snapshots_taken")
+                 "snapshots_taken", "_lock")
 
     def __init__(self, shard: int, files: Optional[wal.ShardFiles]):
         self.shard = shard
@@ -176,13 +182,78 @@ class _ShardLog:
         self.snapshot_entries: List[Entry] = []
         self.tail: List[Entry] = []
         self.snapshots_taken = 0
+        self._lock = threading.Lock()
 
-    def combined(self) -> List[Entry]:
-        return self.snapshot_entries + self.tail
+    def entries(self) -> List[Entry]:
+        """Snapshot entries, then the tail: the input of
+        :func:`replay_order`."""
+        with self._lock:
+            return self.snapshot_entries + self.tail
+
+    def recover(self) -> None:
+        """Load the shard's files (see :meth:`RecordJournal._recover`)."""
+        with self._lock:
+            snapshot, tail = self.files.recover()
+            self.snapshot_entries = [decode_entry(path, entry)
+                                     for path, entry in snapshot]
+            self.tail = [decode_entry(path, entry) for path, entry in tail]
+
+    def append(self, entry: Entry, snapshot_every: Optional[int]) -> None:
+        with self._lock:
+            if self.files is not None:
+                self.files.append(entry[1], entry[2])
+            self.tail.append(entry)
+            if snapshot_every is not None \
+                    and len(self.tail) >= snapshot_every:
+                self._compact()
+
+    def sync(self) -> None:
+        with self._lock:
+            if self.files is not None:
+                self.files.sync()
+
+    def snapshot(self) -> dict:
+        with self._lock:
+            return self._compact()
+
+    # invariant: holds-lock
+    def _compact(self) -> dict:
+        ordered = replay_order(self.snapshot_entries + self.tail)
+        removed = index = 0
+        if self.files is not None:
+            removed = self.files.compact(
+                [(sequence, payload) for _, sequence, payload in ordered])
+            index = self.files.snapshot_index
+        self.snapshot_entries = ordered
+        self.tail = []
+        self.snapshots_taken += 1
+        return {"shard": self.shard, "entries": len(ordered),
+                "segments_removed": removed, "snapshot_index": index}
+
+    def describe(self) -> dict:
+        with self._lock:
+            entry = {"entries": len(self.snapshot_entries) + len(self.tail),
+                     "snapshot": len(self.snapshot_entries),
+                     "tail": len(self.tail)}
+            if self.files is not None:
+                entry.update(segments=self.files.segments(),
+                             snapshot_index=self.files.snapshot_index,
+                             snapshots_taken=self.snapshots_taken,
+                             truncated_bytes=self.files.truncated_bytes)
+            return entry
+
+    def close(self) -> None:
+        with self._lock:
+            if self.files is not None:
+                self.files.close()
 
 
 class RecordJournal:
     """Thread-safe per-shard journal of acknowledged record payloads.
+
+    Each shard locks on its own, so shards append, sync and compact
+    concurrently; the journal-wide lock guards only the shard table and
+    :meth:`bind_meta`.
 
     Parameters
     ----------
@@ -241,37 +312,24 @@ class RecordJournal:
             return sorted(self._shards)
 
     def count(self, shard: int) -> int:
-        with self._lock:
-            state = self._shards.get(shard)
-            return 0 if state is None else len(state.combined())
+        return self.sizes().get(shard, 0)
 
     def total(self) -> int:
-        with self._lock:
-            return sum(len(state.combined())
-                       for state in self._shards.values())
+        return sum(self.sizes().values())
 
     def sizes(self) -> Dict[int, int]:
         with self._lock:
-            return {shard: len(state.combined())
-                    for shard, state in self._shards.items()}
+            shards = list(self._shards.items())
+        return {shard: len(state.entries()) for shard, state in shards}
 
     def describe(self) -> dict:
         """Structured stats (the router's ``/v1/health`` journal body)."""
         with self._lock:
-            shards = {}
-            for shard, state in sorted(self._shards.items()):
-                entry = {"entries": len(state.combined()),
-                         "snapshot": len(state.snapshot_entries),
-                         "tail": len(state.tail)}
-                if state.files is not None:
-                    entry.update(
-                        segments=state.files.segments(),
-                        snapshot_index=state.files.snapshot_index,
-                        snapshots_taken=state.snapshots_taken,
-                        truncated_bytes=state.files.truncated_bytes)
-                shards[str(shard)] = entry
-            return {"durable": self.durable, "directory": self.directory,
-                    "fsync": self._fsync, "shards": shards}
+            shards = sorted(self._shards.items())
+        return {"durable": self.durable, "directory": self.directory,
+                "fsync": self._fsync,
+                "shards": {str(shard): state.describe()
+                           for shard, state in shards}}
 
     # ------------------------------------------------------------------
     # Append path
@@ -291,15 +349,7 @@ class RecordJournal:
             return error
         entry = (student_key(payload["student_id"]), int(sequence),
                  payload)
-        with self._lock:
-            state = self._shard(shard)
-            if state.files is not None:
-                state.files.append(entry[1], payload)
-            state.tail.append(entry)
-            wants_snapshot = (self._snapshot_every is not None
-                              and len(state.tail) >= self._snapshot_every)
-        if wants_snapshot:
-            self.snapshot(shard)
+        self._shard(shard).append(entry, self._snapshot_every)
         return None
 
     def sync(self, shard: int) -> None:
@@ -307,10 +357,9 @@ class RecordJournal:
         shard's appended-but-unsynced frames to disk.  The router calls
         this once per scatter-gather sub-envelope that journaled
         anything; no-op for in-memory journals and other policies."""
-        with self._lock:
-            state = self._shards.get(shard)
-            if state is not None and state.files is not None:
-                state.files.sync()
+        state = self._existing(shard)
+        if state is not None:
+            state.sync()
 
     # ------------------------------------------------------------------
     # Replay path
@@ -338,9 +387,8 @@ class RecordJournal:
         shards = self.shards() if shard is None else [shard]
         records: List[RecordEvent] = []
         for index in shards:
-            with self._lock:
-                state = self._shards.get(index)
-                combined = [] if state is None else state.combined()
+            state = self._existing(index)
+            combined = [] if state is None else state.entries()
             for _, _, payload in replay_order(combined):
                 decoded = query_from_wire(payload)
                 if not isinstance(decoded, RecordEvent):
@@ -382,20 +430,7 @@ class RecordJournal:
         replaced).  In-memory journals compact their entry list the
         same way, just without files.  Returns a small stats dict.
         """
-        with self._lock:
-            state = self._shard(shard)
-            ordered = replay_order(state.combined())
-            removed = index = 0
-            if state.files is not None:
-                removed = state.files.compact(
-                    [(sequence, payload)
-                     for _, sequence, payload in ordered])
-                index = state.files.snapshot_index
-            state.snapshot_entries = ordered
-            state.tail = []
-            state.snapshots_taken += 1
-            return {"shard": shard, "entries": len(ordered),
-                    "segments_removed": removed, "snapshot_index": index}
+        return self._shard(shard).snapshot()
 
     def snapshot_all(self) -> List[dict]:
         return [self.snapshot(shard) for shard in self.shards()]
@@ -436,18 +471,23 @@ class RecordJournal:
         return wal.ShardFiles(directory, fsync=self._fsync,
                               segment_max_bytes=self._segment_max_bytes)
 
-    # invariant: holds-lock
+    def _existing(self, shard: int) -> Optional[_ShardLog]:
+        with self._lock:
+            return self._shards.get(shard)
+
     def _shard(self, shard: int) -> _ShardLog:
-        state = self._shards.get(shard)
-        if state is None:
-            files = None
-            if self._directory is not None:
-                directory = self._directory / f"shard-{shard:04d}"
-                directory.mkdir(parents=True, exist_ok=True)
-                files = self._files(directory)
-            state = _ShardLog(shard, files)
-            self._shards[shard] = state
-        return state
+        """The shard's log, created (directory included) on first use."""
+        with self._lock:
+            state = self._shards.get(shard)
+            if state is None:
+                files = None
+                if self._directory is not None:
+                    directory = self._directory / f"shard-{shard:04d}"
+                    directory.mkdir(parents=True, exist_ok=True)
+                    files = self._files(directory)
+                state = _ShardLog(shard, files)
+                self._shards[shard] = state
+            return state
 
     # Called from __init__ only, before any other thread can hold a
     # reference to this journal — construction-time exclusivity.
@@ -468,16 +508,12 @@ class RecordJournal:
             if match is None or not child.is_dir():
                 continue
             state = _ShardLog(int(match.group(1)), self._files(child))
-            snapshot, tail = state.files.recover()
-            state.snapshot_entries = [decode_entry(path, entry)
-                                      for path, entry in snapshot]
-            state.tail = [decode_entry(path, entry)
-                          for path, entry in tail]
+            state.recover()
             self._shards[state.shard] = state
 
     def close(self) -> None:
         """Seal every open segment (safe to call repeatedly)."""
         with self._lock:
-            for state in self._shards.values():
-                if state.files is not None:
-                    state.files.close()
+            shards = list(self._shards.values())
+        for state in shards:
+            state.close()

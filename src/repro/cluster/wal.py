@@ -350,7 +350,7 @@ class ShardFiles:
     snapshot, and the rules that read them back on cold boot.
 
     Not thread-safe: :class:`~repro.cluster.journal.RecordJournal`
-    calls it under its lock.
+    calls it under that shard's lock.
     """
 
     def __init__(self, directory, fsync: str, segment_max_bytes: int):

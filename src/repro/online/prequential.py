@@ -26,11 +26,10 @@ all-records batch, so no read in a round can observe its own event.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
-import numpy as np
-
-from repro.data import KTDataset, StudentSequence, collate
+from repro.core.multi_target import score_targets
+from repro.data import KTDataset, StudentSequence
 from repro.eval import accuracy_score, auc_score
 from repro.serve import (DEFAULT_MODEL, RecordEvent, ScoreQuery, ScoreReply,
                          is_error)
@@ -197,40 +196,39 @@ def multi_step_sweep(model, dataset: KTDataset,
     question from the history truncated at ``t - k`` — ``k = 1`` is the
     standard next-step protocol, larger ``k`` measures how fast
     predictive power decays when the most recent responses are hidden.
-    Contexts are grouped by identical length (the exact bidirectional
-    encoders take no padding), mirroring the trainer's bucketing.
+    Each horizon is one :func:`~repro.core.multi_target.score_targets`
+    call in eval mode; the model's mode is restored afterwards.
 
     Returns ``{k: {"auc": float|None, "accuracy": float|None,
     "targets": int}}``; ``auc`` is ``None`` when the horizon's targets
     are single-class.
     """
+    if any(horizon <= 0 for horizon in horizons):
+        raise ValueError("horizons must be positive")
     results: Dict[int, dict] = {}
-    with no_grad():
-        for horizon in horizons:
-            if horizon <= 0:
-                raise ValueError("horizons must be positive")
-            buckets: Dict[int, List[Tuple[StudentSequence, int]]] = {}
-            for sequence in dataset:
-                for target in range(min_history + horizon - 1,
-                                    len(sequence)):
-                    # context = history[:target-k+1] + the probe itself
-                    probe = StudentSequence(
-                        sequence.student_id,
-                        sequence.interactions[:target - horizon + 1]
-                        + [sequence[target]])
-                    buckets.setdefault(len(probe), []).append(
-                        (probe, len(probe) - 1))
-            metrics = StreamingMetrics()
-            for length in sorted(buckets):
-                group = buckets[length]
-                for start in range(0, len(group), batch_size):
-                    chunk = group[start:start + batch_size]
-                    batch = collate([probe for probe, _ in chunk])
-                    cols = np.array([col for _, col in chunk])
-                    scores = model.predict_scores(batch, cols)
-                    for (probe, col), score in zip(chunk, scores):
-                        metrics.update(probe[col].correct, float(score))
-            results[horizon] = {"auc": metrics.auc,
-                                "accuracy": metrics.accuracy,
-                                "targets": metrics.count}
+    was_training = model.training
+    model.eval()
+    try:
+        with no_grad():
+            for horizon in horizons:
+                # context = history[:t-k+1] + the probe itself
+                probes = [StudentSequence(
+                    sequence.student_id,
+                    sequence.interactions[:target - horizon + 1]
+                    + [sequence[target]])
+                    for sequence in dataset
+                    for target in range(min_history + horizon - 1,
+                                        len(sequence))]
+                scores = score_targets(model, probes,
+                                       [len(probe) - 1 for probe in probes],
+                                       target_batch=batch_size)
+                metrics = StreamingMetrics()
+                for probe, score in zip(probes, scores):
+                    metrics.update(probe[-1].correct, float(score))
+                results[horizon] = {"auc": metrics.auc,
+                                    "accuracy": metrics.accuracy,
+                                    "targets": metrics.count}
+    finally:
+        if was_training:
+            model.train()
     return results

@@ -47,8 +47,7 @@ and typed.
 from .engine import InferenceEngine
 from .forward_cache import (DEFAULT_STREAM_CACHE_BYTES, StreamCacheStore,
                             StudentStreamCache, build_stream_caches)
-from .history import (ArrayHistory, HistoryStore, HistoryWindow,
-                      StudentHistory)
+from .history import ArrayHistory, HistoryStore, StudentHistory
 from .http_gateway import (ServiceClient, ServiceHTTPServer, serve_http,
                            start_http_thread)
 from .protocol import (DEFAULT_MODEL, DEFAULT_WARM_TOP, PROTOCOL_VERSION,
@@ -74,7 +73,7 @@ from .service import Service
 __all__ = [
     # engine core
     "InferenceEngine",
-    "HistoryStore", "StudentHistory", "HistoryWindow", "ArrayHistory",
+    "HistoryStore", "StudentHistory", "ArrayHistory",
     "StreamCacheStore", "StudentStreamCache", "build_stream_caches",
     "DEFAULT_STREAM_CACHE_BYTES",
     # facade + registry

@@ -40,9 +40,8 @@ from repro.utils import load_checkpoint, save_checkpoint
 from .. import obs
 from ..obs import names as metric_names
 from .forward_cache import (DEFAULT_STREAM_CACHE_BYTES, StreamCacheStore,
-                            base_contents, build_stream_caches,
-                            question_vector_for)
-from .history import ArrayHistory, HistoryStore
+                            build_stream_caches, question_vector_for)
+from .history import HistoryStore
 from .protocol import (DEFAULT_MODEL, InvalidConcept, InvalidQuestion,
                        ServiceError)
 
@@ -55,21 +54,24 @@ TARGET_BATCH = 64
 class ContextRow:
     """One row of a shared scoring context (the unit of ``score_rows``).
 
-    ``history`` is any object with the read interface of
-    :class:`~repro.serve.history.StudentHistory` — the stored history,
-    or a detached :class:`~repro.serve.history.ArrayHistory` carrying a
-    what-if edit.  ``start`` is the window anchor into it.  ``probe``
+    ``history`` is a :class:`~repro.serve.history.Timeline` — the
+    stored history, or a world :meth:`~repro.serve.history.Timeline
+    .edited` built.  ``start`` is the window anchor into it.  ``probe``
     appends a virtual next interaction (score/what-if rows); ``None``
     makes the row's *last recorded position* the target (explain rows).
     ``cache_key`` names the stream-cache slot that may serve this row
-    (``None`` for detached/edited rows, which are always built
-    transiently).
+    (``None`` for worlds, which are built transiently).  ``entry`` is a
+    caller-owned :class:`~repro.serve.forward_cache.StudentStreamCache`
+    already covering the row's ``[start, history.length)`` window — a
+    clone-extended practice world — which serves the row with no
+    forward pass and never touches the store.
     """
 
     history: object
     start: int
     probe: Optional[Tuple[int, Tuple[int, ...]]]
     cache_key: object = None
+    entry: object = None
 
 
 class ScoredRows(NamedTuple):
@@ -335,11 +337,8 @@ class InferenceEngine:
                 if history is None or history.length == 0:
                     continue
                 start = self.window_start(history.length)
-                arrays = [a.copy() for a in
-                          (history.suffix(start) if start
-                           else history).view()]
                 snapshots.append((student_id, start,
-                                  ArrayHistory(student_id, *arrays)))
+                                  history.suffix(start).snapshot()))
         if not snapshots:
             return 0
         with no_grad():
@@ -398,26 +397,17 @@ class InferenceEngine:
         entry = self.stream_caches.peek(student_id)
         if entry is None:
             return  # cold/evicted: next score warm-builds in one pass
-        if self.window_start(history.length) != entry.anchor:
-            # The serving window slid past the cached anchor: cached
-            # states are functions of their window-relative positions,
-            # so the entry cannot be extended — the next score rebuilds
-            # it from the new window slice in one vectorized pass.
+        if not entry.covers(self.window_start(history.length),
+                            history.length - 1):
+            # The serving window slid past the cached anchor (cached
+            # states are functions of their window-relative positions),
+            # or the entry is out of sync (e.g. a bulk load since the
+            # last score): stale states must not be extended — the next
+            # score rebuilds from the window slice in one pass.
             self.stream_caches.discard(student_id)
             return
-        if entry.length != history.length - 1 - entry.anchor:
-            # Out of sync (e.g. a bulk load since the last score):
-            # stale states must not be extended.
-            self.stream_caches.discard(student_id)
-            return
-        generator = self.model.generator
-        question_vector = question_vector_for(generator.embedder,
-                                              question_id, concept_ids)
-        categories = base_contents(np.asarray(correct),
-                                   self.model.config.use_monotonicity)
         try:
-            entry.extend(generator.encoder, question_vector, categories,
-                         generator.embedder.response_embedding.weight.data)
+            entry.extend(self.model, question_id, concept_ids, correct)
         except ValueError:
             # Defensive: the cache must never make record() fail where
             # a cold entry would have accepted the event.
@@ -463,8 +453,7 @@ class InferenceEngine:
     # Scoring
     # ------------------------------------------------------------------
     # invariant: holds-lock
-    def _assemble_rows(self, rows: Sequence[ContextRow],
-                       local_entries: Optional[Dict[int, object]] = None
+    def _assemble_rows(self, rows: Sequence[ContextRow]
                        ) -> Tuple[MultiTargetContext, np.ndarray,
                                   Dict[int, object]]:
         """One shared scoring context over heterogeneous rows (lock held).
@@ -477,14 +466,8 @@ class InferenceEngine:
         every row under a zero budget) is warm-built in **one** stacked
         :func:`~repro.serve.forward_cache.build_stream_caches` pass, so
         a mixed flush issues one shared forward-stream batch and only
-        per-target backward streams remain.
-
-        ``local_entries`` maps row index -> a caller-owned
-        :class:`~repro.serve.forward_cache.StudentStreamCache` already
-        covering that row's ``[start, history.length)`` slice — the
-        recourse search and the recommend value worlds pass
-        clone-extended per-world entries here, so a batch of
-        hypothetical timelines costs zero forward passes.
+        per-target backward streams remain.  A row that carries its own
+        ``entry`` (a clone-extended practice world) needs no pass.
 
         Returns the context, the per-row target columns and row index ->
         the entry that served the row, letting the caller keep
@@ -505,15 +488,15 @@ class InferenceEngine:
             if length == 0:
                 slot_of.append(None)
                 continue
-            if local_entries is not None and index in local_entries:
-                # Caller-owned pre-built entry (a clone-extended recourse
-                # world): private to this row, never touches the store.
+            if row.entry is not None:
+                # Caller-owned entry: private to this row, never touches
+                # the store.
                 slot = ("local", index)
                 slot_of.append(slot)
-                entries[slot] = local_entries[index]
+                entries[slot] = row.entry
                 continue
             # Rows with the same cache slot and anchor share one entry;
-            # detached rows (edited histories) are always private.
+            # worlds (no cache key) are always private.
             slot = ((row.cache_key, row.start)
                     if row.cache_key is not None else ("row", index))
             slot_of.append(slot)
@@ -527,14 +510,13 @@ class InferenceEngine:
                          == self.window_start(row.history.length))
             entry = store.get(row.cache_key) \
                 if row.cache_key is not None else None
-            if entry is not None and (entry.anchor != row.start
-                                      or entry.length != length):
+            if entry is not None and not entry.covers(row.start,
+                                                      row.history.length):
                 if canonical:
                     store.discard(row.cache_key)
                 entry = None
             if entry is None:
-                missing[slot] = (row.history.suffix(row.start) if row.start
-                                 else row.history, row.start,
+                missing[slot] = (row.history.suffix(row.start), row.start,
                                  row.cache_key if canonical else None)
             else:
                 entries[slot] = entry
@@ -604,8 +586,7 @@ class InferenceEngine:
                                      forward_streams=streams)
         return context, cols, served
 
-    def score_rows(self, admit: Callable[[], Sequence[ContextRow]],
-                   local_entries: Optional[Dict[int, object]] = None
+    def score_rows(self, admit: Callable[[], Sequence[ContextRow]]
                    ) -> ScoredRows:
         """Score heterogeneous rows as **one** shared batch.
 
@@ -615,8 +596,8 @@ class InferenceEngine:
         returns the rows, so rows may hold live histories and every row
         of a batch sees one history state; callers with rows in hand
         pass ``lambda: rows``.  The rows are assembled under the lock
-        (one warm-build pass for whatever ``local_entries`` does not
-        already cover); the backward passes run after it is released,
+        (one warm-build pass for every row no cached or caller-owned
+        entry covers); the backward passes run after it is released,
         probe rows column-banded through
         :meth:`MultiTargetContext.scores_for` and explain rows
         (``probe is None``) through one
@@ -627,8 +608,7 @@ class InferenceEngine:
                 rows = admit()
                 if not rows:
                     return ScoredRows(np.empty(0), {}, {})
-                context, cols, entries = self._assemble_rows(rows,
-                                                             local_entries)
+                context, cols, entries = self._assemble_rows(rows)
             # The context holds copies: the backward passes need no lock.
             self._obs_forward_calls.inc()
             scores = np.full(len(rows), np.nan)
@@ -666,9 +646,8 @@ class InferenceEngine:
         warm-build instead.  The clone is taken under the lock because
         ``record`` extends a stored entry in place.
         """
-        start = self.window_start(length)
         with self._lock:
-            if entry is None or entry.anchor != start \
-                    or entry.length != length - start:
+            if entry is None or not entry.covers(self.window_start(length),
+                                                 length):
                 return None
             return entry.clone()

@@ -119,20 +119,31 @@ class StudentStreamCache:
         vectors[:capacity] = self.question_vectors
         self.question_vectors = vectors
 
-    def extend(self, encoder, question_vector: np.ndarray,
-               response_categories: np.ndarray,
-               response_table: np.ndarray) -> None:
-        """Append one recorded response.
+    def covers(self, start: int, length: int) -> bool:
+        """Whether this entry is exactly the window ``[start, length)``
+        of a ``length``-step timeline: the one test before an entry
+        serves a row or is extended by that timeline's next step."""
+        return self.anchor == start and self.length == length - start
 
-        ``question_vector`` is the fused Eq. 23 vector of the new
-        interaction, ``response_categories`` the ``(bases,)`` variant
-        contents from :func:`base_contents`, and ``response_table`` the
-        ``(3, dim)`` response embedding.  Advances the encoder state by
-        one step per base row.
+    def extend(self, model, question_id: int, concept_ids: Sequence[int],
+               correct: int) -> None:
+        """Append one interaction answered ``correct``: a recorded
+        response, or a practice world's assumed one.
+
+        Advances ``model``'s encoder state by one step per base row,
+        over the fused Eq. 23 question vector and each base's response
+        category (:func:`base_contents`).
         """
+        generator = model.generator
+        embedder = generator.embedder
+        question_vector = question_vector_for(embedder, question_id,
+                                              concept_ids)
+        categories = base_contents(np.asarray(correct),
+                                   model.config.use_monotonicity)
         interactions = question_vector[None] + \
-            response_table[response_categories]
-        outputs = encoder.extend_forward_state(self.state, interactions)
+            embedder.response_embedding.weight.data[categories]
+        outputs = generator.encoder.extend_forward_state(self.state,
+                                                         interactions)
         self._grow()
         self.streams[:, self.length] = outputs
         self.question_vectors[self.length] = question_vector
@@ -148,8 +159,8 @@ class StudentStreamCache:
         """Independent deep copy of the filled prefix.
 
         ``extend`` mutates in place, so anything that forks a shared
-        entry into a hypothetical timeline — the recourse search
-        appending assumed-correct practice items — must clone first.
+        entry into a hypothetical timeline — a practice world appending
+        an assumed answer — must clone first.
         The constructor copies the passed arrays into fresh capacity
         arrays; the state clones itself.
         """
@@ -175,10 +186,10 @@ def question_vector_for(embedder, question_id: int,
 def build_stream_caches(model, histories) -> List[StudentStreamCache]:
     """Vectorized cold-start warm-up for many students at once.
 
-    ``histories`` yields :class:`repro.serve.history.StudentHistory`
-    objects — or :class:`~repro.serve.history.HistoryWindow` suffix
-    views, which is how windowed serving warm-builds anchored caches —
-    with at least one interaction each.  One stacked forward
+    ``histories`` yields :class:`~repro.serve.history.Timeline` objects
+    — stored histories, or the window suffixes of timelines, which is
+    how windowed serving warm-builds anchored caches — with at least one
+    interaction each.  One stacked forward
     pass (students x variant bases) builds every cache, reusing the
     exact batch kernels the offline scorer runs — so a cache built
     here scores identically to

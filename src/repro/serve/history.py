@@ -1,4 +1,4 @@
-"""Per-student interaction caches for the inference engine.
+"""Per-student interaction caches, and the one way to derive a timeline.
 
 Serving a score request needs the student's full history as dense arrays.
 Rebuilding :class:`~repro.data.StudentSequence` objects and re-collating
@@ -8,18 +8,104 @@ store keeps each student's log as geometrically-grown NumPy arrays, so
 * appending one new response is an O(1) amortized array write, and
 * assembling a request batch is one row-slice memcpy per student — no
   per-interaction Python loops anywhere on the request path.
+
+Every other timeline the serving stack scores is derived from a history
+by :class:`Timeline`, which the stored :class:`StudentHistory` and the
+detached :class:`ArrayHistory` share: :meth:`Timeline.snapshot` (an
+admission-time copy), :meth:`Timeline.suffix` (a window, as views) and
+:meth:`Timeline.edited` — the one builder of counterfactual worlds:
+what-if edits, the monotonicity report's corrected timelines, recourse
+fix and practice worlds, and recommend value worlds.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.data import PAD_ID, StudentSequence
 
 
-class StudentHistory:
+class Timeline:
+    """The derivations shared by every history type.
+
+    A subclass provides ``student_id``, ``length``, ``concept_width``
+    and ``view()`` (the ``(questions, responses, concepts,
+    concept_counts)`` arrays); everything here reads only those.
+    """
+
+    __slots__ = ()
+
+    def question_at(self, position: int) -> Tuple[int, Tuple[int, ...]]:
+        """``(question_id, concept_ids)`` asked at ``position``: the
+        probe that re-asks it."""
+        questions, _, concepts, counts = self.view()
+        return (int(questions[position]),
+                tuple(int(c) for c in concepts[position, :counts[position]]))
+
+    def snapshot(self) -> "ArrayHistory":
+        """A detached copy that later appends cannot change."""
+        return ArrayHistory(self.student_id,
+                            *(array.copy() for array in self.view()))
+
+    def suffix(self, start: int) -> "ArrayHistory":
+        """The interactions from position ``start`` on, as views.
+
+        The sliding-window serving mode scores students over the suffix
+        that fits their window; views (not copies) keep window assembly
+        O(window) memcpy work with no per-step loops.
+        """
+        if not 0 <= start <= self.length:
+            raise ValueError(f"suffix start {start} outside history of "
+                             f"length {self.length}")
+        return ArrayHistory(self.student_id,
+                            *(array[start:] for array in self.view()))
+
+    def edited(self, responses: Optional[Mapping[int, int]] = None,
+               removed: Sequence[int] = (),
+               appended: Sequence[Tuple[int, Sequence[int], int]] = ()
+               ) -> "ArrayHistory":
+        """A counterfactual world: this timeline with one edit step.
+
+        ``responses`` maps positions to their new 0/1 response,
+        ``removed`` drops positions and ``appended`` adds
+        ``(question_id, concept_ids, correct)`` interactions at the
+        end.  Positions index this timeline before the edit, so a
+        position is edited at most once.  The world's arrays are
+        allocated once, at full size; only a removal gathers the kept
+        rows into a second copy.
+        """
+        length = self.length
+        total = length + len(appended)
+        width = max([self.concept_width]
+                    + [len(concept_ids) for _, concept_ids, _ in appended])
+        questions = np.empty(total, dtype=np.int64)
+        answers = np.empty(total, dtype=np.int64)
+        concepts = np.full((total, width), PAD_ID, dtype=np.int64)
+        counts = np.ones(total, dtype=np.int64)
+        q, r, c, k = self.view()
+        questions[:length] = q
+        answers[:length] = r
+        concepts[:length, :c.shape[1]] = c
+        counts[:length] = k
+        for position, value in (responses or {}).items():
+            answers[position] = value
+        for position, (question_id, concept_ids, correct) in enumerate(
+                appended, start=length):
+            questions[position] = question_id
+            answers[position] = correct
+            concepts[position, :len(concept_ids)] = concept_ids
+            counts[position] = len(concept_ids)
+        arrays = (questions, answers, concepts, counts)
+        if removed:
+            keep = np.ones(total, dtype=bool)
+            keep[list(removed)] = False
+            arrays = tuple(array[keep] for array in arrays)
+        return ArrayHistory(self.student_id, *arrays)
+
+
+class StudentHistory(Timeline):
     """One student's growable interaction log."""
 
     __slots__ = ("student_id", "length", "_questions", "_responses",
@@ -83,57 +169,15 @@ class StudentHistory:
         return (self._questions[:n], self._responses[:n],
                 self._concepts[:n], self._concept_counts[:n])
 
-    def suffix(self, start: int) -> "HistoryWindow":
-        """Read-only view of the interactions from position ``start`` on.
 
-        The sliding-window serving mode scores students over the suffix
-        that fits their window; a view (not a copy) keeps window
-        assembly O(window) memcpy work with no per-step loops.
-        """
-        if not 0 <= start <= self.length:
-            raise ValueError(f"suffix start {start} outside history of "
-                             f"length {self.length}")
-        return HistoryWindow(self, start)
+class ArrayHistory(Timeline):
+    """A timeline over explicit arrays: a snapshot, a window or a world.
 
-
-class HistoryWindow:
-    """Suffix view over a :class:`StudentHistory` (same read interface).
-
-    Duck-types the subset of :class:`StudentHistory` that batch assembly
-    and the stream-cache warm-up consume (``length``, ``concept_width``,
-    ``view()``), so windowed serving can pass truncated histories through
-    the exact code paths full histories take.
-    """
-
-    __slots__ = ("student_id", "start", "length", "_history")
-
-    def __init__(self, history: StudentHistory, start: int):
-        self.student_id = history.student_id
-        self.start = start
-        self.length = history.length - start
-        self._history = history
-
-    @property
-    def concept_width(self) -> int:
-        return self._history.concept_width
-
-    def view(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Live array views over the suffix (no copies)."""
-        questions, responses, concepts, counts = self._history.view()
-        start = self.start
-        return (questions[start:], responses[start:], concepts[start:],
-                counts[start:])
-
-
-class ArrayHistory:
-    """A detached history snapshot over explicit arrays.
-
-    The what-if replay path edits a *copy* of a student's recorded
-    arrays (flip/set/remove a past response) and scores the edited
-    timeline without ever touching the stored history.  Duck-types the
-    same read interface as :class:`StudentHistory` (``length``,
-    ``concept_width``, ``view()``, ``suffix()``), so edited timelines
-    flow through batch assembly and stream-cache warm-up unchanged.
+    :meth:`Timeline.snapshot` copies a history into one,
+    :meth:`Timeline.suffix` views its window and
+    :meth:`Timeline.edited` builds a counterfactual world, so these
+    timelines flow through batch assembly and stream-cache warm-up
+    exactly like the stored history.
     """
 
     __slots__ = ("student_id", "length", "_questions", "_responses",
@@ -160,12 +204,6 @@ class ArrayHistory:
     def view(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         return (self._questions, self._responses, self._concepts,
                 self._concept_counts)
-
-    def suffix(self, start: int) -> HistoryWindow:
-        if not 0 <= start <= self.length:
-            raise ValueError(f"suffix start {start} outside history of "
-                             f"length {self.length}")
-        return HistoryWindow(self, start)
 
 
 class HistoryStore:

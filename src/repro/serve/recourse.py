@@ -25,15 +25,17 @@ edit *sets* reached along different paths are expanded once.
 
 Batching contract: the query's plan (:mod:`repro.serve.service`)
 puts the target's baseline probe in the batch's shared flush, and its
-``finish`` runs the search after that flush.  Every generation is
-scored through
+``finish`` runs the search after that flush.  Every world is one
+:meth:`~repro.serve.history.Timeline.edited` step over the admission
+snapshot, and every generation is scored through
 :meth:`~repro.serve.engine.InferenceEngine.score_rows` as rows of
 **one** shared forward-stream batch — and practice worlds whose parent
-timeline is already warm extend a ``clone()`` of the parent's stream
-cache by a single encoder step, costing *zero* forward passes.  Only
-``fix_history`` worlds (whose edit rewrites the middle of the timeline)
-are re-encoded, all of them in the generation's single warm-build pass.
-Forward-call counting tests pin both properties.
+timeline is already warm carry a ``clone()`` of the parent's stream
+cache extended by a single encoder step as their row's ``entry``,
+costing *zero* forward passes.  Only ``fix_history`` worlds (whose edit
+rewrites the middle of the timeline) are re-encoded, all of them in the
+generation's single warm-build pass.  Forward-call counting tests pin
+both properties.
 
 The reply carries the chosen edit path with its per-step probability
 trajectory, plus a per-step ``lowered_score`` monotonicity diagnostic
@@ -48,90 +50,32 @@ A :class:`~repro.serve.protocol.RecommendQuery` value world is a
 practice world with an assumed answer: the snapshot plus one candidate
 answered 1 or 0, probed by each of the ``horizon`` most recent
 questions.  :func:`recommend_values` builds them with the same
-:class:`PracticeWorlds` timelines and clone-extended warm entries the
-search uses, and scores them through the same call.
+timeline edit and clone-extended warm entries the search uses, and
+scores them through the same call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.data import PAD_ID
-
 from .engine import ContextRow, InferenceEngine
-from .forward_cache import base_contents, question_vector_for
 from .history import ArrayHistory
 from .protocol import (RecommendQuery, RecourseQuery, RecourseReply,
                        RecourseStep)
 
 
-class PracticeWorlds:
-    """Hypothetical timelines over one admission-time history snapshot.
-
-    A world is the snapshot with some recorded responses fixed to
-    correct and candidate questions appended with an assumed answer.
-    :meth:`timeline` builds a world's detached history and
-    :meth:`extend` its forward streams from a parent world's warm
-    entry, at the cost of one encoder step.
-    """
-
-    def __init__(self, engine: InferenceEngine, student_id,
-                 snapshot: Tuple[np.ndarray, ...], candidates):
-        generator = engine.model.generator
-        self.student_id = student_id
-        self.snapshot = snapshot
-        self.candidates = candidates
-        self.encoder = generator.encoder
-        self.response_table = \
-            generator.embedder.response_embedding.weight.data
-        self.categories = {
-            answer: base_contents(np.asarray(answer),
-                                  engine.model.config.use_monotonicity)
-            for answer in (0, 1)}
-        self.candidate_vectors = [
-            question_vector_for(generator.embedder, candidate.question_id,
-                                candidate.concept_ids)
-            for candidate in candidates]
-        history_width = snapshot[2].shape[1] if len(snapshot[0]) else 1
-        self.width = max([history_width] + [len(c.concept_ids)
-                                            for c in candidates])
-
-    def timeline(self, practiced: Sequence[Tuple[int, int]],
-                 fixed=()) -> ArrayHistory:
-        """The snapshot with ``fixed`` positions answered correctly and
-        ``practiced`` ``(candidate index, answer)`` pairs appended."""
-        q, r, c, k = self.snapshot
-        n = len(q)
-        total = n + len(practiced)
-        questions = np.empty(total, dtype=np.int64)
-        responses = np.empty(total, dtype=np.int64)
-        concepts = np.full((total, self.width), PAD_ID, dtype=np.int64)
-        counts = np.ones(total, dtype=np.int64)
-        questions[:n] = q
-        responses[:n] = r
-        concepts[:n, :c.shape[1]] = c
-        counts[:n] = k
-        for position in fixed:
-            responses[position] = 1
-        for position, (index, answer) in enumerate(practiced, start=n):
-            ids = self.candidates[index].concept_ids
-            questions[position] = self.candidates[index].question_id
-            responses[position] = answer
-            concepts[position, :len(ids)] = ids
-            counts[position] = len(ids)
-        return ArrayHistory(self.student_id, questions, responses,
-                            concepts, counts)
-
-    def extend(self, entry, index: int, answer: int):
-        """A clone of warm ``entry`` extended by candidate ``index``
-        answered ``answer`` — the child world's private entry."""
-        child = entry.clone()
-        child.extend(self.encoder, self.candidate_vectors[index],
-                     self.categories[answer], self.response_table)
-        return child
+def _practice_entry(engine: InferenceEngine, entry, practice: tuple):
+    """A clone of warm ``entry`` extended by one ``practice``
+    ``(question_id, concept_ids, correct)`` interaction: the practice
+    world's private row entry, or ``None`` without a warm parent."""
+    if entry is None:
+        return None
+    child = entry.clone()
+    child.extend(engine.model, *practice)
+    return child
 
 
 @dataclass(frozen=True)
@@ -175,9 +119,9 @@ class _World:
 class RecourseSearch:
     """One query's search over an admission-time history snapshot.
 
-    ``snapshot`` is the *full*-history array copies taken when the
-    query's baseline probe was admitted (a concurrent ``record`` must
-    never tear the search across two history states), ``baseline``
+    ``snapshot`` is the *full*-history copy taken when the query's
+    baseline probe was admitted (a concurrent ``record`` must never
+    tear the search across two history states), ``baseline``
     the probe's score from the shared mixed-type batch and ``entry``
     the stream-cache entry that served that probe.  The root timeline
     starts from a clone of ``entry`` (:meth:`InferenceEngine.warm_entry`)
@@ -188,20 +132,22 @@ class RecourseSearch:
     """
 
     def __init__(self, engine: InferenceEngine, model_name: str,
-                 query: RecourseQuery, snapshot: Tuple[np.ndarray, ...],
+                 query: RecourseQuery, snapshot: ArrayHistory,
                  baseline: float, entry):
         self.engine = engine
         self.model_name = model_name
         self.query = query
         self.snapshot = snapshot
         self.baseline = float(baseline)
-        self.base_length = len(snapshot[0])
-        self.worlds = PracticeWorlds(engine, query.student_id, snapshot,
-                                     query.candidates)
+        self.base_length = snapshot.length
+        # Every practice move appends its candidate answered correctly.
+        self.practice = [(candidate.question_id,
+                          tuple(candidate.concept_ids), 1)
+                         for candidate in query.candidates]
         # Edits behind the serving window cannot move the score; only
         # in-window incorrect responses are fixable.
         window_start = engine.window_start(self.base_length)
-        responses = snapshot[1]
+        responses = snapshot.view()[1]
         self.fix_positions = tuple(
             int(p) for p in range(window_start, self.base_length)
             if responses[p] == 0) if query.allow_history_edits else ()
@@ -270,20 +216,15 @@ class RecourseSearch:
         return children
 
     def _moves(self, world: _World):
-        responses = self.snapshot[1]
-        questions = self.snapshot[0]
         for position in self.fix_positions:
             if position in world.fixed:
                 continue
-            counts = self.snapshot[3]
-            yield _Move("fix_history", int(questions[position]),
-                        tuple(int(c) for c in
-                              self.snapshot[2][position,
-                                               :counts[position]]),
+            yield _Move("fix_history", *self.snapshot.question_at(position),
                         position=position)
-        for index, candidate in enumerate(self.query.candidates):
-            yield _Move("practice", candidate.question_id,
-                        tuple(candidate.concept_ids), candidate=index)
+        for index, (question_id, concept_ids, _) in enumerate(
+                self.practice):
+            yield _Move("practice", question_id, concept_ids,
+                        candidate=index)
 
     # ------------------------------------------------------------------
     # Batched scoring
@@ -293,18 +234,14 @@ class RecourseSearch:
         engine = self.engine
         probe = (self.query.question_id, self.query.concept_ids)
         rows = []
-        local: Dict[int, object] = {}
-        for index, world in enumerate(children):
-            timeline = self.worlds.timeline(
-                [(candidate, 1) for candidate in world.practiced],
-                world.fixed)
+        for world in children:
+            timeline = self.snapshot.edited(
+                responses=dict.fromkeys(world.fixed, 1),
+                appended=[self.practice[index] for index in world.practiced])
             start = engine.window_start(timeline.length)
-            rows.append(ContextRow(timeline, start, probe))
-            entry = self._extended_entry(world, start)
-            if entry is not None:
-                local[index] = entry
-        scored = engine.score_rows(lambda: rows,
-                                   local_entries=local or None)
+            rows.append(ContextRow(timeline, start, probe,
+                                   entry=self._extended_entry(world, start)))
+        scored = engine.score_rows(lambda: rows)
         for index, world in enumerate(children):
             world.score = float(scored.scores[index])
             world.entry = scored.entries.get(index)
@@ -314,19 +251,16 @@ class RecourseSearch:
 
         Valid only when the child keeps the parent's window anchor (an
         append can slide the window, invalidating anchored state) and
-        the parent's entry still covers its whole timeline.  Returns a
-        private entry the shared batch consumes via ``local_entries`` —
-        zero forward passes for this row.
+        the parent's entry still covers its whole timeline.  Returns
+        the row's private entry — zero forward passes for this row.
         """
         parent = world.parent
         move = world.move
-        if (move.kind != "practice" or parent is None
-                or parent.entry is None
-                or parent.entry.anchor != start
-                or parent.entry.length != parent.length
-                - parent.entry.anchor):
+        if (move.kind != "practice" or parent.entry is None
+                or not parent.entry.covers(start, parent.length)):
             return None
-        return self.worlds.extend(parent.entry, move.candidate, 1)
+        return _practice_entry(self.engine, parent.entry,
+                               self.practice[move.candidate])
 
     # ------------------------------------------------------------------
     # Reply assembly
@@ -359,8 +293,7 @@ class RecourseSearch:
 
 
 def recommend_values(engine: InferenceEngine, query: RecommendQuery,
-                     snapshot: Tuple[np.ndarray, ...],
-                     entry) -> np.ndarray:
+                     snapshot: ArrayHistory, entry) -> np.ndarray:
     """Counterfactual question values of the candidates (Sec. V-C).
 
     For each candidate and each assumed answer (correct, incorrect),
@@ -373,28 +306,21 @@ def recommend_values(engine: InferenceEngine, query: RecommendQuery,
     ``entry`` by its one practice step, so all ``2 * horizon`` rows per
     candidate share one batch with no forward pass of their own.
     """
-    length = len(snapshot[0])
+    length = snapshot.length
     start = engine.window_start(length)
-    questions, _, concepts, counts = snapshot
-    probes = [(int(questions[p]),
-               tuple(int(c) for c in concepts[p, :counts[p]]))
+    probes = [snapshot.question_at(p)
               for p in range(max(start, length - query.horizon), length)]
-    worlds = PracticeWorlds(engine, query.student_id, snapshot,
-                            query.candidates)
     root = engine.warm_entry(entry, length)
     rows = []
-    local: Dict[int, object] = {}
-    for index in range(len(query.candidates)):
+    for candidate in query.candidates:
         for answer in (1, 0):
-            timeline = worlds.timeline([(index, answer)])
-            entry = worlds.extend(root, index, answer) \
-                if root is not None else None
-            for probe in probes:
-                if entry is not None:
-                    local[len(rows)] = entry
-                rows.append(ContextRow(timeline, start, probe))
-    scores = engine.score_rows(lambda: rows,
-                               local_entries=local or None).scores
+            practice = (candidate.question_id, candidate.concept_ids,
+                        answer)
+            timeline = snapshot.edited(appended=(practice,))
+            world = _practice_entry(engine, root, practice)
+            rows.extend(ContextRow(timeline, start, probe, entry=world)
+                        for probe in probes)
+    scores = engine.score_rows(lambda: rows).scores
     return np.array([np.abs(correct - incorrect).mean()
                      for correct, incorrect in
                      scores.reshape(len(query.candidates), 2, len(probes))])

@@ -46,7 +46,7 @@ import numpy as np
 from .. import obs
 from ..obs import names as metric_names
 from .engine import ContextRow, InferenceEngine
-from .history import ArrayHistory, StudentHistory
+from .history import StudentHistory
 from .protocol import (DEFAULT_MODEL, DEFAULT_WARM_TOP, PROTOCOL_VERSION,
                        BatchEnvelope, BatchReply, EmptyHistory,
                        ExplainQuery, ExplainReply,
@@ -169,9 +169,9 @@ def _what_if_plan(engine, model, query: WhatIfQuery, history):
     edited = _edited_history(engine, history, query)
     if is_error(edited):
         return edited
-    # Two rows: the edited timeline (detached — never cached) and the
-    # recorded baseline (shares the student's cache slot with any
-    # ScoreQuery in the batch).
+    # Two rows: the edited world (never cached) and the recorded
+    # baseline (shares the student's cache slot with any ScoreQuery in
+    # the batch).
     rows = [_probe_row(engine, edited, query),
             _probe_row(engine, history, query, query.student_id)]
 
@@ -184,7 +184,7 @@ def _what_if_plan(engine, model, query: WhatIfQuery, history):
 
 
 def _edited_history(engine, history, query: WhatIfQuery):
-    """Edited detached timeline, or the first ``InvalidEdit``.
+    """The edited world, or the first ``InvalidEdit``.
 
     Each edit's op and integer position passed the field rules; what
     is left needs the history or compares edits with each other.
@@ -210,22 +210,13 @@ def _edited_history(engine, history, query: WhatIfQuery):
             f"the history before any edits apply, so each may be "
             f"edited at most once per query{context}",
             details={"position": duplicate})
-    questions, responses, concepts, counts = \
-        (array.copy() for array in history.view())
-    # Highest position first: removals never shift a pending index.
-    for edit in sorted(query.edits, key=lambda e: -e.position):
-        if edit.op == "flip":
-            responses[edit.position] = 1 - responses[edit.position]
-        elif edit.op == "set":
-            responses[edit.position] = edit.value
-        else:
-            keep = np.arange(len(questions)) != edit.position
-            questions = questions[keep]
-            responses = responses[keep]
-            concepts = concepts[keep]
-            counts = counts[keep]
-    return ArrayHistory(query.student_id, questions, responses,
-                        concepts, counts)
+    recorded = history.view()[1]
+    return history.edited(
+        responses={edit.position: 1 - int(recorded[edit.position])
+                   if edit.op == "flip" else edit.value
+                   for edit in query.edits if edit.op != "remove"},
+        removed=[edit.position for edit in query.edits
+                 if edit.op == "remove"])
 
 
 def _recommend_plan(engine, model, query: RecommendQuery, history):
@@ -239,7 +230,7 @@ def _recommend_plan(engine, model, query: RecommendQuery, history):
         return [], lambda scored, first: RecommendReply(
             query.student_id, (), model=model)
     # The value worlds run after the flush, against this snapshot.
-    snapshot = tuple(array.copy() for array in history.view())
+    snapshot = history.snapshot()
 
     def finish(scored, first):
         """Blend the shared-batch success probes with the value worlds."""
@@ -281,7 +272,7 @@ def _recourse_plan(engine, model, query: RecourseQuery, history):
                               "recourse search needs a non-empty history")
     # Full-history snapshot: the search edits absolute positions and
     # re-windows every hypothetical timeline itself.
-    snapshot = tuple(array.copy() for array in history.view())
+    snapshot = history.snapshot()
 
     def finish(scored, first):
         return RecourseSearch(engine, model, query, snapshot,
@@ -299,22 +290,18 @@ def _monotonicity_plan(engine, model, query: ExplainQuery, history):
     if history.length == 0:
         return _history_error(EmptyHistory, engine, student_id,
                               "monotonicity report needs a non-empty history")
-    questions, responses, concepts, counts = \
-        (array.copy() for array in history.view())
-    length = len(questions)
+    length = history.length
     start = engine.window_start(length)
+    responses = history.view()[1]
     positions = [p for p in range(start, length) if responses[p] == 0]
-    recorded = ArrayHistory(student_id, questions, responses, concepts,
-                            counts)
     rows: List[ContextRow] = []
     for position in positions:
-        probe = (int(questions[position]),
-                 tuple(int(c) for c in concepts[position, :counts[position]]))
-        corrected = responses.copy()
-        corrected[position] = 1
-        rows.append(ContextRow(recorded, start, probe))
-        rows.append(ContextRow(ArrayHistory(student_id, questions, corrected,
-                                            concepts, counts), start, probe))
+        probe = history.question_at(position)
+        # The recorded row shares the student's cache slot, so every
+        # position's recorded probe reads one entry.
+        rows.append(ContextRow(history, start, probe, cache_key=student_id))
+        rows.append(ContextRow(history.edited(responses={position: 1}),
+                               start, probe))
 
     def finish(scored, first):
         scores = scored.scores[first:first + len(rows)]

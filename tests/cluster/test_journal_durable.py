@@ -20,6 +20,8 @@ The regression sweep for the journal-correctness bugfixes:
   wrong shape, and a damaged ``journal.json``.
 """
 
+import sys
+import threading
 import zlib
 
 import pytest
@@ -416,6 +418,84 @@ def test_damaged_meta_file_refuses_by_name(tmp_path):
     (tmp_path / "journal.json").write_bytes(b"")
     with pytest.raises(SegmentCorruption, match="journal.json"):
         RecordJournal(directory=tmp_path).bind_meta({"shards": 2})
+
+
+@pytest.mark.parametrize("stage", ["sync", "compact"])
+def test_one_shards_disk_work_does_not_block_another(tmp_path, monkeypatch,
+                                                     stage):
+    """While shard 0's fsync (or the compaction its append triggers) is
+    parked, shard 1 still appends and syncs: each shard locks on its
+    own."""
+    journal = RecordJournal(directory=tmp_path, snapshot_every=2)
+    assert journal.append(0, payload("a"), sequence=1) is None
+    parked, release = threading.Event(), threading.Event()
+    original = getattr(wal.ShardFiles, stage)
+
+    def park_shard_zero(files, *args):
+        if files.directory == shard_dir(tmp_path, 0):
+            parked.set()
+            release.wait(10)
+        return original(files, *args)
+
+    monkeypatch.setattr(wal.ShardFiles, stage, park_shard_zero)
+    blocker = threading.Thread(
+        target=journal.sync if stage == "sync" else journal.append,
+        args=(0,) if stage == "sync" else (0, payload("a", 2), 2))
+    finished = threading.Event()
+
+    def other_shard():
+        assert journal.append(1, payload("b"), sequence=1) is None
+        journal.sync(1)
+        finished.set()
+
+    blocker.start()
+    try:
+        assert parked.wait(5)
+        threading.Thread(target=other_shard, daemon=True).start()
+        assert finished.wait(1.0), f"shard 1 waited on shard 0's {stage}"
+    finally:
+        release.set()
+        blocker.join(10)
+    assert replayed(journal, 1) == [payload("b")]
+    assert len(replayed(journal, 0)) == (1 if stage == "sync" else 2)
+    journal.close()
+
+
+def test_concurrent_shard_writers_lose_no_entry(tmp_path):
+    """Threads appending to, syncing and auto-compacting three shards at
+    once, with a tiny switch interval: every acknowledged entry replays,
+    from memory and after a cold boot."""
+    journal = RecordJournal(directory=tmp_path, segment_max_bytes=512,
+                            snapshot_every=16)
+    writers, appends, shards = 6, 60, 3
+    errors = []
+
+    def write(worker):
+        try:
+            for k in range(appends):
+                shard = (worker + k) % shards
+                assert journal.append(shard, payload(f"w{worker}"),
+                                      sequence=1 + k) is None
+                journal.sync(shard)
+        except Exception as error:  # noqa: BLE001 — reported below
+            errors.append(error)
+
+    threads = [threading.Thread(target=write, args=(worker,))
+               for worker in range(writers)]
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert journal.total() == writers * appends
+    journal.close()
+    assert RecordJournal(directory=tmp_path).total() == writers * appends
 
 
 def test_constructor_validates_parameters(tmp_path):

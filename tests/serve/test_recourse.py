@@ -530,6 +530,29 @@ class TestMonotonicityReport:
         else:
             assert report["max_drop"] == 0.0
 
+    @pytest.mark.parametrize("encoder", ["dkt", "akt"])
+    def test_recorded_rows_read_the_student_slot(self, encoder,
+                                                 monkeypatch):
+        """Every recorded probe reads the student's cache slot, so a
+        warm student's report warm-builds only its corrected worlds:
+        one per in-window incorrect response."""
+        from repro.serve import engine as engine_module
+        service, engine = make_service(encoder)
+        for question, _, concepts in HISTORY[:3]:
+            engine.record("kai", question, 0, concepts)
+        service.execute(ScoreQuery("kai", *TARGET))   # warm the slot
+        built = []
+        real_build = engine_module.build_stream_caches
+
+        def build(model, histories):
+            built.append(len(histories))
+            return real_build(model, histories)
+
+        monkeypatch.setattr(engine_module, "build_stream_caches", build)
+        report = service.monotonicity_report("kai")
+        assert report["positions_checked"] == 6
+        assert built == [6]
+
     def test_report_errors_are_values(self, stack):
         service, _ = stack
         assert isinstance(service.monotonicity_report("ghost"),
